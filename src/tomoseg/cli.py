@@ -24,7 +24,7 @@ from .evaluate import evaluate_volumes, run_dose_ablation
 from .pgm import float_to_8bit, gray_to_8bit, label_to_8bit, write_pgm
 from .phantom import default_spec, spec_from_dict, spec_to_dict, split_cohort
 from .pipeline import StageConfig, run_full, train_stage
-from .segmodel import TrainProtocol, load_model, save_model
+from .segmodel import DEFAULT_HYPERPARAMETERS, TrainProtocol, load_model, save_model
 from .tomo import DoseLevel, fbp_reconstruct, forward_project, load_sinogram, \
     normalize_to_u16, save_sinogram, subsample_dose
 
@@ -44,7 +44,11 @@ def cmd_phantom(args) -> int:
         path = Path(args.spec)
         if not path.exists():
             raise FileNotFoundError(str(path))
-        spec = spec_from_dict(json.loads(path.read_text()))
+        try:
+            doc = json.loads(path.read_text())
+        except json.JSONDecodeError as err:
+            raise SpecError(f"unreadable phantom spec {path}: {err}") from err
+        spec = spec_from_dict(doc)
     else:
         spec = default_spec()
     if args.seed is not None:
@@ -210,10 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", nargs="+", required=True, help="ground-truth volumes")
     p.add_argument("--out", required=True, help="model JSON output")
     p.add_argument("--tile", type=int, help="tile size (default per stage)")
-    p.add_argument("--epochs", type=int, default=150)
-    p.add_argument("--lr", type=float, default=1e-4, help="learning rate")
-    p.add_argument("--batch", type=int, default=2048, help="pixels per step")
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--epochs", type=int, default=DEFAULT_HYPERPARAMETERS["epochs"])
+    p.add_argument("--lr", type=float, default=DEFAULT_HYPERPARAMETERS["learning_rate"],
+                   help="learning rate")
+    p.add_argument("--batch", type=int, default=DEFAULT_HYPERPARAMETERS["batch_size"],
+                   help="pixels per step")
+    p.add_argument("--l2", type=float, default=DEFAULT_HYPERPARAMETERS["l2"])
     p.add_argument("--stride", type=int, default=3, help="slice stride")
     p.add_argument("--val-fraction", type=float, default=0.30)
     p.add_argument("--preprocess", nargs="*",

@@ -16,10 +16,10 @@ from .errors import SchemaError
 from .filters import FilterConfig
 from .phantom import PhantomSpec, default_spec, spec_from_dict, spec_to_dict
 from .pipeline import StageConfig
-from .segmodel import TrainProtocol
+from .segmodel import DEFAULT_HYPERPARAMETERS, TrainProtocol
 
 _PROTOCOL_KEYS = ("slice_stride", "val_fraction", "tiles_per_slice_per_epoch")
-_MODEL_KEYS = ("learning_rate", "epochs", "batch_size", "l2")
+_MODEL_KEYS = tuple(DEFAULT_HYPERPARAMETERS)
 
 
 def _take(doc: dict, keys, what: str) -> dict:

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 import enum
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -231,9 +232,29 @@ def _dtype_tag(vol: Volume) -> str:
     return "float32"
 
 
+def write_with_sidecar(path, payload: np.ndarray, sidecar: dict) -> None:
+    """Write ``payload`` bytes to ``path`` and ``sidecar`` as JSON to ``path + '.json'``.
+
+    Both go to temporary files in the target directory and are renamed over
+    the targets only once both are written, the sidecar last; a failed write
+    removes the temporary files and leaves any earlier pair untouched.
+    """
+    path = Path(path)
+    sidecar_path = Path(str(path) + ".json")
+    tmp_payload = path.with_name(path.name + ".tmp")
+    tmp_sidecar = sidecar_path.with_name(sidecar_path.name + ".tmp")
+    try:
+        tmp_payload.write_bytes(payload.tobytes())
+        tmp_sidecar.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+        os.replace(tmp_payload, path)
+        os.replace(tmp_sidecar, sidecar_path)
+    finally:
+        tmp_payload.unlink(missing_ok=True)
+        tmp_sidecar.unlink(missing_ok=True)
+
+
 def save_volume(vol: Volume, path) -> None:
     """Write ``path`` (raw little-endian payload) and ``path + '.json'``."""
-    path = Path(path)
     tag = _dtype_tag(vol)
     sidecar = {
         "dims": list(vol.dims),
@@ -242,9 +263,7 @@ def save_volume(vol: Volume, path) -> None:
     }
     if isinstance(vol, LabelVolume):
         sidecar["classes"] = list(vol.class_names)
-    payload = np.ascontiguousarray(vol.data, dtype=_DTYPE_TAGS[tag][0])
-    path.write_bytes(payload.tobytes())
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    write_with_sidecar(path, np.ascontiguousarray(vol.data, dtype=_DTYPE_TAGS[tag][0]), sidecar)
 
 
 def load_volume(path) -> Volume:

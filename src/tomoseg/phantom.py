@@ -236,25 +236,28 @@ def spec_from_dict(d: dict) -> PhantomSpec:
     defaults = spec_to_dict(PhantomSpec())
     _take(d, defaults.keys(), "phantom spec")
     merged = {**defaults, **d}
-    atrium = _take(dict(merged["atrium"]), ("center", "semi_axes"), "ellipsoid")
-    ventricle = _take(dict(merged["ventricle"]), ("center", "semi_axes"), "ellipsoid")
-    bulbus = _take(dict(merged["bulbus"]), ("center_xy", "radius", "z_range"), "cylinder")
-    return PhantomSpec(
-        dims=tuple(merged["dims"]),
-        voxel_size_um=float(merged["voxel_size_um"]),
-        seed=int(merged["seed"]),
-        atrium=Ellipsoid(tuple(atrium["center"]), tuple(atrium["semi_axes"])),
-        ventricle=Ellipsoid(tuple(ventricle["center"]), tuple(ventricle["semi_axes"])),
-        bulbus=CylinderZ(tuple(bulbus["center_xy"]), float(bulbus["radius"]),
-                         tuple(bulbus["z_range"])),
-        compacta_shell_voxels=float(merged["compacta_shell_voxels"]),
-        ostium_radius_voxels=float(merged["ostium_radius_voxels"]),
-        lacunae_count=tuple(merged["lacunae_count"]),
-        lacuna_radius_voxels=tuple(merged["lacuna_radius_voxels"]),
-        attenuation=tuple(merged["attenuation"]),
-        noise_sigma=float(merged["noise_sigma"]),
-        window=tuple(merged["window"]),
-    )
+    try:
+        atrium = _take(dict(merged["atrium"]), ("center", "semi_axes"), "ellipsoid")
+        ventricle = _take(dict(merged["ventricle"]), ("center", "semi_axes"), "ellipsoid")
+        bulbus = _take(dict(merged["bulbus"]), ("center_xy", "radius", "z_range"), "cylinder")
+        return PhantomSpec(
+            dims=tuple(merged["dims"]),
+            voxel_size_um=float(merged["voxel_size_um"]),
+            seed=int(merged["seed"]),
+            atrium=Ellipsoid(tuple(atrium["center"]), tuple(atrium["semi_axes"])),
+            ventricle=Ellipsoid(tuple(ventricle["center"]), tuple(ventricle["semi_axes"])),
+            bulbus=CylinderZ(tuple(bulbus["center_xy"]), float(bulbus["radius"]),
+                             tuple(bulbus["z_range"])),
+            compacta_shell_voxels=float(merged["compacta_shell_voxels"]),
+            ostium_radius_voxels=float(merged["ostium_radius_voxels"]),
+            lacunae_count=tuple(merged["lacunae_count"]),
+            lacuna_radius_voxels=tuple(merged["lacuna_radius_voxels"]),
+            attenuation=tuple(merged["attenuation"]),
+            noise_sigma=float(merged["noise_sigma"]),
+            window=tuple(merged["window"]),
+        )
+    except (TypeError, ValueError, KeyError) as err:
+        raise SpecError(f"malformed phantom spec: {type(err).__name__}: {err}") from err
 
 
 def _carve_ostium(labels: np.ndarray, shell: np.ndarray, spec: PhantomSpec,

@@ -19,6 +19,7 @@ import abc
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -36,6 +37,11 @@ _WEIGHT_CAP = 10.0
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# Training hyperparameters used wherever none are given: SoftmaxModel,
+# ``tomoseg train``, an experiment config without a model section and a
+# model file without a hyperparameters section.
+DEFAULT_HYPERPARAMETERS = MappingProxyType(
+    {"learning_rate": 0.05, "epochs": 150, "batch_size": 1024, "l2": 1e-4})
 
 
 class SliceSegmenter(abc.ABC):
@@ -85,10 +91,10 @@ class SoftmaxModel(SliceSegmenter):
     """
 
     class_subset: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
-    learning_rate: float = 1e-4
-    epochs: int = 150
-    batch_size: int = 2048
-    l2: float = 1e-4
+    learning_rate: float = DEFAULT_HYPERPARAMETERS["learning_rate"]
+    epochs: int = DEFAULT_HYPERPARAMETERS["epochs"]
+    batch_size: int = DEFAULT_HYPERPARAMETERS["batch_size"]
+    l2: float = DEFAULT_HYPERPARAMETERS["l2"]
     weights: np.ndarray = None
     feature_version: str = FEATURE_VERSION
     metadata: dict = field(default_factory=dict)
@@ -382,13 +388,13 @@ def load_model(path) -> SoftmaxModel:
         raise FormatError(f"{path}: not a model file")
     if doc.get("feature_version") != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported feature version {doc.get('feature_version')!r}")
-    hp = doc.get("hyperparameters", {})
+    hp = {**DEFAULT_HYPERPARAMETERS, **doc.get("hyperparameters", {})}
     model = SoftmaxModel(
         class_subset=tuple(doc["class_subset"]),
-        learning_rate=float(hp.get("learning_rate", 1e-4)),
-        epochs=int(hp.get("epochs", 150)),
-        batch_size=int(hp.get("batch_size", 2048)),
-        l2=float(hp.get("l2", 1e-4)),
+        learning_rate=float(hp["learning_rate"]),
+        epochs=int(hp["epochs"]),
+        batch_size=int(hp["batch_size"]),
+        l2=float(hp["l2"]),
         weights=np.asarray(doc["weights"], dtype=np.float64),
         metadata=dict(doc.get("metadata", {})),
     )

@@ -7,10 +7,22 @@ bilinearly at unit-voxel steps and scaled by the physical voxel size, so
 sinogram entries carry attenuation times micrometers.  Reconstruction
 divides that scale back out and returns plain attenuation units.
 
+Every slice shares the same geometry, so both operators act on all slices
+at once as sparse-times-dense products with one column per slice.
+Projection streams over blocks of angles: each block is a CSR matrix with
+one row per ray, holding 4 bilinear corners x n_t steps.  Back-projection
+streams over blocks of output pixels: one row per pixel, holding two
+linear detector taps per angle.  Every row of a block has the same length
+(out-of-slice taps carry weight 0), and a block is dropped once applied,
+so memory stays bounded by the block size and the slab, not by the full
+system matrix; nothing is cached between calls.
+
 The ramp filter is built from the real-space Ram-Lak kernel (0.25 at the
 origin, -1/(pi n)^2 at odd lags) rather than a plain |f| profile; the two
 agree at high frequencies but the kernel form avoids the DC bias that
-shows up as cupping on piecewise-constant phantoms.
+shows up as cupping on piecewise-constant phantoms.  Filtering is the
+zero-padded FFT convolution written as one dense n_bins x n_bins Toeplitz
+matrix, applied to every projection row of every slice in one matmul.
 """
 
 import math
@@ -18,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AcquisitionConfig, AttenuationVolume, GrayVolume
+from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, write_with_sidecar
 from .errors import ConfigError, FormatError, ReconstructionError
 
 _FILTERS = ("ramlak", "hann")
-_SLICE_CHUNK = 32
+_ANGLES_PER_BLOCK = 16  # a projection block holds this many angles x n_bins rays
+_PIXELS_PER_BLOCK = 4096  # a back-projection block holds this many output pixels
 
 
 @dataclass(frozen=True)
@@ -83,30 +96,45 @@ class DoseLevel:
         return f"D{self.keep_every}"
 
 
-def _bilinear_gather(data3d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum bilinear samples of every slice along the last axis of (x, y).
+def _csr_product(cols: np.ndarray, weights: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """``M @ dense`` for the sparse M whose row i holds ``weights[i]`` at ``cols[i]``.
 
-    data3d is (nz, ny, nx); x and y are (..., n_t) sample coordinates.
-    Out-of-bounds samples contribute zero.
+    Every row has the same number of entries, so the row pointer is a plain
+    stride; a column repeated within a row simply adds up.  ``dense`` is
+    C-contiguous with one column per slice.
     """
-    _, ny, nx = data3d.shape
+    from scipy.sparse import csr_array
+
+    n_rows, width = cols.shape
+    indptr = np.arange(0, n_rows * width + 1, width)
+    mat = csr_array((weights.ravel(), cols.ravel(), indptr), shape=(n_rows, dense.shape[0]))
+    return mat @ dense
+
+
+def _bilinear_taps(x: np.ndarray, y: np.ndarray, nx: int, ny: int):
+    """Pixel indices and weights of the bilinear samples at (x, y), shape (..., n_t).
+
+    Returns (rows, 4 * n_t) arrays, one row per leading index.  Corners
+    outside the slice get weight 0 and a clipped, valid index.
+    """
     x0 = np.floor(x)
     y0 = np.floor(y)
-    fx = (x - x0).astype(np.float32)
-    fy = (y - y0).astype(np.float32)
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    acc = None
-    for dx, dy, w in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
-                      (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
+    fx = x - x0
+    fy = y - y0
+    x0 = x0.astype(np.int32)
+    y0 = y0.astype(np.int32)
+    shape = x.shape[:-1] + (4, x.shape[-1])
+    cols = np.empty(shape, dtype=np.int32)
+    weights = np.empty(shape, dtype=np.float32)
+    for c, (dx, dy, w) in enumerate(((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
+                                     (0, 1, (1 - fx) * fy), (1, 1, fx * fy))):
         xi = x0 + dx
         yi = y0 + dy
         inside = (xi >= 0) & (xi < nx) & (yi >= 0) & (yi < ny)
-        xi = np.clip(xi, 0, nx - 1)
-        yi = np.clip(yi, 0, ny - 1)
-        term = data3d[:, yi, xi] * (w * inside)
-        acc = term if acc is None else acc + term
-    return acc.sum(axis=-1)
+        cols[..., c, :] = np.clip(yi, 0, ny - 1) * nx + np.clip(xi, 0, nx - 1)
+        weights[..., c, :] = w * inside
+    width = 4 * x.shape[-1]
+    return cols.reshape(-1, width), weights.reshape(-1, width)
 
 
 def forward_project(vol: AttenuationVolume, cfg: AcquisitionConfig) -> SinogramStack:
@@ -124,18 +152,25 @@ def forward_project(vol: AttenuationVolume, cfg: AcquisitionConfig) -> SinogramS
             f"({diag:.1f} voxels)"
         )
     n_bins = cfg.detector_bins
+    n_angles = cfg.n_projections
     cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
     half = math.ceil(diag / 2.0)
     t = np.arange(-half, half + 1, dtype=np.float32)
-    s = np.arange(n_bins, dtype=np.float32) - (n_bins - 1) / 2.0
-    out = np.empty((nz, cfg.n_projections, n_bins), dtype=np.float32)
-    for a, theta in enumerate(np.deg2rad(cfg.angles_deg())):
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
-        x = cx + s[:, None] * cos_t - t[None, :] * sin_t
-        y = cy + s[:, None] * sin_t + t[None, :] * cos_t
-        out[:, a, :] = _bilinear_gather(data3d, x, y)
-    out *= np.float32(vol.voxel_size_um)
-    return SinogramStack(out, cfg.angular_step_deg, vol.voxel_size_um)
+    s = np.arange(n_bins, dtype=np.float32)[:, None] - (n_bins - 1) / 2.0
+    theta = np.deg2rad(cfg.angles_deg())
+    cos_t = np.cos(theta).astype(np.float32)[:, None, None]
+    sin_t = np.sin(theta).astype(np.float32)[:, None, None]
+    pixels = np.ascontiguousarray(data3d.reshape(nz, ny * nx).T)
+    rays = np.empty((n_angles * n_bins, nz), dtype=np.float32)
+    for lo in range(0, n_angles, _ANGLES_PER_BLOCK):
+        hi = min(lo + _ANGLES_PER_BLOCK, n_angles)
+        c, sn = cos_t[lo:hi], sin_t[lo:hi]
+        x = cx + s * c - t * sn  # (angles, bins, n_t)
+        y = cy + s * sn + t * c
+        rays[lo * n_bins:hi * n_bins] = _csr_product(*_bilinear_taps(x, y, nx, ny), pixels)
+    rays *= np.float32(vol.voxel_size_um)
+    return SinogramStack(rays.T.reshape(nz, n_angles, n_bins), cfg.angular_step_deg,
+                         vol.voxel_size_um)
 
 
 def subsample_dose(s: SinogramStack, dose: DoseLevel) -> SinogramStack:
@@ -154,14 +189,30 @@ def _ramp_filter(p: int) -> np.ndarray:
     return 2.0 * np.fft.rfft(kernel).real
 
 
+def _filter_matrix(n_bins: int, filter_name: str) -> np.ndarray:
+    """The padded-FFT ramp filter as a dense (out bin, in bin) Toeplitz matrix.
+
+    Zero-padding to ``pad >= 2*n_bins`` makes the circular convolution with
+    the filter's impulse response linear on the first ``n_bins`` samples, so
+    entry (i, j) is that response at lag i - j.
+    """
+    pad = 1 << max(4, (2 * n_bins - 1).bit_length())
+    filt = _ramp_filter(pad)
+    if filter_name == "hann":
+        filt = filt * (0.5 + 0.5 * np.cos(2.0 * np.pi * np.fft.rfftfreq(pad)))
+    impulse = np.fft.irfft(filt, n=pad)
+    lags = np.arange(n_bins)[:, None] - np.arange(n_bins)[None, :]
+    return impulse[lags % pad]
+
+
 def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> AttenuationVolume:
     """Filtered back-projection of every slice onto an (nx, ny) grid.
 
-    Projections are zero-padded to the next power of two >= 2*n_bins,
-    ramp-filtered in the frequency domain (optionally Hann-apodized),
-    back-projected with linear detector interpolation, and scaled by
-    pi/(2*n_angles).  Correct for uniform coverage of a 180 or 360
-    degree arc.
+    Projections are ramp-filtered as if zero-padded to the next power of
+    two >= 2*n_bins and filtered in the frequency domain (optionally
+    Hann-apodized), back-projected with linear detector interpolation, and
+    scaled by pi/(2*n_angles).  Correct for uniform coverage of a 180 or
+    360 degree arc.
     """
     if s.n_angles < 2:
         raise ReconstructionError(f"need at least 2 angles to reconstruct, got {s.n_angles}")
@@ -175,39 +226,34 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
         out_dims = out_dims[:2]
     out_nx, out_ny = (int(v) for v in out_dims)
     n_slices, n_angles, n_bins = s.data.shape
-    pad = 1 << max(4, (2 * n_bins - 1).bit_length())
-    filt = _ramp_filter(pad)
-    if filter_name == "hann":
-        filt = filt * (0.5 + 0.5 * np.cos(2.0 * np.pi * np.fft.rfftfreq(pad)))
-
-    filtered = np.empty((n_slices, n_angles, n_bins), dtype=np.float32)
-    for lo in range(0, n_slices, _SLICE_CHUNK):
-        hi = min(lo + _SLICE_CHUNK, n_slices)
-        padded = np.zeros((hi - lo, n_angles, pad), dtype=np.float64)
-        padded[..., :n_bins] = s.data[lo:hi]
-        spec = np.fft.rfft(padded, axis=-1)
-        spec *= filt
-        filtered[lo:hi] = np.fft.irfft(spec, n=pad, axis=-1)[..., :n_bins]
+    scale = np.pi / (2.0 * n_angles) / s.voxel_size_um
+    filt = (_filter_matrix(n_bins, filter_name) * scale).astype(np.float32)
+    # (angle * bin, slice): one row per detector sample, one column per slice
+    filtered = np.ascontiguousarray(
+        (s.data.reshape(-1, n_bins) @ filt.T).reshape(n_slices, -1).T)
 
     xs = np.arange(out_nx, dtype=np.float32) - (out_nx - 1) / 2.0
     ys = np.arange(out_ny, dtype=np.float32) - (out_ny - 1) / 2.0
-    grid_x, grid_y = np.meshgrid(xs, ys)  # (ny, nx)
+    grid_x, grid_y = (g.reshape(-1, 1) for g in np.meshgrid(xs, ys))  # (ny * nx, 1)
+    theta = np.deg2rad(s.angles_deg())
+    cos_t = np.cos(theta).astype(np.float32)
+    sin_t = np.sin(theta).astype(np.float32)
+    row0 = np.arange(n_angles, dtype=np.int32) * n_bins
     center = (n_bins - 1) / 2.0
-    recon = np.zeros((n_slices, out_ny, out_nx), dtype=np.float32)
-    for a, theta in enumerate(np.deg2rad(s.angles_deg())):
-        k = grid_x * math.cos(theta) + grid_y * math.sin(theta) + center
+    recon = np.empty((out_ny * out_nx, n_slices), dtype=np.float32)
+    for lo in range(0, recon.shape[0], _PIXELS_PER_BLOCK):
+        hi = min(lo + _PIXELS_PER_BLOCK, recon.shape[0])
+        k = grid_x[lo:hi] * cos_t + grid_y[lo:hi] * sin_t + center  # (pixels, angles)
         k0 = np.floor(k)
-        fr = (k - k0).astype(np.float32)
-        k0 = k0.astype(np.int64)
+        fr = k - k0
+        k0 = k0.astype(np.int32)
         k1 = k0 + 1
         w0 = (1 - fr) * ((k0 >= 0) & (k0 < n_bins))
         w1 = fr * ((k1 >= 0) & (k1 < n_bins))
-        k0 = np.clip(k0, 0, n_bins - 1)
-        k1 = np.clip(k1, 0, n_bins - 1)
-        prof = filtered[:, a, :]
-        recon += prof[:, k0] * w0 + prof[:, k1] * w1
-    recon *= np.float32(np.pi / (2.0 * n_angles) / s.voxel_size_um)
-    return AttenuationVolume(recon, s.voxel_size_um)
+        cols = np.concatenate([np.clip(k0, 0, n_bins - 1) + row0,
+                               np.clip(k1, 0, n_bins - 1) + row0], axis=1)
+        recon[lo:hi] = _csr_product(cols, np.concatenate([w0, w1], axis=1), filtered)
+    return AttenuationVolume(recon.T.reshape(n_slices, out_ny, out_nx), s.voxel_size_um)
 
 
 def normalize_to_u16(vol: AttenuationVolume, window: tuple[float, float]) -> GrayVolume:
@@ -224,12 +270,6 @@ def normalize_to_u16(vol: AttenuationVolume, window: tuple[float, float]) -> Gra
 
 def save_sinogram(s: SinogramStack, path) -> None:
     """Raw little-endian float32 payload plus a JSON sidecar."""
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    payload = np.ascontiguousarray(s.data, dtype="<f4")
-    path.write_bytes(payload.tobytes())
     sidecar = {
         "n_slices": s.n_slices,
         "n_angles": s.n_angles,
@@ -238,7 +278,7 @@ def save_sinogram(s: SinogramStack, path) -> None:
         "arc_deg": s.arc_deg,
         "voxel_size_um": s.voxel_size_um,
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+    write_with_sidecar(path, np.ascontiguousarray(s.data, dtype="<f4"), sidecar)
 
 
 def load_sinogram(path) -> SinogramStack:

@@ -191,3 +191,42 @@ class TestErrorPaths:
                    "--out", chain / "unused.json") == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("text", ["{\"dims\": [48, 48,", "[48, 48, 48]", "{\"dims\": \"abc\"}"],
+                         ids=["malformed_json", "not_an_object", "dims_not_numbers"])
+def test_bad_phantom_spec_exits_2(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run("phantom", "--spec", spec, "--out", tmp_path / "ph") == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "SpecError"
+    assert err["exit_code"] == 2
+    assert not (tmp_path / "ph").exists()
+
+
+def test_train_defaults_are_the_model_defaults():
+    from dataclasses import fields
+
+    from tomoseg.cli import build_parser
+    from tomoseg.segmodel import SoftmaxModel
+
+    args = build_parser().parse_args(["train", "--stage", "1", "--gray", "g.vol",
+                                      "--labels", "l.vol", "--out", "m.json"])
+    model = {f.name: f.default for f in fields(SoftmaxModel)}
+    assert (args.lr, args.epochs, args.batch, args.l2) == (
+        model["learning_rate"], model["epochs"], model["batch_size"], model["l2"])
+    assert (args.lr, args.batch) == (0.05, 1024)
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # every CLI step is its own process; the sparse operators load scipy.sparse on use
+    import os
+    import subprocess
+    import sys
+
+    code = "import sys, tomoseg.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -211,3 +211,33 @@ def test_load_missing_files(tmp_path):
     (tmp_path / "orphan.vol").write_bytes(b"\x00" * 8)
     with pytest.raises(FileNotFoundError):
         load_volume(tmp_path / "orphan.vol")
+
+
+@pytest.mark.parametrize("kind", ["volume", "sinogram"])
+def test_failed_sidecar_write_leaves_no_half_pair(tmp_path, monkeypatch, kind):
+    from pathlib import Path
+
+    from tomoseg.tomo import SinogramStack, load_sinogram, save_sinogram
+
+    if kind == "volume":
+        save, load, ext = save_volume, load_volume, ".vol"
+        old, new = _gray(5, 4, 3, seed=1), _gray(5, 4, 3, seed=2)
+    else:
+        save, load, ext = save_sinogram, load_sinogram, ".sino"
+        old = SinogramStack(np.zeros((2, 4, 5), np.float32), 45.0)
+        new = SinogramStack(np.ones((2, 4, 5), np.float32), 45.0)
+
+    def fail(self, *args, **kwargs):
+        raise OSError("disk full")
+
+    fresh = tmp_path / f"fresh{ext}"
+    kept = tmp_path / f"kept{ext}"
+    save(old, kept)
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save(new, fresh)
+        with pytest.raises(OSError, match="disk full"):
+            save(new, kept)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"kept{ext}", f"kept{ext}.json"]
+    assert np.array_equal(load(kept).data, old.data)
