@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, SchemaError, SpecError, TomosegError
 from .evaluate import evaluate_volumes, run_dose_ablation
 from .pgm import float_to_8bit, gray_to_8bit, label_to_8bit, write_pgm
 from .phantom import default_spec, spec_from_dict, spec_to_dict, split_cohort
-from .pipeline import StageConfig, run_full, train_stage
+from .pipeline import StageConfig, canonical_report, run_full, train_stage
 from .segmodel import DEFAULT_HYPERPARAMETERS, TrainProtocol, load_model, save_model
 from .tomo import DoseLevel, fbp_reconstruct, forward_project, load_sinogram, \
     normalize_to_u16, save_sinogram, subsample_dose
@@ -119,7 +119,7 @@ def cmd_infer(args) -> int:
                                               "input": str(args.input)})
     save_volume(final, args.out)
     if args.report:
-        _write_json(args.report, {k: v for k, v in report.items() if k != "timings"})
+        _write_json(args.report, canonical_report(report))
     timing = " ".join(f"{k}={v:.2f}s" for k, v in report["timings"].items())
     print(f"wrote segmentation {args.out} ({timing})")
     return 0
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="report JSON output")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="worker threads over slices")
+                   help="worker threads over slabs")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score a segmentation against ground truth")

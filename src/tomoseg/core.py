@@ -182,9 +182,22 @@ class AcquisitionConfig:
 
 # --- slicing ---------------------------------------------------------------
 
+# Axis order that turns a (nz, ny, nx) array into a view's slice stack.
+_VIEW_ORDER = {ViewAxis.XY: (0, 2, 1), ViewAxis.XZ: (1, 2, 0), ViewAxis.YZ: (2, 1, 0)}
+
+
+def view_stack(data: np.ndarray, axis: ViewAxis) -> np.ndarray:
+    """All slices of a (nz, ny, nx) array through plane ``axis``, slice index first.
+
+    The result is a transposed view, not a copy: ``view_stack(vol.data,
+    axis)[i]`` equals ``extract_slice(vol, axis, i)``, and writing into the
+    view of a writable array writes the voxels of that slice.
+    """
+    return data.transpose(_VIEW_ORDER[axis])
+
+
 def slice_count(vol: Volume, axis: ViewAxis) -> int:
-    nx, ny, nz = vol.dims
-    return {ViewAxis.XY: nz, ViewAxis.XZ: ny, ViewAxis.YZ: nx}[axis]
+    return view_stack(vol.data, axis).shape[0]
 
 
 def extract_slice(vol: Volume, axis: ViewAxis, index: int) -> np.ndarray:
@@ -197,22 +210,13 @@ def extract_slice(vol: Volume, axis: ViewAxis, index: int) -> np.ndarray:
     n = slice_count(vol, axis)
     if not 0 <= index < n:
         raise IndexError(f"slice index {index} out of range for {axis.value} view with {n} slices")
-    d = vol.data
-    if axis is ViewAxis.XY:
-        return np.ascontiguousarray(d[index].T)  # (nx, ny)
-    if axis is ViewAxis.XZ:
-        return np.ascontiguousarray(d[:, index, :].T)  # (nx, nz)
-    return np.ascontiguousarray(d[:, :, index].T)  # (ny, nz)
+    return np.ascontiguousarray(view_stack(vol.data, axis)[index])
 
 
 def restack(slices, axis: ViewAxis) -> np.ndarray:
     """Inverse of :func:`extract_slice`: rebuild the (nz, ny, nx) data array."""
-    arrs = [np.asarray(s) for s in slices]
-    if axis is ViewAxis.XY:
-        return np.stack([a.T for a in arrs], axis=0)
-    if axis is ViewAxis.XZ:
-        return np.stack([a.T for a in arrs], axis=1)
-    return np.stack([a.T for a in arrs], axis=2)
+    stack = np.stack([np.asarray(s) for s in slices])
+    return np.ascontiguousarray(stack.transpose(np.argsort(_VIEW_ORDER[axis])))
 
 
 # --- volume I/O ------------------------------------------------------------

@@ -8,7 +8,10 @@ cropped to its bounding box (dilated for context), everything outside
 the mask is zeroed, and out-of-mask voxels are forced to Background in
 the output.  Each stage predicts on all three orthogonal views, fuses
 them by per-voxel mode with the XY view breaking ties, and fills
-enclosed background cavities.  A fixed rule table then merges the three
+enclosed background cavities.  A view is predicted slab by slab: its
+slice stack is cut into contiguous runs of slices of a fixed voxel
+budget, and each slab takes one feature-bank call and one softmax call on
+a shared pool of worker threads.  A fixed rule table then merges the three
 stage outputs into the final six-class volume: Atrium beats everything,
 Bulbus beats the binary classes, Compacta beats Lacunary, Lacunary
 beats Ventricle, and stage-1 Background always stays Background.
@@ -20,15 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, extract_slice, \
-    restack, slice_count
+from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, restack, view_stack
 from .errors import ConfigError, ShapeError, TrainingError
 from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_filter, mode_fuse, \
     unsharp_mask
-from .segmodel import SoftmaxModel, TrainProtocol, predict_slice, train
+from .segmodel import N_FEATURES, SoftmaxModel, TrainProtocol, stack_features, train
 
 MASK_DILATION_VOXELS = 8
 EXCLUDED_LABEL = 2  # training-only sentinel outside the binary stages' mask
+# Voxels per slab of the view predictor.  Every worker thread holds one
+# slab's feature-bank and softmax temporaries, a few hundred bytes per
+# voxel, so this bounds what inference adds to the peak memory.
+_VOXELS_PER_SLAB = 1 << 14
 
 STAGE1_NAMES = ("Background", "Atrium", "Ventricle", "Bulbus")
 STAGE_TARGETS = {2: ClassId.LACUNARY, 3: ClassId.COMPACTA}
@@ -126,24 +132,39 @@ def preprocess_volume(vol: GrayVolume, names, fc: FilterConfig) -> GrayVolume:
     """Apply the stage's 2D filters to every axial slice."""
     if not names:
         return vol
-    slices = [_apply_filters(extract_slice(vol, ViewAxis.XY, z), names, fc)
-              for z in range(slice_count(vol, ViewAxis.XY))]
+    slices = [_apply_filters(img, names, fc) for img in view_stack(vol.data, ViewAxis.XY)]
     return GrayVolume(restack(slices, ViewAxis.XY), vol.voxel_size_um)
 
 
-def _predict_view(cfg: StageConfig, model, vol: GrayVolume, axis: ViewAxis,
-                  jobs: int) -> np.ndarray:
-    def one(i: int) -> np.ndarray:
-        img = _apply_filters(extract_slice(vol, axis, i), cfg.preprocess, cfg.filter_config)
-        return predict_slice(model, img)
+def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: ViewAxis,
+                 jobs: int = 1) -> LabelVolume:
+    """Label every ``axis`` slice of ``vol`` with the stage's class names.
 
-    n = slice_count(vol, axis)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            slices = list(pool.map(one, range(n)))
-    else:
-        slices = [one(i) for i in range(n)]
-    return restack(slices, axis)
+    The view's slice stack is walked in contiguous slabs of about
+    ``_VOXELS_PER_SLAB`` voxels.  Each slab is preprocessed slice by slice
+    with the stage's filters, then takes one feature-bank call and one
+    ``predict_proba`` call, and its labels are written straight into the
+    output.  ``jobs`` worker threads share the slabs.
+    """
+    stack = view_stack(vol.data, axis)
+    n, a, b = stack.shape
+    per_slab = max(1, _VOXELS_PER_SLAB // (a * b))
+    labels = np.empty(vol.data.shape, dtype=np.uint8)
+    out = view_stack(labels, axis)
+    classes = np.asarray(model.class_subset, dtype=np.uint8)
+
+    def slab(start: int) -> None:
+        imgs = stack[start:start + per_slab]
+        if cfg.preprocess:
+            imgs = np.stack([_apply_filters(img, cfg.preprocess, cfg.filter_config)
+                             for img in imgs])
+        feats = stack_features(imgs).reshape(-1, N_FEATURES)
+        idx = model.predict_proba(feats).argmax(axis=1)
+        out[start:start + per_slab] = classes[idx].reshape(imgs.shape)
+
+    with ThreadPoolExecutor(max_workers=max(jobs or 1, 1)) as pool:
+        list(pool.map(slab, range(0, n, per_slab)))
+    return LabelVolume(labels, vol.voxel_size_um, cfg.output_names)
 
 
 def run_stage(cfg: StageConfig, model, vol: GrayVolume,
@@ -174,8 +195,7 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
     else:
         work = vol
 
-    views = [LabelVolume(_predict_view(cfg, model, work, ax, jobs),
-                         vol.voxel_size_um, names) for ax in ViewAxis]
+    views = [predict_view(cfg, model, work, ax, jobs) for ax in ViewAxis]
     fused = mode_fuse(views[0], views[1], views[2], tiebreak="a")
     labels = fused.data.copy()
     if cfg.mask_to_ventricle:

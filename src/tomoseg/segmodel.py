@@ -3,19 +3,22 @@
 The feature bank turns a u16 slice into 9 per-pixel features (raw intensity
 rescaled to [0,1], Gaussian blurs at sigma 1/2/4/8, gradient magnitude at
 sigma 1/2, local standard deviation and median over a radius-2 window).
-A multinomial logistic model over those features plus a bias is trained
-with mini-batch Adam on randomly tiled slices.  This keeps every gradient
-exactly checkable while exposing the same train/predict surface a heavier
-slice model would have.
+It runs on a whole (n, a, b) stack of slices at once: every filter has zero
+extent along the slice axis, so each slice's features are exactly those of
+the slice filtered alone.  A multinomial logistic model over those features
+plus a bias is trained with mini-batch Adam on randomly tiled slices.  This
+keeps every gradient exactly checkable while exposing the same
+train/predict surface a heavier slice model would have.
 
 Training follows a fixed sampling protocol: every ``slice_stride``-th
 axial slice participates, the selected slices are split once 70/30 into
 train/validation at the slice level, and each epoch draws one random tile
-per training slice.  Pixels within a tile are sampled with inverse class
-frequency weights (capped) so rare classes are not drowned out.
+per training slice.  The features of the selected slices are computed
+once per stack before the first epoch.  Pixels within a tile are sampled
+with inverse class frequency weights (capped) so rare classes are not
+drowned out.
 """
 
-import abc
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -24,9 +27,9 @@ from types import MappingProxyType
 import numpy as np
 import scipy.ndimage as ndi
 
-from .core import CLASS_NAMES, GrayVolume, LabelVolume, ViewAxis, extract_slice, restack, \
-    rng_for_seed, slice_count
+from .core import ViewAxis, rng_for_seed, view_stack
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
+from .filters import _require_2d
 
 FEATURE_VERSION = "fb1"
 N_FEATURES = 9
@@ -44,45 +47,42 @@ DEFAULT_HYPERPARAMETERS = MappingProxyType(
     {"learning_rate": 0.05, "epochs": 150, "batch_size": 1024, "l2": 1e-4})
 
 
-class SliceSegmenter(abc.ABC):
-    """Anything that labels a 2D u16 slice pixel by pixel."""
+def stack_features(stack: np.ndarray) -> np.ndarray:
+    """Per-pixel features of an (n, a, b) u16 slice stack: (n, a, b, 9), float32.
 
-    n_classes: int
-
-    @abc.abstractmethod
-    def predict(self, img: np.ndarray) -> np.ndarray:
-        """Label image of the same shape, values < n_classes."""
-
-
-def _require_2d(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img)
-    if img.ndim != 2:
-        raise ShapeError(f"expected a 2D image, got shape {img.shape}")
-    return img
-
-
-def extract_features(img: np.ndarray) -> np.ndarray:
-    """Per-pixel feature array of shape (H, W, 9), float32, reflected borders."""
-    img = _require_2d(img)
-    f = img.astype(np.float32) / np.float32(65535.0)
+    Each filter has zero extent along the slice axis (Gaussian sigma
+    ``(0, s, s)``, window ``(1, 5, 5)``) and reflects at the slice borders,
+    so ``stack_features(s)[i]`` equals ``extract_features(s[i])`` bit for bit.
+    """
+    stack = np.asarray(stack)
+    if stack.ndim != 3:
+        raise ShapeError(f"expected an (n, a, b) slice stack, got shape {stack.shape}")
+    f = stack.astype(np.float32) / np.float32(65535.0)
     feats = [f]
     for sigma in _BLUR_SIGMAS:
-        feats.append(ndi.gaussian_filter(f, sigma, mode="reflect", truncate=3.0))
+        feats.append(ndi.gaussian_filter(f, (0, sigma, sigma), mode="reflect", truncate=3.0))
     for sigma in _GRAD_SIGMAS:
-        gx = ndi.gaussian_filter(f, sigma, order=(0, 1), mode="reflect", truncate=3.0)
-        gy = ndi.gaussian_filter(f, sigma, order=(1, 0), mode="reflect", truncate=3.0)
+        gx = ndi.gaussian_filter(f, (0, sigma, sigma), order=(0, 0, 1), mode="reflect",
+                                 truncate=3.0)
+        gy = ndi.gaussian_filter(f, (0, sigma, sigma), order=(0, 1, 0), mode="reflect",
+                                 truncate=3.0)
         feats.append(np.hypot(gx, gy))
-    size = 2 * _TEXTURE_RADIUS + 1
+    size = (1, 2 * _TEXTURE_RADIUS + 1, 2 * _TEXTURE_RADIUS + 1)
     mean = ndi.uniform_filter(f, size, mode="reflect")
     mean_sq = ndi.uniform_filter(f * f, size, mode="reflect")
     feats.append(np.sqrt(np.clip(mean_sq - mean * mean, 0.0, None)))
-    feats.append(ndi.median_filter(img, size=size, mode="reflect").astype(np.float32)
+    feats.append(ndi.median_filter(stack, size=size, mode="reflect").astype(np.float32)
                  / np.float32(65535.0))
     return np.stack(feats, axis=-1)
 
 
+def extract_features(img: np.ndarray) -> np.ndarray:
+    """Per-pixel feature array of shape (H, W, 9), float32, reflected borders."""
+    return stack_features(_require_2d(img)[np.newaxis])[0]
+
+
 @dataclass
-class SoftmaxModel(SliceSegmenter):
+class SoftmaxModel:
     """Multinomial logistic model over the feature bank (plus bias column).
 
     ``class_subset`` lists the label-volume ids this model classifies, in
@@ -139,9 +139,6 @@ class SoftmaxModel(SliceSegmenter):
         logits /= logits.sum(axis=1, keepdims=True)
         return logits
 
-    def predict(self, img: np.ndarray) -> np.ndarray:
-        return predict_slice(self, img)
-
 
 @dataclass(frozen=True)
 class TrainProtocol:
@@ -190,14 +187,6 @@ def softmax_loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray,
     return loss, grad
 
 
-def _selected_slices(stacks, stride: int) -> list[tuple[int, int]]:
-    pairs = []
-    for s, (gray, _) in enumerate(stacks):
-        for z in range(0, slice_count(gray, ViewAxis.XY), stride):
-            pairs.append((s, z))
-    return pairs
-
-
 def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
           class_subset=None) -> tuple[SoftmaxModel, list[dict]]:
     """Fit the model on (GrayVolume, LabelVolume) stacks; returns (model, history).
@@ -222,7 +211,13 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
         if gray.dims != lab.dims:
             raise ShapeError(f"gray dims {gray.dims} != label dims {lab.dims}")
 
-    pairs = _selected_slices(stacks, proto.slice_stride)
+    id_to_idx = np.full(256, -1, dtype=np.int64)  # labels are u8
+    for idx, cid in enumerate(class_subset):
+        id_to_idx[cid] = idx
+    stride = proto.slice_stride
+    feats = [stack_features(view_stack(gray.data, ViewAxis.XY)[::stride]) for gray, _ in stacks]
+    gts = [id_to_idx[view_stack(lab.data, ViewAxis.XY)[::stride]] for _, lab in stacks]
+    pairs = [(s, j) for s, gt in enumerate(gts) for j in range(len(gt))]
     rng = rng_for_seed(proto.seed, 101)
     order = rng.permutation(len(pairs))
     n_val = int(round(proto.val_fraction * len(pairs))) if len(pairs) > 1 else 0
@@ -231,26 +226,9 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
     if not train_pairs:
         raise TrainingError("no training slices left after the validation split")
 
-    id_to_idx = np.full(256, -1, dtype=np.int64)  # labels are u8
-    for idx, cid in enumerate(class_subset):
-        id_to_idx[cid] = idx
-
-    def slice_xy(stack_idx: int, z: int):
-        gray, lab = stacks[stack_idx]
-        img = extract_slice(gray, ViewAxis.XY, z)
-        gt = extract_slice(lab, ViewAxis.XY, z)
-        return extract_features(img), id_to_idx[gt]
-
-    cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def cached(pair):
-        if pair not in cache:
-            cache[pair] = slice_xy(*pair)
-        return cache[pair]
-
     present = np.zeros(len(class_subset), dtype=np.int64)
-    for pair in train_pairs:
-        _, gt_idx = cached(pair)
+    for s, j in train_pairs:
+        gt_idx = gts[s][j]
         present += np.bincount(gt_idx[gt_idx >= 0].ravel(), minlength=len(class_subset))
     for idx, cid in enumerate(class_subset):
         if present[idx] == 0:
@@ -264,14 +242,14 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
     history = []
     for epoch in range(model.epochs):
         losses = []
-        for pair in train_pairs:
-            feats, gt_idx = cached(pair)
+        for s, j in train_pairs:
+            gt_idx = gts[s][j]
             h, w = gt_idx.shape
             th, tw = min(proto.tile_size, h), min(proto.tile_size, w)
             for _ in range(proto.tiles_per_slice_per_epoch):
                 ti = int(sampler.integers(0, h - th + 1))
                 tj = int(sampler.integers(0, w - tw + 1))
-                x = feats[ti:ti + th, tj:tj + tw].reshape(-1, N_FEATURES)
+                x = feats[s][j, ti:ti + th, tj:tj + tw].reshape(-1, N_FEATURES)
                 y = gt_idx[ti:ti + th, tj:tj + tw].ravel()
                 valid = np.flatnonzero(y >= 0)
                 if valid.size == 0:
@@ -299,24 +277,23 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
         history.append({
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_iou": _validation_iou(fitted, cached, val_pairs),
+            "val_iou": _validation_iou(fitted, feats, gts, val_pairs),
         })
     if model.epochs == 0:
         return replace(model, weights=weights.copy()), history
     return fitted, history
 
 
-def _validation_iou(model: SoftmaxModel, cached, val_pairs) -> float:
+def _validation_iou(model: SoftmaxModel, feats, gts, val_pairs) -> float:
     if not val_pairs:
         return float("nan")
     k = model.n_classes
     inter = np.zeros(k, dtype=np.int64)
     union = np.zeros(k, dtype=np.int64)
     gt_count = np.zeros(k, dtype=np.int64)
-    for pair in val_pairs:
-        feats, gt_idx = cached(pair)
-        pred = model.predict_proba(feats.reshape(-1, N_FEATURES)).argmax(axis=1)
-        gt = gt_idx.ravel()
+    for s, j in val_pairs:
+        pred = model.predict_proba(feats[s][j].reshape(-1, N_FEATURES)).argmax(axis=1)
+        gt = gts[s][j].ravel()
         ok = gt >= 0
         pred, gt = pred[ok], gt[ok]
         for c in range(k):
@@ -338,24 +315,6 @@ def predict_slice(model: SoftmaxModel, img: np.ndarray) -> np.ndarray:
     idx = model.predict_proba(feats).argmax(axis=1)
     out = np.asarray(model.class_subset, dtype=np.uint8)[idx]
     return out.reshape(img.shape)
-
-
-def predict_volume(model: SoftmaxModel, vol: GrayVolume, axis: ViewAxis,
-                   jobs: int = 1) -> LabelVolume:
-    """Predict every slice along ``axis`` and restack into volume coordinates."""
-    n = slice_count(vol, axis)
-
-    def one(i: int) -> np.ndarray:
-        return predict_slice(model, extract_slice(vol, axis, i))
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            slices = list(pool.map(one, range(n)))
-    else:
-        slices = [one(i) for i in range(n)]
-    return LabelVolume(restack(slices, axis), vol.voxel_size_um, CLASS_NAMES)
 
 
 def save_model(model: SoftmaxModel, path) -> None:
@@ -384,20 +343,26 @@ def load_model(path) -> SoftmaxModel:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"unreadable model file {path}: {e}") from e
-    if doc.get("format") != "softmax-featbank":
+    if not isinstance(doc, dict) or doc.get("format") != "softmax-featbank":
         raise FormatError(f"{path}: not a model file")
     if doc.get("feature_version") != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported feature version {doc.get('feature_version')!r}")
-    hp = {**DEFAULT_HYPERPARAMETERS, **doc.get("hyperparameters", {})}
-    model = SoftmaxModel(
-        class_subset=tuple(doc["class_subset"]),
-        learning_rate=float(hp["learning_rate"]),
-        epochs=int(hp["epochs"]),
-        batch_size=int(hp["batch_size"]),
-        l2=float(hp["l2"]),
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        metadata=dict(doc.get("metadata", {})),
-    )
-    if model.n_classes != int(doc["n_classes"]):
+    try:
+        hp = {**DEFAULT_HYPERPARAMETERS, **doc.get("hyperparameters", {})}
+        model = SoftmaxModel(
+            class_subset=tuple(doc["class_subset"]),
+            learning_rate=float(hp["learning_rate"]),
+            epochs=int(hp["epochs"]),
+            batch_size=int(hp["batch_size"]),
+            l2=float(hp["l2"]),
+            weights=np.asarray(doc["weights"], dtype=np.float64),
+            metadata=dict(doc.get("metadata", {})),
+        )
+        n_classes = int(doc["n_classes"])
+    except KeyError as e:
+        raise FormatError(f"{path}: model document lacks key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed model document: {e}") from e
+    if model.n_classes != n_classes:
         raise FormatError(f"{path}: n_classes inconsistent with class_subset")
     return model

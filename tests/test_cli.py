@@ -205,6 +205,33 @@ def test_bad_phantom_spec_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "ph").exists()
 
 
+def _model_doc():
+    return {"format": "softmax-featbank", "feature_version": "fb1", "n_classes": 2,
+            "class_subset": [0, 1], "weights": [[0.0] * 10] * 2,
+            "hyperparameters": {}, "metadata": {}}
+
+
+@pytest.mark.parametrize("doc", [
+    [_model_doc()],
+    {k: v for k, v in _model_doc().items() if k != "class_subset"},
+    {k: v for k, v in _model_doc().items() if k != "n_classes"},
+    {**_model_doc(), "weights": "x"},
+    {**_model_doc(), "hyperparameters": [1]},
+], ids=["list", "no_class_subset", "no_n_classes", "weights_not_numbers",
+        "hyperparameters_not_object"])
+def test_malformed_model_exits_4(tmp_path, capsys, doc):
+    from tomoseg.core import GrayVolume, save_volume
+    save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    assert run("infer", "--input", tmp_path / "g.vol", "--models", model, model, model,
+               "--out", tmp_path / "seg.vol") == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "FormatError"
+    assert err["exit_code"] == 4
+    assert not (tmp_path / "seg.vol").exists()
+
+
 def test_train_defaults_are_the_model_defaults():
     from dataclasses import fields
 

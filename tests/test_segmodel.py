@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
-from tomoseg.core import GrayVolume, LabelVolume, ViewAxis, extract_slice, restack, rng_for_seed
+from tomoseg import pipeline
+from tomoseg.core import GrayVolume, LabelVolume, ViewAxis, extract_slice, restack, \
+    rng_for_seed, slice_count, view_stack
 from tomoseg.errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
+from tomoseg.filters import unsharp_mask
+from tomoseg.pipeline import StageConfig, predict_view
 from tomoseg.segmodel import N_FEATURES, SoftmaxModel, TrainProtocol, extract_features, \
-    load_model, predict_slice, predict_volume, save_model, softmax_loss_and_grad, train
+    load_model, predict_slice, save_model, softmax_loss_and_grad, stack_features, train
 
 F_INTENSITY = 0
 F_GRAD1 = 5
@@ -33,6 +38,24 @@ def two_class_stack(nz=12, ny=20, nx=20, lo=8000, hi=50000, seed=7):
         vol[z] = base + rng.integers(-400, 401, size=(ny, nx))
         lab[z] = 1 if bright else 0
     return gray(vol), labels(lab)
+
+
+def reference_features(img):
+    """The feature bank as 2D filters on one slice, the form it was first written in."""
+    f = img.astype(np.float32) / np.float32(65535.0)
+    feats = [f]
+    for sigma in (1.0, 2.0, 4.0, 8.0):
+        feats.append(ndi.gaussian_filter(f, sigma, mode="reflect", truncate=3.0))
+    for sigma in (1.0, 2.0):
+        gx = ndi.gaussian_filter(f, sigma, order=(0, 1), mode="reflect", truncate=3.0)
+        gy = ndi.gaussian_filter(f, sigma, order=(1, 0), mode="reflect", truncate=3.0)
+        feats.append(np.hypot(gx, gy))
+    mean = ndi.uniform_filter(f, 5, mode="reflect")
+    mean_sq = ndi.uniform_filter(f * f, 5, mode="reflect")
+    feats.append(np.sqrt(np.clip(mean_sq - mean * mean, 0.0, None)))
+    feats.append(ndi.median_filter(img, size=5, mode="reflect").astype(np.float32)
+                 / np.float32(65535.0))
+    return np.stack(feats, axis=-1)
 
 
 def threshold_model(subset=(0, 1), cut=0.5, scale=200.0):
@@ -72,6 +95,20 @@ class TestFeatures:
     def test_rejects_non_2d(self):
         with pytest.raises(ShapeError):
             extract_features(np.zeros((4, 4, 4), dtype=np.uint16))
+
+    @pytest.mark.parametrize("axis", list(ViewAxis))
+    def test_stack_features_equal_per_slice_features(self, axis):
+        vol = gray(rng_for_seed(16, 42).integers(0, 65536, size=(7, 10, 13)))
+        got = stack_features(view_stack(vol.data, axis))
+        for i in range(slice_count(vol, axis)):
+            img = extract_slice(vol, axis, i)
+            assert np.array_equal(got[i], extract_features(img))
+            assert np.array_equal(got[i], reference_features(img))
+
+    def test_stack_features_reject_non_stacks(self):
+        for shape in ((4, 4), (2, 4, 4, 1)):
+            with pytest.raises(ShapeError):
+                stack_features(np.zeros(shape, dtype=np.uint16))
 
 
 class TestGradient:
@@ -256,10 +293,15 @@ class TestTrain:
             train(model, [bad], TrainProtocol(tile_size=20))
 
 
+STAGE1 = StageConfig(stage=1)
+
+
 class TestPredictVolume:
+    """The slab-wise view predictor against per-slice prediction."""
+
     def test_constant_volume(self):
         vol = gray(np.full((6, 7, 8), 20000, dtype=np.uint16))
-        out = predict_volume(threshold_model(), vol, ViewAxis.XY)
+        out = predict_view(STAGE1, threshold_model(), vol, ViewAxis.XY)
         assert out.dims == vol.dims
         assert out.voxel_size_um == vol.voxel_size_um
         assert (out.data == 0).all()
@@ -268,18 +310,53 @@ class TestPredictVolume:
         rng = rng_for_seed(12, 42)
         vol = gray(rng.integers(0, 65536, size=(5, 9, 11)).astype(np.uint16))
         model = threshold_model()
-        got = predict_volume(model, vol, ViewAxis.XZ)
+        got = predict_view(STAGE1, model, vol, ViewAxis.XZ)
         manual = restack(
             [predict_slice(model, extract_slice(vol, ViewAxis.XZ, i)) for i in range(9)],
             ViewAxis.XZ)
         assert np.array_equal(got.data, manual)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    @pytest.mark.parametrize("axis,per_slab", [(ViewAxis.XY, 2), (ViewAxis.XZ, 4),
+                                               (ViewAxis.YZ, 4)])
+    def test_ragged_slabs_match_per_slice_reference(self, monkeypatch, stage, axis, per_slab):
+        rng = rng_for_seed(17, 42)
+        vol = gray(rng.integers(0, 65536, size=(5, 9, 11)).astype(np.uint16))
+        weights = rng.normal(0.0, 2.0, size=(2, N_FEATURES + 1))
+        weights[1, F_INTENSITY] += 40.0  # every feature counts, intensity decides most
+        weights[1, -1] -= 20.0
+        model = SoftmaxModel(class_subset=(0, 1), weights=weights)
+        cfg = StageConfig(stage=stage)
+        n, a, b = view_stack(vol.data, axis).shape
+        monkeypatch.setattr(pipeline, "_VOXELS_PER_SLAB", per_slab * a * b)
+        slabs = []
+
+        def counted(stack):
+            slabs.append(len(stack))
+            return stack_features(stack)
+
+        monkeypatch.setattr(pipeline, "stack_features", counted)
+        got = predict_view(cfg, model, vol, axis, jobs=2).data
+        assert sorted(slabs) == sorted([per_slab, per_slab, n - 2 * per_slab])
+        assert n - 2 * per_slab not in (0, per_slab)
+
+        def prepared(img):
+            if "unsharp" in cfg.preprocess:
+                fc = cfg.filter_config
+                return unsharp_mask(img, fc.unsharp_sigma, fc.unsharp_amount)
+            return img
+
+        manual = restack([predict_slice(model, prepared(extract_slice(vol, axis, i)))
+                          for i in range(n)], axis)
+        assert np.array_equal(got, manual)
+        assert 0 < got.mean() < 1
 
     def test_per_pixel_rule_is_view_independent(self):
         vol3 = np.full((12, 12, 12), 10000, dtype=np.uint16)
         vol3[:, :, 6:] = 60000
         vol = gray(vol3)
         model = threshold_model()
-        outs = [predict_volume(model, vol, ax).data for ax in ViewAxis]
+        outs = [predict_view(STAGE1, model, vol, ax).data for ax in ViewAxis]
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
         assert (outs[0][:, :, :6] == 0).all() and (outs[0][:, :, 6:] == 1).all()
@@ -287,8 +364,8 @@ class TestPredictVolume:
     def test_threaded_prediction_matches_serial(self):
         rng = rng_for_seed(13, 42)
         vol = gray(rng.integers(0, 65536, size=(8, 8, 8)).astype(np.uint16))
-        a = predict_volume(threshold_model(), vol, ViewAxis.YZ, jobs=1)
-        b = predict_volume(threshold_model(), vol, ViewAxis.YZ, jobs=3)
+        a = predict_view(STAGE1, threshold_model(), vol, ViewAxis.YZ, jobs=1)
+        b = predict_view(STAGE1, threshold_model(), vol, ViewAxis.YZ, jobs=3)
         assert np.array_equal(a.data, b.data)
 
     def test_symmetric_phantom_views_agree(self):
@@ -302,8 +379,8 @@ class TestPredictVolume:
         model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=40,
                              batch_size=512)
         fitted, _ = train(model, [stack], TrainProtocol(tile_size=n, seed=2))
-        xy = predict_volume(fitted, stack[0], ViewAxis.XY).data
-        xz = predict_volume(fitted, stack[0], ViewAxis.XZ).data
+        xy = predict_view(STAGE1, fitted, stack[0], ViewAxis.XY).data
+        xz = predict_view(STAGE1, fitted, stack[0], ViewAxis.XZ).data
         assert (xy == xz).mean() >= 0.90
 
 
