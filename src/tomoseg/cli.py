@@ -90,14 +90,14 @@ def cmd_train(args) -> int:
     if len(args.gray) != len(args.labels):
         raise ConfigError(f"{len(args.gray)} gray volumes vs {len(args.labels)} "
                           "label volumes")
-    cohort = [(_expect(load_volume(g), GrayVolume, g),
-               _expect(load_volume(l), LabelVolume, l))
-              for g, l in zip(args.gray, args.labels)]
     cfg = StageConfig(stage=args.stage, tile_size=args.tile,
                       preprocess=tuple(args.preprocess) if args.preprocess is not None
                       else None)
     proto = TrainProtocol(tile_size=cfg.tile_size, slice_stride=args.stride,
                           val_fraction=args.val_fraction, seed=args.seed)
+    cohort = [(_expect(load_volume(g), GrayVolume, g),
+               _expect(load_volume(l), LabelVolume, l))
+              for g, l in zip(args.gray, args.labels)]
     model, history = train_stage(cfg, cohort, proto, learning_rate=args.lr,
                                  epochs=args.epochs, batch_size=args.batch,
                                  l2=args.l2)

@@ -10,11 +10,12 @@ the output.  Each stage predicts on all three orthogonal views, fuses
 them by per-voxel mode with the XY view breaking ties, and fills
 enclosed background cavities.  A view is predicted slab by slab: its
 slice stack is cut into contiguous runs of slices of a fixed voxel
-budget, and each slab takes one feature-bank call and one softmax call on
-a shared pool of worker threads.  A fixed rule table then merges the three
-stage outputs into the final six-class volume: Atrium beats everything,
-Bulbus beats the binary classes, Compacta beats Lacunary, Lacunary
-beats Ventricle, and stage-1 Background always stays Background.
+budget, and each slab takes one feature-bank call and one argmax over the
+model's logits on a shared pool of worker threads.  A fixed rule table
+then merges the three stage outputs into the final six-class volume:
+Atrium beats everything, Bulbus beats the binary classes, Compacta beats
+Lacunary, Lacunary beats Ventricle, and stage-1 Background always stays
+Background.
 """
 
 import time
@@ -32,7 +33,7 @@ from .segmodel import N_FEATURES, SoftmaxModel, TrainProtocol, stack_features, t
 MASK_DILATION_VOXELS = 8
 EXCLUDED_LABEL = 2  # training-only sentinel outside the binary stages' mask
 # Voxels per slab of the view predictor.  Every worker thread holds one
-# slab's feature-bank and softmax temporaries, a few hundred bytes per
+# slab's feature-bank and logit temporaries, a few hundred bytes per
 # voxel, so this bounds what inference adds to the peak memory.
 _VOXELS_PER_SLAB = 1 << 14
 
@@ -143,8 +144,9 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     The view's slice stack is walked in contiguous slabs of about
     ``_VOXELS_PER_SLAB`` voxels.  Each slab is preprocessed slice by slice
     with the stage's filters, then takes one feature-bank call and one
-    ``predict_proba`` call, and its labels are written straight into the
-    output.  ``jobs`` worker threads share the slabs.
+    ``predict_index`` call (the argmax of the logits), and its labels are
+    written straight into the output.  ``jobs`` worker threads share the
+    slabs.
     """
     stack = view_stack(vol.data, axis)
     n, a, b = stack.shape
@@ -159,7 +161,7 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
             imgs = np.stack([_apply_filters(img, cfg.preprocess, cfg.filter_config)
                              for img in imgs])
         feats = stack_features(imgs).reshape(-1, N_FEATURES)
-        idx = model.predict_proba(feats).argmax(axis=1)
+        idx = model.predict_index(feats)
         out[start:start + per_slab] = classes[idx].reshape(imgs.shape)
 
     with ThreadPoolExecutor(max_workers=max(jobs or 1, 1)) as pool:
@@ -311,10 +313,10 @@ def train_stage(cfg: StageConfig, cohort, proto: TrainProtocol = None,
     """Train one stage's model; extra keywords configure the SoftmaxModel."""
     if proto is None:
         proto = TrainProtocol(tile_size=cfg.tile_size)
+    model = SoftmaxModel(class_subset=cfg.class_subset, **model_kw)
     stacks = stage_training_stacks(cfg, cohort)
     if not stacks:
         raise TrainingError(f"no training stack contains the stage {cfg.stage} mask")
-    model = SoftmaxModel(class_subset=cfg.class_subset, **model_kw)
     return train(model, stacks, proto)
 
 

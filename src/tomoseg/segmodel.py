@@ -17,6 +17,14 @@ per training slice.  The features of the selected slices are computed
 once per stack before the first epoch.  Pixels within a tile are sampled
 with inverse class frequency weights (capped) so rare classes are not
 drowned out.
+
+Validation is gathered once per ``train`` call as well: the labelled
+pixels of the validation slices become one float64 (N, 9) matrix and one
+label vector.  Each epoch scores them with one affine map, an argmax over
+the logits and one confusion-matrix ``bincount``.  In validation and
+inference alike a pixel's label is the argmax of its logits, ties going
+to the lower index: the softmax is monotone, so no exponential is
+computed to find the most probable class.
 """
 
 import json
@@ -105,14 +113,15 @@ class SoftmaxModel:
             raise ConfigError("class_subset must not be empty")
         if len(set(self.class_subset)) != len(self.class_subset):
             raise ConfigError(f"class_subset has duplicates: {self.class_subset}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be non-negative, got {self.batch_size}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be non-negative, got {self.l2}")
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
+            raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
         if self.feature_version != FEATURE_VERSION:
             raise FormatError(f"unsupported feature version {self.feature_version!r}")
         if self.weights is None:
@@ -128,12 +137,20 @@ class SoftmaxModel:
     def n_classes(self) -> int:
         return len(self.class_subset)
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Softmax probabilities for an (N, 9) feature matrix; rows sum to 1."""
+    def logits(self, features: np.ndarray) -> np.ndarray:
+        """Class scores of an (N, 9) feature matrix: (N, n_classes), float64."""
         if not np.isfinite(self.weights).all():
             raise ModelError("model weights are not finite")
         x = np.asarray(features, dtype=np.float64)
-        logits = x @ self.weights[:, :-1].T + self.weights[:, -1]
+        return x @ self.weights[:, :-1].T + self.weights[:, -1]
+
+    def predict_index(self, features: np.ndarray) -> np.ndarray:
+        """Index into ``class_subset`` of each row's largest logit, ties to the lower one."""
+        return self.logits(features).argmax(axis=1)
+
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
+        """Softmax probabilities for an (N, 9) feature matrix; rows sum to 1."""
+        logits = self.logits(features)
         logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=1, keepdims=True)
@@ -234,6 +251,7 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
         if present[idx] == 0:
             raise TrainingError(f"class {cid} absent from all training labels")
 
+    val_x, val_y = _validation_set(feats, gts, val_pairs)
     weights = model.weights.copy()
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
@@ -277,30 +295,31 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
         history.append({
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_iou": _validation_iou(fitted, feats, gts, val_pairs),
+            "val_iou": _validation_iou(fitted, val_x, val_y),
         })
     if model.epochs == 0:
         return replace(model, weights=weights.copy()), history
     return fitted, history
 
 
-def _validation_iou(model: SoftmaxModel, feats, gts, val_pairs) -> float:
+def _validation_set(feats, gts, val_pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Labelled pixels of the validation slices: an (N, 9) float64 matrix and class indices."""
     if not val_pairs:
-        return float("nan")
+        return np.empty((0, N_FEATURES)), np.empty(0, dtype=np.int64)
+    rows = [(feats[s][j].reshape(-1, N_FEATURES), gts[s][j].ravel()) for s, j in val_pairs]
+    x = np.concatenate([f[gt >= 0] for f, gt in rows], dtype=np.float64)
+    y = np.concatenate([gt[gt >= 0] for _, gt in rows])
+    return x, y
+
+
+def _validation_iou(model: SoftmaxModel, val_x: np.ndarray, val_y: np.ndarray) -> float:
+    """Macro IoU over the classes present in ``val_y``; NaN when none is."""
     k = model.n_classes
-    inter = np.zeros(k, dtype=np.int64)
-    union = np.zeros(k, dtype=np.int64)
-    gt_count = np.zeros(k, dtype=np.int64)
-    for s, j in val_pairs:
-        pred = model.predict_proba(feats[s][j].reshape(-1, N_FEATURES)).argmax(axis=1)
-        gt = gts[s][j].ravel()
-        ok = gt >= 0
-        pred, gt = pred[ok], gt[ok]
-        for c in range(k):
-            p, g = pred == c, gt == c
-            inter[c] += int((p & g).sum())
-            union[c] += int((p | g).sum())
-            gt_count[c] += int(g.sum())
+    pred = model.predict_index(val_x)
+    confusion = np.bincount(val_y * k + pred, minlength=k * k).reshape(k, k)
+    inter = np.diag(confusion)
+    gt_count = confusion.sum(axis=1)
+    union = gt_count + confusion.sum(axis=0) - inter
     seen = gt_count > 0
     if not seen.any():
         return float("nan")
@@ -312,7 +331,7 @@ def predict_slice(model: SoftmaxModel, img: np.ndarray) -> np.ndarray:
     """Argmax labels for one slice; ties resolve to the lower class index."""
     img = _require_2d(img)
     feats = extract_features(img).reshape(-1, N_FEATURES)
-    idx = model.predict_proba(feats).argmax(axis=1)
+    idx = model.predict_index(feats)
     out = np.asarray(model.class_subset, dtype=np.uint8)[idx]
     return out.reshape(img.shape)
 

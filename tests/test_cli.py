@@ -192,6 +192,24 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("flag,value", [("--l2", "nan"), ("--lr", "inf")],
+                             ids=["l2_nan", "lr_inf"])
+    def test_train_non_finite_hyperparameter_exits_2(self, chain, tmp_path, capsys,
+                                                     monkeypatch, flag, value):
+        from tomoseg import pipeline
+
+        def no_training(*_):
+            raise AssertionError("training stacks built before the model was validated")
+
+        monkeypatch.setattr(pipeline, "stage_training_stacks", no_training)
+        assert run("train", "--stage", 1, "--gray", chain / "recon0.vol",
+                   "--labels", chain / "ph/gt_000.vol", "--out", tmp_path / "m.json",
+                   *TRAIN_FLAGS, flag, value) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["exit_code"] == 2
+        assert not (tmp_path / "m.json").exists()
+
 
 @pytest.mark.parametrize("text", ["{\"dims\": [48, 48,", "[48, 48, 48]", "{\"dims\": \"abc\"}"],
                          ids=["malformed_json", "not_an_object", "dims_not_numbers"])

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tomoseg import pipeline
+from tomoseg import pipeline, segmodel
 from tomoseg.core import GrayVolume, LabelVolume, ViewAxis, extract_slice, restack, \
     rng_for_seed, slice_count, view_stack
 from tomoseg.errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
@@ -56,6 +59,31 @@ def reference_features(img):
     feats.append(ndi.median_filter(img, size=5, mode="reflect").astype(np.float32)
                  / np.float32(65535.0))
     return np.stack(feats, axis=-1)
+
+
+def reference_validation_iou(model, feats, gts, val_pairs):
+    """Validation IoU as first written: softmax, argmax and class masks slice by slice."""
+    if not val_pairs:
+        return float("nan")
+    k = model.n_classes
+    inter = np.zeros(k, dtype=np.int64)
+    union = np.zeros(k, dtype=np.int64)
+    gt_count = np.zeros(k, dtype=np.int64)
+    for s, j in val_pairs:
+        pred = model.predict_proba(feats[s][j].reshape(-1, N_FEATURES)).argmax(axis=1)
+        gt = gts[s][j].ravel()
+        ok = gt >= 0
+        pred, gt = pred[ok], gt[ok]
+        for c in range(k):
+            p, g = pred == c, gt == c
+            inter[c] += int((p & g).sum())
+            union[c] += int((p | g).sum())
+            gt_count[c] += int(g.sum())
+    seen = gt_count > 0
+    if not seen.any():
+        return float("nan")
+    per_class = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+    return float(per_class[seen].mean())
 
 
 def threshold_model(subset=(0, 1), cut=0.5, scale=200.0):
@@ -159,6 +187,11 @@ class TestSoftmaxModel:
         assert (predict_slice(SoftmaxModel(class_subset=(0, 1, 2)), img) == 0).all()
         # ties resolve to the first listed class id, not literal zero
         assert (predict_slice(SoftmaxModel(class_subset=(2, 5)), img) == 2).all()
+        model = SoftmaxModel(class_subset=(3, 1, 0))
+        assert (model.predict_index(extract_features(img).reshape(-1, N_FEATURES)) == 0).all()
+        vol = gray(np.stack([img] * 4))
+        for axis in ViewAxis:
+            assert (predict_view(STAGE1, model, vol, axis, jobs=2).data == 3).all()
 
     def test_nan_weights_raise(self):
         w = np.zeros((2, N_FEATURES + 1))
@@ -166,6 +199,10 @@ class TestSoftmaxModel:
         model = SoftmaxModel(class_subset=(0, 1), weights=w)
         with pytest.raises(ModelError):
             predict_slice(model, np.zeros((4, 4), dtype=np.uint16))
+        with pytest.raises(ModelError):
+            model.logits(np.zeros((2, N_FEATURES)))
+        with pytest.raises(ModelError):
+            predict_view(STAGE1, model, gray(np.zeros((3, 4, 5))), ViewAxis.XY, jobs=2)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -178,6 +215,11 @@ class TestSoftmaxModel:
             SoftmaxModel(epochs=-1)
         with pytest.raises(ConfigError):
             SoftmaxModel(l2=-0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError, match="learning_rate"):
+                SoftmaxModel(learning_rate=bad)
+            with pytest.raises(ConfigError, match="l2"):
+                SoftmaxModel(l2=bad)
         with pytest.raises(FormatError):
             SoftmaxModel(class_subset=(0, 1), weights=np.zeros((3, N_FEATURES + 1)))
 
@@ -192,6 +234,36 @@ class TestSoftmaxModel:
             TrainProtocol(val_fraction=1.0)
         with pytest.raises(ConfigError):
             TrainProtocol(tiles_per_slice_per_epoch=0)
+
+
+# bounded so that every logit stays finite: |x . w + b| <= 9e6 + 1e3
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+class TestLogits:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 6), data=st.data())
+    def test_argmax_of_logits_is_argmax_of_probabilities(self, k, data):
+        weights = data.draw(arrays(np.float64, (k, N_FEATURES + 1), elements=_FINITE))
+        x = data.draw(arrays(np.float64, (8, N_FEATURES), elements=_FINITE))
+        model = SoftmaxModel(class_subset=tuple(range(k)), weights=weights)
+        pick = model.logits(x).argmax(axis=1)
+        p = model.predict_proba(x)
+        assert np.array_equal(model.predict_index(x), pick)
+        # the top logit maps to exp(0) = 1, no other to more, before one shared division:
+        # it keeps the top probability, though rounding may let a near tie share it
+        assert np.array_equal(p[np.arange(len(x)), pick], p.max(axis=1))
+        # so wherever the top probability is unique both rules pick the same index
+        unique = (p == p.max(axis=1, keepdims=True)).sum(axis=1) == 1
+        assert np.array_equal(pick[unique], p.argmax(axis=1)[unique])
+
+    def test_logits_keep_apart_what_the_softmax_rounds_together(self):
+        weights = np.zeros((2, N_FEATURES + 1))
+        weights[1, -1] = 1e-220  # class 1 scores higher by far less than one ulp of 1.0
+        model = SoftmaxModel(class_subset=(0, 1), weights=weights)
+        x = np.ones((3, N_FEATURES))
+        assert (model.predict_proba(x) == 0.5).all()
+        assert (model.predict_index(x) == 1).all()
 
 
 class TestTrain:
@@ -291,6 +363,90 @@ class TestTrain:
         bad = (stack[0], labels(np.zeros((2, 20, 20), dtype=np.uint8)))
         with pytest.raises(ShapeError):
             train(model, [bad], TrainProtocol(tile_size=20))
+
+
+def blocky_stack(n_classes, nz=12, n=24, seed=21):
+    """Labels in random 4x4 blocks, gray levels per class with overlapping noise."""
+    rng = rng_for_seed(seed, 993)
+    lab = rng.integers(0, n_classes, size=(nz, n // 4, n // 4)).repeat(4, 1).repeat(4, 2)
+    vol = 9000 + 12000 * lab + rng.integers(-7000, 7001, size=lab.shape)
+    return vol, lab
+
+
+def train_with_reference(monkeypatch, model, stacks, proto):
+    """Train with the per-slice reference in place of the gathered validation matrix."""
+    seen = []
+
+    def slices(feats, gts, val_pairs):
+        seen.append([gts[s][j] for s, j in val_pairs])
+        return (feats, gts, val_pairs), None
+
+    with monkeypatch.context() as m:
+        m.setattr(segmodel, "_validation_set", slices)
+        m.setattr(segmodel, "_validation_iou",
+                  lambda fitted, val, _: reference_validation_iou(fitted, *val))
+        return train(model, stacks, proto), seen[0]
+
+
+def assert_same_training(got, want):
+    (m_got, h_got), (m_want, h_want) = got, want
+    assert np.array_equal(m_got.weights, m_want.weights)
+    assert [h["epoch"] for h in h_got] == [h["epoch"] for h in h_want]
+    for key in ("train_loss", "val_iou"):  # exact; NaN only where the reference has NaN
+        np.testing.assert_array_equal([h[key] for h in h_got], [h[key] for h in h_want])
+
+
+class TestValidationMatchesPerSliceReference:
+    """train() histories and weights equal those of the per-slice validation IoU."""
+
+    KW = {"learning_rate": 0.05, "epochs": 6, "batch_size": 256}
+
+    def test_four_classes(self, monkeypatch):
+        vol, lab = blocky_stack(4)
+        model = SoftmaxModel(class_subset=(0, 1, 2, 3), **self.KW)
+        stacks = [(gray(vol), labels(lab))]
+        proto = TrainProtocol(tile_size=16, slice_stride=1, seed=3)
+        want, _ = train_with_reference(monkeypatch, model, stacks, proto)
+        got = train(model, stacks, proto)
+        assert_same_training(got, want)
+        ious = {h["val_iou"] for h in got[1]}
+        assert len(ious) > 1 and all(0.0 < v < 1.0 for v in ious)
+
+    def test_masked_binary_with_excluded_pixels(self, monkeypatch):
+        vol, lab = blocky_stack(2, seed=22)
+        lab[:, :, :8] = pipeline.EXCLUDED_LABEL  # outside class_subset: never scored
+        vol2, lab2 = blocky_stack(2, nz=9, seed=23)
+        lab2[:, 16:, :] = pipeline.EXCLUDED_LABEL
+        model = SoftmaxModel(class_subset=(0, 1), **self.KW)
+        stacks = [(gray(vol), labels(lab)), (gray(vol2), labels(lab2))]
+        proto = TrainProtocol(tile_size=16, slice_stride=1, seed=4)
+        want, val_slices = train_with_reference(monkeypatch, model, stacks, proto)
+        assert any((gt < 0).any() for gt in val_slices)
+        assert_same_training(train(model, stacks, proto), want)
+
+    def test_validation_slices_lack_a_class(self, monkeypatch):
+        vol, lab = blocky_stack(2, nz=10, seed=24)
+        proto = TrainProtocol(tile_size=16, slice_stride=1, seed=5)
+        # the slice split of train(): the first round(0.3 * 10) of this permutation validate
+        first_training_slice = rng_for_seed(proto.seed, 101).permutation(10)[3]
+        lab[first_training_slice, 8:16, 8:16] = 2
+        vol[first_training_slice, 8:16, 8:16] = 60000
+        model = SoftmaxModel(class_subset=(0, 1, 2), **self.KW)
+        stacks = [(gray(vol), labels(lab))]
+        want, val_slices = train_with_reference(monkeypatch, model, stacks, proto)
+        assert val_slices and not any((gt == 2).any() for gt in val_slices)
+        assert_same_training(train(model, stacks, proto), want)
+
+    def test_single_selected_slice_has_no_validation(self, monkeypatch):
+        vol, lab = blocky_stack(2, nz=3, seed=25)  # stride 3 selects slice 0 alone
+        model = SoftmaxModel(class_subset=(0, 1), **self.KW)
+        stacks = [(gray(vol), labels(lab))]
+        proto = TrainProtocol(tile_size=16, seed=6)
+        want, val_slices = train_with_reference(monkeypatch, model, stacks, proto)
+        got = train(model, stacks, proto)
+        assert val_slices == []
+        assert_same_training(got, want)
+        assert all(np.isnan(h["val_iou"]) for h in got[1])
 
 
 STAGE1 = StageConfig(stage=1)
