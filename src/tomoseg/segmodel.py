@@ -14,9 +14,18 @@ Training follows a fixed sampling protocol: every ``slice_stride``-th
 axial slice participates, the selected slices are split once 70/30 into
 train/validation at the slice level, and each epoch draws one random tile
 per training slice.  The features of the selected slices are computed
-once per stack before the first epoch.  Pixels within a tile are sampled
-with inverse class frequency weights (capped) so rare classes are not
-drowned out.
+once per stack before the first epoch, after the split has shown that
+every class has training pixels.  Pixels within a tile are sampled with
+inverse class frequency weights (capped) so rare classes are not drowned
+out.  A tile's sampling table (its labelled pixels as rows of the
+feature matrix, their classes and the cumulative distribution of their
+weights) depends only on the slice and the tile origin, so a tile that
+spans its whole slice builds it once per ``train`` call.  Each Adam step
+then draws its batch by an inverse-CDF lookup that makes the same picks
+as ``Generator.choice`` and leaves the generator in the same state,
+gathers only the picked rows, and computes a loss whose per-row max and
+sum run column by column over the few classes, without ``axis=1``
+reductions.
 
 Validation is gathered once per ``train`` call as well: the labelled
 pixels of the validation slices become one float64 (N, 9) matrix and one
@@ -183,25 +192,91 @@ def softmax_loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray,
     """Mean cross-entropy (+ L2 on non-bias weights) and its exact gradient.
 
     x is (N, n_features), y holds class indices, weights is
-    (n_classes, n_features+1) with the bias in the last column.
+    (n_classes, n_features+1) with the bias in the last column.  The
+    per-row max and sum run column by column over the few classes instead
+    of as ``axis=1`` reductions, which numpy pays for per row; the results
+    are bit-identical to those reductions.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     y = np.asarray(y)
     n = x.shape[0]
-    xb = np.concatenate([x, np.ones((n, 1))], axis=1)
+    xb = np.empty((n, x.shape[1] + 1))
+    xb[:, :-1] = x
+    xb[:, -1] = 1.0
     logits = xb @ weights.T
-    logits -= logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(logits).sum(axis=1))
-    loss = float((log_z - logits[np.arange(n), y]).mean())
+    k = logits.shape[1]
+    top = logits[:, 0].copy()
+    for c in range(1, k):
+        np.maximum(top, logits[:, c], out=top)
+    logits -= top[:, None]
+    log_z = np.log(_row_sums(np.exp(logits)))
+    at_y = np.arange(n) * k + y  # flat index of each row's true-class logit
+    loss = float((log_z - logits.ravel()[at_y]).mean())
     probs = np.exp(logits - log_z[:, None])
-    probs[np.arange(n), y] -= 1.0
+    probs.ravel()[at_y] -= 1.0
     grad = probs.T @ xb / n
     reg = weights.copy()
     reg[:, -1] = 0.0  # bias is not penalized
     loss += 0.5 * l2 * float((reg * reg).sum())
     grad += l2 * reg
     return loss, grad
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` bit for bit: numpy adds rows of fewer than 8 terms in
+    order and sums longer ones pairwise, so only short rows go column by column."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    total = a[:, 0].copy()
+    for c in range(1, a.shape[1]):
+        total += a[:, c]
+    return total
+
+
+def _tile_table(gt: np.ndarray, j: int, ti: int, tj: int, th: int, tw: int,
+                batch_size: int) -> tuple:
+    """Sampling table of the (th, tw) tile at (ti, tj) of slice ``j`` of an (n, h, w) stack.
+
+    ``gt`` holds class indices, -1 where a pixel is excluded.  Returns the
+    tile's labelled pixels in raster order as flat rows of the stack's
+    (n*h*w, 9) feature matrix, their class indices and, when a batch of
+    ``batch_size`` is drawn from them, the cumulative distribution of
+    their capped inverse class frequency weights (None otherwise).
+    """
+    _, h, w = gt.shape
+    y = gt[j, ti:ti + th, tj:tj + tw].ravel()
+    valid = np.flatnonzero(y >= 0)
+    y = y[valid]
+    r, c = np.divmod(valid, tw)
+    rows = (j * h + ti + r) * w + tj + c
+    if not (batch_size and batch_size < y.size):
+        return rows, y, None
+    freq = np.bincount(y).astype(np.float64)
+    cls_w = np.zeros(freq.size)
+    nz = freq > 0
+    cls_w[nz] = np.minimum(freq[nz].max() / freq[nz], _WEIGHT_CAP)
+    p = cls_w[y]
+    p /= p.sum()
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return rows, y, cdf
+
+
+def _choice(sampler: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``sampler.choice(len(p), size, replace=True, p=p)`` for the ``cdf`` numpy builds from p.
+
+    numpy looks each of ``size`` uniforms up in the normalised cumulative
+    distribution with ``searchsorted(side="right")``.  This draws the same
+    uniforms and looks them up in sorted order, which ``searchsorted``
+    does about twice as fast, so the picks and the generator's state
+    afterwards are those of ``choice``.
+    """
+    u = sampler.random(size)
+    order = u.argsort()
+    pick = np.empty(size, dtype=np.intp)
+    pick[order] = cdf.searchsorted(u[order], side="right")
+    return pick
 
 
 def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
@@ -232,7 +307,6 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
     for idx, cid in enumerate(class_subset):
         id_to_idx[cid] = idx
     stride = proto.slice_stride
-    feats = [stack_features(view_stack(gray.data, ViewAxis.XY)[::stride]) for gray, _ in stacks]
     gts = [id_to_idx[view_stack(lab.data, ViewAxis.XY)[::stride]] for _, lab in stacks]
     pairs = [(s, j) for s, gt in enumerate(gts) for j in range(len(gt))]
     rng = rng_for_seed(proto.seed, 101)
@@ -251,7 +325,10 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
         if present[idx] == 0:
             raise TrainingError(f"class {cid} absent from all training labels")
 
+    feats = [stack_features(view_stack(gray.data, ViewAxis.XY)[::stride]) for gray, _ in stacks]
     val_x, val_y = _validation_set(feats, gts, val_pairs)
+    feature_rows = [f.reshape(-1, N_FEATURES) for f in feats]
+    tables = {}  # a tile that spans its slice always starts at (0, 0): one table per slice
     weights = model.weights.copy()
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
@@ -261,31 +338,30 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
     for epoch in range(model.epochs):
         losses = []
         for s, j in train_pairs:
-            gt_idx = gts[s][j]
-            h, w = gt_idx.shape
+            _, h, w = gts[s].shape
             th, tw = min(proto.tile_size, h), min(proto.tile_size, w)
             for _ in range(proto.tiles_per_slice_per_epoch):
                 ti = int(sampler.integers(0, h - th + 1))
                 tj = int(sampler.integers(0, w - tw + 1))
-                x = feats[s][j, ti:ti + th, tj:tj + tw].reshape(-1, N_FEATURES)
-                y = gt_idx[ti:ti + th, tj:tj + tw].ravel()
-                valid = np.flatnonzero(y >= 0)
-                if valid.size == 0:
+                if (th, tw) != (h, w):
+                    table = _tile_table(gts[s], j, ti, tj, th, tw, model.batch_size)
+                elif (s, j) in tables:
+                    table = tables[s, j]
+                else:
+                    table = tables[s, j] = _tile_table(gts[s], j, 0, 0, h, w,
+                                                       model.batch_size)
+                rows, y, cdf = table
+                if rows.size == 0:
                     continue
-                x, y = x[valid], y[valid]
-                if model.batch_size and model.batch_size < y.size:
-                    freq = np.bincount(y, minlength=len(class_subset)).astype(np.float64)
-                    cls_w = np.zeros(len(class_subset))
-                    nz = freq > 0
-                    cls_w[nz] = np.minimum(freq[nz].max() / freq[nz], _WEIGHT_CAP)
-                    p = cls_w[y]
-                    p /= p.sum()
-                    pick = sampler.choice(y.size, size=model.batch_size, replace=True, p=p)
-                    x, y = x[pick], y[pick]
-                loss, grad = softmax_loss_and_grad(weights, x, y, model.l2)
+                if cdf is not None:
+                    pick = _choice(sampler, cdf, model.batch_size)
+                    rows, y = rows[pick], y[pick]
+                loss, grad = softmax_loss_and_grad(weights, feature_rows[s][rows], y, model.l2)
                 step += 1
-                m = _ADAM_BETA1 * m + (1 - _ADAM_BETA1) * grad
-                v = _ADAM_BETA2 * v + (1 - _ADAM_BETA2) * grad * grad
+                m *= _ADAM_BETA1
+                m += (1 - _ADAM_BETA1) * grad
+                v *= _ADAM_BETA2
+                v += (1 - _ADAM_BETA2) * grad * grad
                 m_hat = m / (1 - _ADAM_BETA1 ** step)
                 v_hat = v / (1 - _ADAM_BETA2 ** step)
                 weights -= model.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)

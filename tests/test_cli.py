@@ -211,6 +211,31 @@ class TestErrorPaths:
         assert not (tmp_path / "m.json").exists()
 
 
+def test_train_stage_without_its_class_exits_4_before_the_feature_bank(tmp_path, capsys,
+                                                                      monkeypatch):
+    from tomoseg import segmodel
+    from tomoseg.core import GrayVolume, save_volume
+
+    def no_features(_):
+        raise AssertionError("feature bank computed for a stage that cannot train")
+
+    monkeypatch.setattr(segmodel, "stack_features", no_features)
+    rng = np.random.default_rng(0)
+    save_volume(GrayVolume(rng.integers(0, 65536, size=(9, 12, 12), dtype=np.uint16)),
+                tmp_path / "g.vol")
+    lab = np.zeros((9, 12, 12), dtype=np.uint8)
+    lab[:, 3:9, 3:9] = 2  # a ventricle without lacunary tissue, the stage-2 target
+    save_volume(LabelVolume(lab), tmp_path / "l.vol")
+    assert run("train", "--stage", 2, "--gray", tmp_path / "g.vol",
+               "--labels", tmp_path / "l.vol", "--out", tmp_path / "m.json",
+               *TRAIN_FLAGS) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "TrainingError"
+    assert "class 1 absent" in err["message"]
+    assert err["exit_code"] == 4
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("text", ["{\"dims\": [48, 48,", "[48, 48, 48]", "{\"dims\": \"abc\"}"],
                          ids=["malformed_json", "not_an_object", "dims_not_numbers"])
 def test_bad_phantom_spec_exits_2(tmp_path, capsys, text):

@@ -1,5 +1,8 @@
 """Feature bank, softmax gradient, training protocol, and prediction tests."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
@@ -86,6 +89,109 @@ def reference_validation_iou(model, feats, gts, val_pairs):
     return float(per_class[seen].mean())
 
 
+def reference_loss_and_grad(weights, x, y, l2=0.0):
+    """The loss as first written: a concatenated bias column and axis=1 reductions."""
+    weights = np.asarray(weights, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
+    n = x.shape[0]
+    xb = np.concatenate([x, np.ones((n, 1))], axis=1)
+    logits = xb @ weights.T
+    logits -= logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(logits).sum(axis=1))
+    loss = float((log_z - logits[np.arange(n), y]).mean())
+    probs = np.exp(logits - log_z[:, None])
+    probs[np.arange(n), y] -= 1.0
+    grad = probs.T @ xb / n
+    reg = weights.copy()
+    reg[:, -1] = 0.0
+    loss += 0.5 * l2 * float((reg * reg).sum())
+    grad += l2 * reg
+    return loss, grad
+
+
+def reference_train(model, stacks, proto):
+    """train() as first written: per step a tile copy, class weights, Generator.choice
+    and the concatenating loss; the slice split and validation are train()'s own."""
+    class_subset = model.class_subset
+    id_to_idx = np.full(256, -1, dtype=np.int64)
+    for idx, cid in enumerate(class_subset):
+        id_to_idx[cid] = idx
+    stride = proto.slice_stride
+    feats = [stack_features(view_stack(g.data, ViewAxis.XY)[::stride]) for g, _ in stacks]
+    gts = [id_to_idx[view_stack(lab.data, ViewAxis.XY)[::stride]] for _, lab in stacks]
+    pairs = [(s, j) for s, gt in enumerate(gts) for j in range(len(gt))]
+    order = segmodel.rng_for_seed(proto.seed, 101).permutation(len(pairs))
+    n_val = int(round(proto.val_fraction * len(pairs))) if len(pairs) > 1 else 0
+    val_pairs = [pairs[i] for i in order[:n_val]]
+    train_pairs = [pairs[i] for i in order[n_val:]]
+    val_x, val_y = segmodel._validation_set(feats, gts, val_pairs)
+    weights = model.weights.copy()
+    m = np.zeros_like(weights)
+    v = np.zeros_like(weights)
+    step = 0
+    sampler = segmodel.rng_for_seed(proto.seed, 202)
+    history = []
+    for epoch in range(model.epochs):
+        losses = []
+        for s, j in train_pairs:
+            gt_idx = gts[s][j]
+            h, w = gt_idx.shape
+            th, tw = min(proto.tile_size, h), min(proto.tile_size, w)
+            for _ in range(proto.tiles_per_slice_per_epoch):
+                ti = int(sampler.integers(0, h - th + 1))
+                tj = int(sampler.integers(0, w - tw + 1))
+                x = feats[s][j, ti:ti + th, tj:tj + tw].reshape(-1, N_FEATURES)
+                y = gt_idx[ti:ti + th, tj:tj + tw].ravel()
+                valid = np.flatnonzero(y >= 0)
+                if valid.size == 0:
+                    continue
+                x, y = x[valid], y[valid]
+                if model.batch_size and model.batch_size < y.size:
+                    freq = np.bincount(y, minlength=len(class_subset)).astype(np.float64)
+                    cls_w = np.zeros(len(class_subset))
+                    nz = freq > 0
+                    cls_w[nz] = np.minimum(freq[nz].max() / freq[nz], 10.0)
+                    p = cls_w[y]
+                    p /= p.sum()
+                    pick = sampler.choice(y.size, size=model.batch_size, replace=True, p=p)
+                    x, y = x[pick], y[pick]
+                loss, grad = reference_loss_and_grad(weights, x, y, model.l2)
+                step += 1
+                m = 0.9 * m + (1 - 0.9) * grad
+                v = 0.999 * v + (1 - 0.999) * grad * grad
+                m_hat = m / (1 - 0.9 ** step)
+                v_hat = v / (1 - 0.999 ** step)
+                weights -= model.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+                losses.append(loss)
+        fitted = replace(model, weights=weights.copy())
+        history.append({
+            "epoch": epoch + 1,
+            "train_loss": float(np.mean(losses)) if losses else float("nan"),
+            "val_iou": segmodel._validation_iou(fitted, val_x, val_y),
+        })
+    return replace(model, weights=weights.copy()), history
+
+
+# uniforms that fall exactly on steps of an equally weighted cdf over 2**k pixels
+TIED_UNIFORMS = (0.5, 0.25, 0.75, 0.125)
+
+
+def tied_sampler(seed, *stream):
+    """``rng_for_seed(seed, *stream)`` with its next four uniforms set to TIED_UNIFORMS.
+
+    Philox hands out a buffer of four 64-bit words before it advances its
+    counter, and ``random()`` maps a word x to (x >> 11) / 2**53.
+    """
+    gen = rng_for_seed(seed, *stream)
+    state = gen.bit_generator.state
+    state["buffer"] = np.array([int(u * 2 ** 53) << 11 for u in TIED_UNIFORMS],
+                               dtype=np.uint64)
+    state["buffer_pos"] = 0
+    gen.bit_generator.state = state
+    return gen
+
+
 def threshold_model(subset=(0, 1), cut=0.5, scale=200.0):
     """Hand-built model that classifies on raw intensity alone."""
     w = np.zeros((len(subset), N_FEATURES + 1))
@@ -170,6 +276,57 @@ class TestGradient:
         reg[:, -1] = 0.0
         assert l1 == pytest.approx(l0 + 0.25 * (reg * reg).sum(), rel=1e-12)
         assert np.allclose(g1 - g0, 0.5 * reg, atol=1e-12)
+
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 9])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e8], ids=["unit", "large", "huge"])
+    def test_bit_equal_to_concatenating_formula(self, k, scale):
+        rng = rng_for_seed(k, 43)
+        for trial in range(40):
+            w = rng.normal(0.0, scale, size=(k, N_FEATURES + 1))
+            n = int(rng.integers(1, 1100))
+            x = rng.uniform(0.0, 1.0, size=(n, N_FEATURES))
+            if trial % 2:
+                x = x.astype(np.float32)  # the dtype train() passes
+            y = rng.integers(0, k, size=n)
+            loss, grad = softmax_loss_and_grad(w, x, y, l2=1e-4)
+            want_loss, want_grad = reference_loss_and_grad(w, x, y, l2=1e-4)
+            assert loss == want_loss
+            assert np.array_equal(grad, want_grad)
+
+
+def generator_state(gen):
+    return json.dumps(gen.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+class TestChoice:
+    """The sorted-key inverse-CDF sampler against Generator.choice."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(class_w=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+           size=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_same_picks_and_state_as_generator_choice(self, class_w, size, seed, data):
+        n = data.draw(st.integers(1, 400), label="n")  # size > n happens as well
+        y = data.draw(arrays(np.int64, n, elements=st.integers(0, len(class_w) - 1)))
+        p = np.asarray(class_w)[y]
+        p /= p.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        want_gen, got_gen = rng_for_seed(seed, 202), rng_for_seed(seed, 202)
+        want = want_gen.choice(n, size=size, replace=True, p=p)
+        got = segmodel._choice(got_gen, cdf, size)
+        assert np.array_equal(got, want)
+        assert generator_state(got_gen) == generator_state(want_gen)
+
+    def test_uniform_on_a_cdf_step_picks_as_generator_choice(self):
+        p = np.full(256, 1 / 256)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        assert set(TIED_UNIFORMS) <= set(cdf)
+        want = tied_sampler(0, 202).choice(256, size=8, replace=True, p=p)
+        got = segmodel._choice(tied_sampler(0, 202), cdf, 8)
+        assert np.array_equal(got, want)
+        assert want[:4].tolist() == [128, 64, 192, 32]  # the first pixel past each step
 
 
 class TestSoftmaxModel:
@@ -302,6 +459,24 @@ class TestTrain:
         model = SoftmaxModel(class_subset=(0, 1), epochs=1)
         with pytest.raises(TrainingError, match="class 1"):
             train(model, [(gray(vol), labels(lab))], TrainProtocol(tile_size=10, seed=0))
+
+    def test_missing_class_fails_before_the_feature_bank(self, monkeypatch):
+        calls = []
+
+        def counted(stack):
+            calls.append(len(stack))
+            return stack_features(stack)
+
+        monkeypatch.setattr(segmodel, "stack_features", counted)
+        vol = np.full((3, 10, 10), 8000, dtype=np.uint16)
+        lab = np.zeros((3, 10, 10), dtype=np.uint8)
+        lab[1] = 1  # slice 1 is skipped by the stride-3 schedule
+        model = SoftmaxModel(class_subset=(0, 1), epochs=1)
+        with pytest.raises(TrainingError, match="class 1"):
+            train(model, [(gray(vol), labels(lab))], TrainProtocol(tile_size=10, seed=0))
+        assert calls == []
+        train(model, [two_class_stack()], TrainProtocol(tile_size=20, seed=0))
+        assert calls == [4]
 
     def test_stride_controls_slice_selection(self):
         vol = np.full((4, 10, 10), 8000, dtype=np.uint16)
@@ -447,6 +622,62 @@ class TestValidationMatchesPerSliceReference:
         assert val_slices == []
         assert_same_training(got, want)
         assert all(np.isnan(h["val_iou"]) for h in got[1])
+
+
+def checker_stack(nz=6, n=16, seed=31):
+    """Two classes in a 4x4 checkerboard: every slice holds 128 pixels of each."""
+    rng = rng_for_seed(seed, 994)
+    r, c = np.indices((n, n))
+    lab = np.broadcast_to((r // 4 + c // 4) % 2, (nz, n, n))
+    vol = 9000 + 30000 * lab + rng.integers(-7000, 7001, size=lab.shape)
+    return vol, lab
+
+
+class TestTrainMatchesPerTileReference:
+    """train() weights and histories equal those of the per-tile loop it replaced."""
+
+    @pytest.mark.parametrize("n_classes,batch_size,proto_kw", [
+        (4, 256, {"tile_size": 24}),
+        (4, 64, {"tile_size": 10}),
+        (3, 0, {"tile_size": 24}),
+        (3, 0, {"tile_size": 10}),
+        (2, 24 * 20, {"tile_size": 24}),
+        (2, 5000, {"tile_size": 10}),
+        (4, 128, {"tile_size": 24, "tiles_per_slice_per_epoch": 2}),
+        (4, 32, {"tile_size": 8, "tiles_per_slice_per_epoch": 2}),
+    ], ids=["whole_slice", "sub_slice", "batch_0", "batch_0_sub_slice",
+            "batch_is_valid_count", "batch_over_valid_count", "two_tiles",
+            "two_sub_slice_tiles"])
+    def test_unmasked(self, n_classes, batch_size, proto_kw):
+        vol, lab = blocky_stack(n_classes)
+        vol, lab = vol[:, :, :20], lab[:, :, :20]  # 24 x 20 slices: tile origins differ
+        model = SoftmaxModel(class_subset=tuple(range(n_classes)), learning_rate=0.05,
+                             epochs=4, batch_size=batch_size)
+        stacks = [(gray(vol), labels(lab))]
+        proto = TrainProtocol(slice_stride=1, seed=7, **proto_kw)
+        assert_same_training(train(model, stacks, proto), reference_train(model, stacks, proto))
+
+    @pytest.mark.parametrize("tile_size", [24, 12], ids=["whole_slice", "sub_slice"])
+    def test_masked_binary_with_excluded_pixels(self, tile_size):
+        vol, lab = blocky_stack(2, seed=22)
+        lab[:, :, :8] = pipeline.EXCLUDED_LABEL
+        vol2, lab2 = blocky_stack(2, nz=9, seed=23)
+        lab2[:, 12:, :] = pipeline.EXCLUDED_LABEL  # a 12-pixel tile at row 12 has none to draw
+        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=4, batch_size=256)
+        stacks = [(gray(vol), labels(lab)), (gray(vol2), labels(lab2))]
+        proto = TrainProtocol(tile_size=tile_size, slice_stride=1, seed=8)
+        assert_same_training(train(model, stacks, proto), reference_train(model, stacks, proto))
+
+    def test_uniforms_on_cdf_steps(self, monkeypatch):
+        def sampler_with_ties(seed, *stream):
+            return (tied_sampler if stream == (202,) else rng_for_seed)(seed, *stream)
+
+        monkeypatch.setattr(segmodel, "rng_for_seed", sampler_with_ties)
+        vol, lab = checker_stack()  # 256 equally weighted pixels: cdf steps of 1/256
+        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=2, batch_size=64)
+        stacks = [(gray(vol), labels(lab))]
+        proto = TrainProtocol(tile_size=16, slice_stride=1, seed=9)
+        assert_same_training(train(model, stacks, proto), reference_train(model, stacks, proto))
 
 
 STAGE1 = StageConfig(stage=1)
