@@ -15,8 +15,8 @@ from .core import AcquisitionConfig
 from .errors import SchemaError
 from .filters import FilterConfig
 from .phantom import PhantomSpec, default_spec, spec_from_dict, spec_to_dict
-from .pipeline import StageConfig
-from .segmodel import DEFAULT_HYPERPARAMETERS, TrainProtocol
+from .pipeline import StageConfig, default_stage_configs
+from .segmodel import DEFAULT_HYPERPARAMETERS, SoftmaxModel, TrainProtocol
 
 _PROTOCOL_KEYS = ("slice_stride", "val_fraction", "tiles_per_slice_per_epoch")
 _MODEL_KEYS = tuple(DEFAULT_HYPERPARAMETERS)
@@ -55,10 +55,7 @@ class ExperimentConfig:
         if self.acquisition is None:
             object.__setattr__(self, "acquisition", AcquisitionConfig(300, 0.6, 192))
         if self.stages is None:
-            object.__setattr__(
-                self, "stages",
-                {s: StageConfig(stage=s, filter_config=self.filter_config)
-                 for s in (1, 2, 3)})
+            object.__setattr__(self, "stages", default_stage_configs(self.filter_config))
         object.__setattr__(self, "protocol", dict(self.protocol or {}))
         object.__setattr__(self, "model", dict(self.model or {}))
         object.__setattr__(self, "doses", tuple(int(d) for d in self.doses))
@@ -80,6 +77,7 @@ class ExperimentConfig:
             raise SchemaError(f"stages must cover 1, 2 and 3, got {sorted(self.stages)}")
         # probe-construct so bad values fail here, not mid-experiment
         self.protocol_for_stage(1)
+        SoftmaxModel(**self.model)
 
     def protocol_for_stage(self, stage: int) -> TrainProtocol:
         return TrainProtocol(tile_size=self.stages[stage].tile_size,
@@ -121,49 +119,49 @@ class ExperimentConfig:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Validated config; unknown keys and malformed values raise SchemaError."""
     top = _take(doc, ("seed", "out_dir", "cohort_size", "phantom", "acquisition",
                       "doses", "filters", "stages", "protocol", "model", "eval",
                       "reconstruction"), "config")
-    kw = {}
-    for key in ("seed", "out_dir", "cohort_size", "doses", "protocol", "model"):
-        if key in top:
-            kw[key] = top[key]
-    if "phantom" in top:
-        kw["phantom"] = spec_from_dict(top["phantom"])
-    if "acquisition" in top:
-        acq = _take(top["acquisition"],
-                    ("n_projections", "angular_step_deg", "detector_bins",
-                     "absorption_window"), "acquisition")
-        if "absorption_window" in acq:
-            acq["absorption_window"] = tuple(acq["absorption_window"])
-        kw["acquisition"] = AcquisitionConfig(**acq)
-    fc = FilterConfig(**_take(top.get("filters", {}),
-                              ("unsharp_sigma", "unsharp_amount", "median_radius",
-                               "histeq_bins"), "filters"))
-    kw["filter_config"] = fc
-    if "stages" in top:
-        stages = {}
-        raw = top["stages"]
-        if not isinstance(raw, dict):
-            raise SchemaError("stages section must be an object")
-        for key, body in raw.items():
-            if str(key) not in ("1", "2", "3"):
-                raise SchemaError(f"unknown stage {key!r}")
-            body = _take(body, ("tile_size", "preprocess", "mask_to_ventricle"),
-                         f"stage {key}")
-            if "preprocess" in body:
-                body["preprocess"] = tuple(body["preprocess"])
-            stages[int(key)] = StageConfig(stage=int(key), filter_config=fc, **body)
-        for s in (1, 2, 3):
-            stages.setdefault(s, StageConfig(stage=s, filter_config=fc))
-        kw["stages"] = stages
-    if "eval" in top:
-        ev = _take(top["eval"], ("include_background",), "eval")
-        kw["include_background"] = bool(ev.get("include_background", False))
-    if "reconstruction" in top:
-        rec = _take(top["reconstruction"], ("filter",), "reconstruction")
-        kw["recon_filter"] = rec.get("filter", "ramlak")
-    return ExperimentConfig(**kw)
+    kw = {key: top[key] for key in ("seed", "out_dir", "cohort_size", "doses", "protocol",
+                                    "model") if key in top}
+    try:
+        if "phantom" in top:
+            kw["phantom"] = spec_from_dict(top["phantom"])
+        if "acquisition" in top:
+            acq = _take(top["acquisition"],
+                        ("n_projections", "angular_step_deg", "detector_bins",
+                         "absorption_window"), "acquisition")
+            if "absorption_window" in acq:
+                acq["absorption_window"] = tuple(acq["absorption_window"])
+            kw["acquisition"] = AcquisitionConfig(**acq)
+        fc = FilterConfig(**_take(top.get("filters", {}),
+                                  ("unsharp_sigma", "unsharp_amount", "median_radius",
+                                   "histeq_bins"), "filters"))
+        kw["filter_config"] = fc
+        if "stages" in top:
+            raw = top["stages"]
+            if not isinstance(raw, dict):
+                raise SchemaError("stages section must be an object")
+            stages = default_stage_configs(fc)
+            for key, body in raw.items():
+                if str(key) not in ("1", "2", "3"):
+                    raise SchemaError(f"unknown stage {key!r}")
+                body = _take(body, ("tile_size", "preprocess", "mask_to_ventricle"),
+                             f"stage {key}")
+                if "preprocess" in body:
+                    body["preprocess"] = tuple(body["preprocess"])
+                stages[int(key)] = StageConfig(stage=int(key), filter_config=fc, **body)
+            kw["stages"] = stages
+        if "eval" in top:
+            ev = _take(top["eval"], ("include_background",), "eval")
+            kw["include_background"] = bool(ev.get("include_background", False))
+        if "reconstruction" in top:
+            rec = _take(top["reconstruction"], ("filter",), "reconstruction")
+            kw["recon_filter"] = rec.get("filter", "ramlak")
+        return ExperimentConfig(**kw)
+    except (TypeError, ValueError, KeyError) as err:
+        raise SchemaError(f"malformed config: {type(err).__name__}: {err}") from err
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -6,9 +6,14 @@ Conventions used throughout the package:
   ``(nz, ny, nx)``: z is the slowest (slice) index, x the fastest.
   ``dims`` always reports ``(nx, ny, nz)``.
 * Voxels are isotropic; ``voxel_size_um`` is the edge length in micrometers.
+* The gray, label and attenuation volumes share one frozen base class that
+  locks the array read-only in the type's dtype and checks shape and voxel
+  size; each type adds its dtype and sidecar tag, labels their class table.
 * On disk a volume is a raw little-endian payload (``.vol``) plus a JSON
-  sidecar (``.vol.json``) holding dims, voxel size, dtype and, for label
-  volumes, the class table.
+  sidecar (``.vol.json``) holding dims, voxel size, dtype tag and, for label
+  volumes, the class table.  Volume and sinogram pairs are written by
+  ``write_with_sidecar`` and read by ``read_with_sidecar``, the one sidecar
+  reader; a malformed sidecar raises FormatError naming the file.
 * All randomness in the package uses numpy's Philox (4x64) counter-based
   bit generator so results are reproducible across platforms.
 """
@@ -57,23 +62,27 @@ def rng_for_seed(seed, *stream) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
 
 
-def _as_locked(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
-    if out.ndim != 3:
-        raise FormatError(f"volume data must be 3-dimensional, got shape {arr.shape}")
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
-class GrayVolume:
-    """16-bit intensity volume (the reconstructed, window-normalized twin)."""
+class _Volume:
+    """A read-only, C-ordered (nz, ny, nx) voxel array and its voxel size.
 
-    data: np.ndarray  # uint16, shape (nz, ny, nx)
+    Each volume type fixes ``dtype``, its payload's little-endian dtype,
+    and ``tag``, the ``dtype`` string its sidecar carries.
+    """
+
+    dtype = None
+    tag = None
+
+    data: np.ndarray
     voxel_size_um: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_locked(self.data, np.uint16))
+        data = np.ascontiguousarray(self.data, dtype=self.dtype)
+        if data.ndim != 3:
+            raise FormatError(
+                f"volume data must be 3-dimensional, got shape {np.shape(self.data)}")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
         if not self.voxel_size_um > 0:
             raise FormatError(f"voxel_size_um must be positive, got {self.voxel_size_um}")
 
@@ -86,59 +95,45 @@ class GrayVolume:
         return self.data[z, y, x]
 
 
+Volume = _Volume
+
+
 @dataclass(frozen=True)
-class LabelVolume:
+class GrayVolume(_Volume):
+    """16-bit intensity volume (the reconstructed, window-normalized twin)."""
+
+    dtype = np.dtype("<u2")
+    tag = "uint16"
+
+
+@dataclass(frozen=True)
+class LabelVolume(_Volume):
     """Volume of class ids (ground truth or prediction)."""
 
-    data: np.ndarray  # uint8, shape (nz, ny, nx)
-    voxel_size_um: float = 1.0
+    dtype = np.dtype("u1")
+    tag = "uint8"
+
     class_names: tuple = CLASS_NAMES
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_locked(self.data, np.uint8))
-        if not self.voxel_size_um > 0:
-            raise FormatError(f"voxel_size_um must be positive, got {self.voxel_size_um}")
+        super().__post_init__()
         if self.data.size and int(self.data.max()) >= len(self.class_names):
             raise FormatError(
                 f"label value {int(self.data.max())} outside the "
                 f"{len(self.class_names)}-entry class table"
             )
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self.data.shape
-        return (nx, ny, nz)
-
-    def value_at(self, x: int, y: int, z: int):
-        return self.data[z, y, x]
-
 
 @dataclass(frozen=True)
-class AttenuationVolume:
+class AttenuationVolume(_Volume):
     """Real-valued attenuation volume, the precursor of a GrayVolume.
 
     Produced by the phantom generator and by FBP reconstruction before
     window normalization.
     """
 
-    data: np.ndarray  # float32, shape (nz, ny, nx)
-    voxel_size_um: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_locked(self.data, np.float32))
-        if not self.voxel_size_um > 0:
-            raise FormatError(f"voxel_size_um must be positive, got {self.voxel_size_um}")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        nz, ny, nx = self.data.shape
-        return (nx, ny, nz)
-
-    def value_at(self, x: int, y: int, z: int):
-        return self.data[z, y, x]
-
-
-Volume = GrayVolume | LabelVolume | AttenuationVolume
+    dtype = np.dtype("<f4")
+    tag = "float32"
 
 
 @dataclass(frozen=True)
@@ -221,19 +216,7 @@ def restack(slices, axis: ViewAxis) -> np.ndarray:
 
 # --- volume I/O ------------------------------------------------------------
 
-_DTYPE_TAGS = {
-    "uint16": (np.dtype("<u2"), GrayVolume),
-    "uint8": (np.dtype("u1"), LabelVolume),
-    "float32": (np.dtype("<f4"), AttenuationVolume),
-}
-
-
-def _dtype_tag(vol: Volume) -> str:
-    if isinstance(vol, GrayVolume):
-        return "uint16"
-    if isinstance(vol, LabelVolume):
-        return "uint8"
-    return "float32"
+_VOLUME_TYPES = {cls.tag: cls for cls in (GrayVolume, LabelVolume, AttenuationVolume)}
 
 
 def write_with_sidecar(path, payload: np.ndarray, sidecar: dict) -> None:
@@ -257,52 +240,62 @@ def write_with_sidecar(path, payload: np.ndarray, sidecar: dict) -> None:
         tmp_sidecar.unlink(missing_ok=True)
 
 
+def read_with_sidecar(path, keys) -> tuple[dict, bytes]:
+    """Read a pair written by :func:`write_with_sidecar`: (sidecar object, payload bytes).
+
+    A missing file raises FileNotFoundError; a sidecar that is not a JSON
+    object or lacks one of ``keys`` raises FormatError.  The values are the
+    caller's to check.
+    """
+    path = Path(path)
+    sidecar_path = Path(str(path) + ".json")
+    for p in (path, sidecar_path):
+        if not p.exists():
+            raise FileNotFoundError(str(p))
+    try:
+        meta = json.loads(sidecar_path.read_text())
+    except ValueError as e:
+        raise FormatError(f"unreadable sidecar {sidecar_path}: {e}") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"sidecar {sidecar_path} is a JSON {type(meta).__name__}, "
+                          "not an object")
+    for key in keys:
+        if key not in meta:
+            raise FormatError(f"sidecar {sidecar_path} missing key '{key}'")
+    return meta, path.read_bytes()
+
+
 def save_volume(vol: Volume, path) -> None:
     """Write ``path`` (raw little-endian payload) and ``path + '.json'``."""
-    tag = _dtype_tag(vol)
     sidecar = {
         "dims": list(vol.dims),
         "voxel_size_um": vol.voxel_size_um,
-        "dtype": tag,
+        "dtype": vol.tag,
     }
     if isinstance(vol, LabelVolume):
         sidecar["classes"] = list(vol.class_names)
-    write_with_sidecar(path, np.ascontiguousarray(vol.data, dtype=_DTYPE_TAGS[tag][0]), sidecar)
+    write_with_sidecar(path, vol.data, sidecar)
 
 
 def load_volume(path) -> Volume:
-    """Read a volume written by :func:`save_volume`; validates payload size and labels."""
-    path = Path(path)
-    sidecar_path = Path(str(path) + ".json")
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    if not sidecar_path.exists():
-        raise FileNotFoundError(str(sidecar_path))
+    """Read a volume written by :func:`save_volume`; every error names ``path``."""
+    meta, raw = read_with_sidecar(path, ("dims", "voxel_size_um", "dtype"))
+    tag = meta["dtype"]
+    if not isinstance(tag, str) or tag not in _VOLUME_TYPES:
+        raise FormatError(f"unknown dtype '{tag}' in {path}.json")
+    cls = _VOLUME_TYPES[tag]
     try:
-        meta = json.loads(sidecar_path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"unreadable sidecar {sidecar_path}: {e}") from e
-    for key in ("dims", "voxel_size_um", "dtype"):
-        if key not in meta:
-            raise FormatError(f"sidecar {sidecar_path} missing key '{key}'")
-    if meta["dtype"] not in _DTYPE_TAGS:
-        raise FormatError(f"unknown dtype '{meta['dtype']}' in {sidecar_path}")
-    dtype, cls = _DTYPE_TAGS[meta["dtype"]]
-    nx, ny, nz = (int(v) for v in meta["dims"])
-    raw = path.read_bytes()
-    expected = nx * ny * nz * dtype.itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(raw)} bytes, sidecar dims {nx}x{ny}x{nz} "
-            f"require {expected}"
-        )
-    data = np.frombuffer(raw, dtype=dtype).reshape(nz, ny, nx)
-    if cls is LabelVolume:
+        nx, ny, nz = (int(v) for v in meta["dims"])
+        expected = nx * ny * nz * cls.dtype.itemsize
+        if len(raw) != expected:
+            raise FormatError(f"payload is {len(raw)} bytes, sidecar dims {nx}x{ny}x{nz} "
+                              f"require {expected}")
+        data = np.frombuffer(raw, dtype=cls.dtype).reshape(nz, ny, nx)
+        if cls is not LabelVolume:
+            return cls(data, float(meta["voxel_size_um"]))
         classes = tuple(meta.get("classes", CLASS_NAMES))
-        if data.size and int(data.max()) >= len(classes):
-            raise FormatError(
-                f"{path}: label value {int(data.max())} outside the "
-                f"{len(classes)}-entry class table"
-            )
-        return LabelVolume(data, voxel_size_um=float(meta["voxel_size_um"]), class_names=classes)
-    return cls(data, voxel_size_um=float(meta["voxel_size_um"]))
+        if not all(isinstance(name, str) for name in classes):
+            raise FormatError("class names must be strings")
+        return LabelVolume(data, float(meta["voxel_size_um"]), classes)
+    except (FormatError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"{path}: {e}") from e

@@ -62,8 +62,7 @@ def per_class_iou(pred: LabelVolume, gt: LabelVolume,
 def weighted_iou(pred: LabelVolume, gt: LabelVolume,
                  include_background: bool = False) -> float:
     """Sum of per-class IoU weighted by gt class frequency."""
-    freqs = class_frequencies(gt, include_background)
-    return sum(f * iou(pred, gt, cid) for cid, f in freqs.items())
+    return evaluate_volumes(pred, gt, include_background).weighted_iou
 
 
 @dataclass(frozen=True)
@@ -176,16 +175,14 @@ def dose_matrix(recons: dict, gts, train_fn, eval_fn,
 class RunReport:
     """Evaluation summary for one segmentation run.
 
-    ``to_dict(canonical=True)`` drops wall-clock timings so reports from
-    identical configurations compare byte-for-byte; timings stay available
-    for logging.
+    It holds no wall-clock figures, so reports from identical
+    configurations compare byte-for-byte.
     """
 
     weighted_iou: float
     per_class_iou: dict
     class_frequencies: dict
     config: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
     dose: str = None
     seed: int = None
 
@@ -196,8 +193,8 @@ class RunReport:
         if self.class_frequencies and abs(total - 1.0) > 1e-9:
             raise MetricError(f"class frequencies sum to {total}, expected 1")
 
-    def to_dict(self, canonical: bool = True) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "weighted_iou": self.weighted_iou,
             "per_class_iou": {str(k): v for k, v in sorted(self.per_class_iou.items())},
             "class_frequencies": {str(k): v
@@ -206,30 +203,25 @@ class RunReport:
             "dose": self.dose,
             "seed": self.seed,
         }
-        if not canonical:
-            doc["timings"] = self.timings
-        return doc
 
-    def save(self, path, canonical: bool = True) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(canonical), sort_keys=True, indent=1) + "\n")
+    def save(self, path) -> None:
+        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n")
 
 
 def evaluate_volumes(pred: LabelVolume, gt: LabelVolume,
                      include_background: bool = False, config: dict = None,
-                     timings: dict = None, dose: str = None,
-                     seed: int = None) -> RunReport:
-    """Score a prediction against ground truth and package the result."""
+                     dose: str = None, seed: int = None) -> RunReport:
+    """Score a prediction against ground truth and package the result.
+
+    Each included class is scored once; the weighted IoU sums those scores.
+    """
     freqs = class_frequencies(gt, include_background)
-    names = {cid: gt.class_names[cid] if cid < len(gt.class_names) else str(cid)
-             for cid in freqs}
-    ious = {names[cid]: iou(pred, gt, cid) for cid in freqs}
+    scores = {cid: iou(pred, gt, cid) for cid in freqs}
     return RunReport(
-        weighted_iou=sum(f * iou(pred, gt, cid) for cid, f in freqs.items()),
-        per_class_iou=ious,
-        class_frequencies={names[cid]: f for cid, f in freqs.items()},
+        weighted_iou=sum(f * scores[cid] for cid, f in freqs.items()),
+        per_class_iou={gt.class_names[cid]: scores[cid] for cid in freqs},
+        class_frequencies={gt.class_names[cid]: f for cid, f in freqs.items()},
         config=config or {},
-        timings=timings or {},
         dose=dose,
         seed=seed,
     )

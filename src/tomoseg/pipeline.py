@@ -88,8 +88,9 @@ class StageConfig:
         return ("Background", CLASS_NAMES[STAGE_TARGETS[self.stage]])
 
 
-def default_stage_configs() -> dict:
-    return {s: StageConfig(stage=s) for s in (1, 2, 3)}
+def default_stage_configs(filter_config: FilterConfig = FilterConfig()) -> dict:
+    """Every stage's default config, all three sharing ``filter_config``."""
+    return {s: StageConfig(stage=s, filter_config=filter_config) for s in (1, 2, 3)}
 
 
 def stage_gt(cfg: StageConfig, gt: LabelVolume) -> np.ndarray:
@@ -121,12 +122,18 @@ def _apply_filters(img: np.ndarray, names, fc: FilterConfig) -> np.ndarray:
     return img
 
 
-def _bbox_dilated(mask: np.ndarray, margin: int) -> tuple:
-    idx = np.nonzero(mask)
-    return tuple(
-        slice(max(int(ax.min()) - margin, 0), min(int(ax.max()) + 1 + margin, n))
-        for ax, n in zip(idx, mask.shape)
+def _crop_to_mask(data: np.ndarray, mask: np.ndarray) -> tuple:
+    """(crop, box): ``data`` cut to ``mask``'s bounding box dilated by
+    ``MASK_DILATION_VOXELS`` and zeroed outside the mask.  Training and
+    inference both crop here."""
+    box = tuple(
+        slice(max(int(ax.min()) - MASK_DILATION_VOXELS, 0),
+              min(int(ax.max()) + 1 + MASK_DILATION_VOXELS, n))
+        for ax, n in zip(np.nonzero(mask), mask.shape)
     )
+    sub = data[box].copy()
+    sub[~mask[box]] = 0
+    return sub, box
 
 
 def preprocess_volume(vol: GrayVolume, names, fc: FilterConfig) -> GrayVolume:
@@ -188,9 +195,7 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
         if not mask.any():
             return LabelVolume(np.zeros(vol.data.shape, dtype=np.uint8),
                                vol.voxel_size_um, names)
-        box = _bbox_dilated(mask, MASK_DILATION_VOXELS)
-        sub = vol.data[box].copy()
-        sub[~mask[box]] = 0
+        sub, box = _crop_to_mask(vol.data, mask)
         work = GrayVolume(sub, vol.voxel_size_um)
     elif ventricle_mask is not None:
         raise ConfigError(f"stage {cfg.stage} does not take a ventricle mask")
@@ -294,9 +299,7 @@ def stage_training_stacks(cfg: StageConfig, cohort) -> list:
             mask = np.isin(gt.data, VENTRICLE_COMPLEX)
             if not mask.any():
                 continue
-            box = _bbox_dilated(mask, MASK_DILATION_VOXELS)
-            sub = gray.data[box].copy()
-            sub[~mask[box]] = 0
+            sub, box = _crop_to_mask(gray.data, mask)
             labels = np.where(mask[box], target[box], np.uint8(EXCLUDED_LABEL))
             vol = preprocess_volume(GrayVolume(sub, gray.voxel_size_um),
                                     cfg.preprocess, cfg.filter_config)

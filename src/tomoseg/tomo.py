@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, write_with_sidecar
+from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, read_with_sidecar, \
+    write_with_sidecar
 from .errors import ConfigError, FormatError, ReconstructionError
 
 _FILTERS = ("ramlak", "hann")
@@ -282,29 +283,18 @@ def save_sinogram(s: SinogramStack, path) -> None:
 
 
 def load_sinogram(path) -> SinogramStack:
-    import json
-    from pathlib import Path
-
-    path = Path(path)
-    sidecar_path = Path(str(path) + ".json")
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    if not sidecar_path.exists():
-        raise FileNotFoundError(str(sidecar_path))
+    """Read a stack written by :func:`save_sinogram`; every error names ``path``."""
+    meta, raw = read_with_sidecar(path, ("n_slices", "n_angles", "n_bins", "angle_step_deg",
+                                         "arc_deg", "voxel_size_um"))
     try:
-        meta = json.loads(sidecar_path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"unreadable sidecar {sidecar_path}: {e}") from e
-    for key in ("n_slices", "n_angles", "n_bins", "angle_step_deg", "arc_deg", "voxel_size_um"):
-        if key not in meta:
-            raise FormatError(f"sidecar {sidecar_path} missing key '{key}'")
-    n_slices, n_angles, n_bins = int(meta["n_slices"]), int(meta["n_angles"]), int(meta["n_bins"])
-    step = float(meta["angle_step_deg"])
-    if abs(n_angles * step - float(meta["arc_deg"])) > 1e-6:
-        raise FormatError(f"{sidecar_path}: arc_deg inconsistent with n_angles*angle_step_deg")
-    raw = path.read_bytes()
-    expected = n_slices * n_angles * n_bins * 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype="<f4").reshape(n_slices, n_angles, n_bins)
-    return SinogramStack(data, step, float(meta["voxel_size_um"]))
+        n_slices, n_angles, n_bins = (int(meta[k]) for k in ("n_slices", "n_angles", "n_bins"))
+        step = float(meta["angle_step_deg"])
+        if abs(n_angles * step - float(meta["arc_deg"])) > 1e-6:
+            raise FormatError("arc_deg inconsistent with n_angles*angle_step_deg")
+        expected = n_slices * n_angles * n_bins * 4
+        if len(raw) != expected:
+            raise FormatError(f"payload is {len(raw)} bytes, expected {expected}")
+        data = np.frombuffer(raw, dtype="<f4").reshape(n_slices, n_angles, n_bins)
+        return SinogramStack(data, step, float(meta["voxel_size_um"]))
+    except (FormatError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"{path}: {e}") from e

@@ -6,17 +6,26 @@ tests pick over the produced files.  Error paths assert the exit code
 contract: 2 config, 3 missing file, 4 computation.
 """
 
+import contextlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tomoseg.cli import main
-from tomoseg.config import ExperimentConfig
-from tomoseg.core import AcquisitionConfig, LabelVolume, ViewAxis, extract_slice, \
-    load_volume
+from tomoseg.config import ExperimentConfig, config_from_dict
+from tomoseg.core import AcquisitionConfig, GrayVolume, LabelVolume, ViewAxis, extract_slice, \
+    load_volume, save_volume
+from tomoseg.errors import FormatError, SchemaError
 from tomoseg.pgm import label_to_8bit, read_pgm
 from tomoseg.phantom import default_spec, spec_to_dict
+from tomoseg.tomo import SinogramStack, load_sinogram, save_sinogram
 
 TRAIN_FLAGS = ["--epochs", "6", "--lr", "0.05", "--batch", "512",
                "--tile", "48", "--stride", "1", "--seed", "1"]
@@ -24,6 +33,16 @@ TRAIN_FLAGS = ["--epochs", "6", "--lr", "0.05", "--batch", "512",
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def expect_error(code: int, stderr: str, exit_code: int, error: str) -> dict:
+    """Assert a failed run: its exit code, and a stderr that is one JSON error
+    line carrying that exit code and the error class.  Returns the line."""
+    assert code == exit_code
+    line = json.loads(stderr.strip())
+    assert line["exit_code"] == exit_code
+    assert line["error"] == error
+    return line
 
 
 @pytest.fixture(scope="session")
@@ -152,27 +171,23 @@ class TestDoseAblation:
 
 class TestErrorPaths:
     def test_missing_input_exits_3(self, tmp_path, capsys):
-        assert run("project", "--input", tmp_path / "none.vol",
-                   "--out", tmp_path / "s.sino",
-                   "--angles", 10, "--step", 1.0, "--bins", 8) == 3
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "FileNotFoundError"
-        assert err["exit_code"] == 3
+        expect_error(run("project", "--input", tmp_path / "none.vol",
+                         "--out", tmp_path / "s.sino",
+                         "--angles", 10, "--step", 1.0, "--bins", 8),
+                     capsys.readouterr().err, 3, "FileNotFoundError")
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"bogus": 1}))
-        assert run("ablate-dose", "--config", cfg, "--out", tmp_path) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "SchemaError"
+        err = expect_error(run("ablate-dose", "--config", cfg, "--out", tmp_path),
+                           capsys.readouterr().err, 2, "SchemaError")
         assert "bogus" in err["message"]
 
     def test_wrong_volume_kind_exits_4(self, chain, tmp_path, capsys):
-        assert run("project", "--input", chain / "ph/gt_000.vol",
-                   "--out", tmp_path / "s.sino",
-                   "--angles", 10, "--step", 1.0, "--bins", 8) == 4
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "DataError"
+        expect_error(run("project", "--input", chain / "ph/gt_000.vol",
+                         "--out", tmp_path / "s.sino",
+                         "--angles", 10, "--step", 1.0, "--bins", 8),
+                     capsys.readouterr().err, 4, "DataError")
 
     def test_dims_mismatch_exits_4(self, chain, tmp_path, capsys):
         from tomoseg.core import save_volume
@@ -180,17 +195,14 @@ class TestErrorPaths:
         data[0, 0, 0] = 1
         small = tmp_path / "small.vol"
         save_volume(LabelVolume(data), small)
-        assert run("evaluate", "--pred", chain / "seg.vol", "--gt", small) == 4
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ShapeError"
-        assert err["exit_code"] == 4
+        expect_error(run("evaluate", "--pred", chain / "seg.vol", "--gt", small),
+                     capsys.readouterr().err, 4, "ShapeError")
 
     def test_train_cohort_length_mismatch_exits_2(self, chain, capsys):
-        assert run("train", "--stage", 1, "--gray", chain / "recon0.vol",
-                   "--labels", chain / "ph/gt_000.vol", chain / "ph/gt_001.vol",
-                   "--out", chain / "unused.json") == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ConfigError"
+        expect_error(run("train", "--stage", 1, "--gray", chain / "recon0.vol",
+                         "--labels", chain / "ph/gt_000.vol", chain / "ph/gt_001.vol",
+                         "--out", chain / "unused.json"),
+                     capsys.readouterr().err, 2, "ConfigError")
 
     @pytest.mark.parametrize("flag,value", [("--l2", "nan"), ("--lr", "inf")],
                              ids=["l2_nan", "lr_inf"])
@@ -202,12 +214,10 @@ class TestErrorPaths:
             raise AssertionError("training stacks built before the model was validated")
 
         monkeypatch.setattr(pipeline, "stage_training_stacks", no_training)
-        assert run("train", "--stage", 1, "--gray", chain / "recon0.vol",
-                   "--labels", chain / "ph/gt_000.vol", "--out", tmp_path / "m.json",
-                   *TRAIN_FLAGS, flag, value) == 2
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "ConfigError"
-        assert err["exit_code"] == 2
+        expect_error(run("train", "--stage", 1, "--gray", chain / "recon0.vol",
+                         "--labels", chain / "ph/gt_000.vol", "--out", tmp_path / "m.json",
+                         *TRAIN_FLAGS, flag, value),
+                     capsys.readouterr().err, 2, "ConfigError")
         assert not (tmp_path / "m.json").exists()
 
 
@@ -226,13 +236,11 @@ def test_train_stage_without_its_class_exits_4_before_the_feature_bank(tmp_path,
     lab = np.zeros((9, 12, 12), dtype=np.uint8)
     lab[:, 3:9, 3:9] = 2  # a ventricle without lacunary tissue, the stage-2 target
     save_volume(LabelVolume(lab), tmp_path / "l.vol")
-    assert run("train", "--stage", 2, "--gray", tmp_path / "g.vol",
-               "--labels", tmp_path / "l.vol", "--out", tmp_path / "m.json",
-               *TRAIN_FLAGS) == 4
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "TrainingError"
+    err = expect_error(run("train", "--stage", 2, "--gray", tmp_path / "g.vol",
+                           "--labels", tmp_path / "l.vol", "--out", tmp_path / "m.json",
+                           *TRAIN_FLAGS),
+                       capsys.readouterr().err, 4, "TrainingError")
     assert "class 1 absent" in err["message"]
-    assert err["exit_code"] == 4
     assert not (tmp_path / "m.json").exists()
 
 
@@ -241,10 +249,8 @@ def test_train_stage_without_its_class_exits_4_before_the_feature_bank(tmp_path,
 def test_bad_phantom_spec_exits_2(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
-    assert run("phantom", "--spec", spec, "--out", tmp_path / "ph") == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "SpecError"
-    assert err["exit_code"] == 2
+    expect_error(run("phantom", "--spec", spec, "--out", tmp_path / "ph"),
+                 capsys.readouterr().err, 2, "SpecError")
     assert not (tmp_path / "ph").exists()
 
 
@@ -267,12 +273,112 @@ def test_malformed_model_exits_4(tmp_path, capsys, doc):
     save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
     model = tmp_path / "m.json"
     model.write_text(json.dumps(doc))
-    assert run("infer", "--input", tmp_path / "g.vol", "--models", model, model, model,
-               "--out", tmp_path / "seg.vol") == 4
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "FormatError"
-    assert err["exit_code"] == 4
+    expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", model, model, model,
+                     "--out", tmp_path / "seg.vol"),
+                 capsys.readouterr().err, 4, "FormatError")
     assert not (tmp_path / "seg.vol").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"doses": "abc"},
+    {"doses": 5},
+    {"cohort_size": "3"},
+    {"seed": "x"},
+    {"stages": {"1": {"tile_size": "abc"}}},
+    {"stages": {"2": {"preprocess": 5}}},
+    {"protocol": {"slice_stride": "a"}},
+    {"filters": {"median_radius": "a"}},
+    {"acquisition": {"n_projections": "a"}},
+    {"model": {"epochs": "x"}},
+], ids=["doses_text", "doses_number", "cohort_text", "seed_text", "tile_text",
+        "preprocess_number", "stride_text", "median_text", "projections_text", "epochs_text"])
+def test_malformed_config_value_exits_2(tmp_path, capsys, doc):
+    with pytest.raises(SchemaError):
+        config_from_dict(doc)
+    save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(_model_doc()))
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(doc))
+    expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", model, model, model,
+                     "--config", config, "--out", tmp_path / "seg.vol"),
+                 capsys.readouterr().err, 2, "SchemaError")
+    assert not (tmp_path / "seg.vol").exists()
+
+
+@pytest.fixture(scope="module")
+def sidecar_pairs(tmp_path_factory):
+    """A valid label volume, gray volume and sinogram, each with its sidecar."""
+    root = tmp_path_factory.mktemp("sidecars")
+    rng = np.random.default_rng(5)
+    # labels 0-2 only, so a class table of three entries already covers them
+    save_volume(LabelVolume(rng.integers(0, 3, size=(4, 6, 6), dtype=np.uint8)),
+                root / "gt.vol")
+    save_volume(GrayVolume(rng.integers(0, 65536, size=(4, 6, 6), dtype=np.uint16)),
+                root / "gray.vol")
+    save_sinogram(SinogramStack(rng.random((2, 8, 9), dtype=np.float32), 22.5),
+                  root / "s.sino")
+    return root
+
+
+SIDECAR_KEYS = {
+    "gt.vol": ("dims", "voxel_size_um", "dtype", "classes"),
+    "gray.vol": ("dims", "voxel_size_um", "dtype"),
+    "s.sino": ("n_slices", "n_angles", "n_bins", "angle_step_deg", "arc_deg", "voxel_size_um"),
+}
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | st.sampled_from([0, -1, 2.5, 10 ** 400, float("inf"), float("nan"), "", "7"]))
+# half the values are bare leaves: st.recursive alone seldom draws one
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=8) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=12)
+
+
+def run_capturing(*argv) -> tuple:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue()
+
+
+# key None replaces the whole sidecar with a document that is not an object
+@pytest.mark.parametrize("name,key", [(name, key) for name, keys in SIDECAR_KEYS.items()
+                                      for key in (None,) + keys])
+@settings(max_examples=60, deadline=None)
+@given(value=JSON_VALUES)
+def test_malformed_sidecar_exits_4(sidecar_pairs, name, key, value):
+    if key is None:
+        doc = [value] if isinstance(value, dict) else value
+    else:
+        doc = {**json.loads((sidecar_pairs / f"{name}.json").read_text()), key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / name
+        shutil.copyfile(sidecar_pairs / name, path)
+        Path(f"{path}.json").write_text(json.dumps(doc))
+        try:
+            (load_sinogram if name == "s.sino" else load_volume)(path)
+            loaded = True
+        except FormatError:
+            loaded = False
+        commands = {
+            "gt.vol": [["evaluate", "--pred", sidecar_pairs / name, "--gt", path,
+                        "--report", tmp / "eval.json"],
+                       ["export-slices", "--input", path, "--axis", "xy", "--index", 0,
+                        "--out", tmp / "s.pgm"]],
+            "gray.vol": [["export-slices", "--input", path, "--axis", "yz", "--index", 0,
+                          "--out", tmp / "s.pgm"]],
+            "s.sino": [["reconstruct", "--input", path, "--out", tmp / "r.vol",
+                        "--size", 6, 6]],
+        }[name]
+        for argv in commands:
+            code, stderr = run_capturing(*argv)
+            if not loaded:
+                expect_error(code, stderr, 4, "FormatError")
+            elif code:  # a sidecar that loads may still not fit the command
+                assert json.loads(stderr.strip())["exit_code"] == code == 4
 
 
 def test_train_defaults_are_the_model_defaults():

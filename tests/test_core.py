@@ -49,6 +49,36 @@ def test_volume_data_is_readonly():
         vol.data[0, 0, 0] = 1
 
 
+VOLUME_TYPES = [GrayVolume, LabelVolume, AttenuationVolume]
+
+
+@pytest.mark.parametrize("cls", VOLUME_TYPES)
+@pytest.mark.parametrize("shape", [(4, 4), (2, 3, 4, 5)], ids=["2d", "4d"])
+def test_volume_must_be_3d(cls, shape):
+    with pytest.raises(FormatError, match="3-dimensional"):
+        cls(np.zeros(shape, dtype=cls.dtype))
+
+
+@pytest.mark.parametrize("cls", VOLUME_TYPES)
+@pytest.mark.parametrize("size", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+def test_volume_voxel_size_must_be_positive(cls, size):
+    with pytest.raises(FormatError, match="voxel_size_um"):
+        cls(np.zeros((2, 2, 2), dtype=cls.dtype), size)
+
+
+@pytest.mark.parametrize("cls", VOLUME_TYPES)
+def test_volume_data_is_locked_in_the_type_dtype(cls, tmp_path):
+    vol = cls(np.arange(24, dtype=np.int64).reshape(2, 3, 4) % 6, 2.0)
+    assert vol.data.dtype == cls.dtype
+    assert vol.data.flags.c_contiguous and not vol.data.flags.writeable
+    with pytest.raises(ValueError):
+        vol.data[0, 0, 0] = 1
+    save_volume(vol, tmp_path / "v.vol")
+    tag = json.loads((tmp_path / "v.vol.json").read_text())["dtype"]
+    assert tag == cls.tag
+    assert type(load_volume(tmp_path / "v.vol")) is cls
+
+
 def test_slice_counts():
     vol = _gray(3, 4, 5)
     assert slice_count(vol, ViewAxis.XY) == 5
@@ -202,6 +232,22 @@ def test_load_rejects_bad_label_values(tmp_path):
         "classes": list(CLASS_NAMES),
     }))
     with pytest.raises(FormatError):
+        load_volume(p)
+
+
+@pytest.mark.parametrize("meta", [
+    {"dims": [2, 2, 2], "voxel_size_um": 1.0, "dtype": "uint8"},
+    {"dims": [2, 2], "voxel_size_um": 1.0, "dtype": "uint8"},
+    {"dims": [2, 2, 2], "voxel_size_um": "x", "dtype": "uint8"},
+    {"dims": [2, 2, 2], "voxel_size_um": 1.0, "dtype": "uint8", "classes": 5},
+    {"dims": [2, 2, 2], "voxel_size_um": 1.0, "dtype": [1]},
+    [2, 2, 2],
+], ids=["label_range", "two_dims", "voxel_text", "classes_number", "dtype_list", "list"])
+def test_load_errors_name_the_file(tmp_path, meta):
+    p = tmp_path / "bad.vol"
+    p.write_bytes(np.full((2, 2, 2), 200, dtype=np.uint8).tobytes())
+    (tmp_path / "bad.vol.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match=str(p)):
         load_volume(p)
 
 

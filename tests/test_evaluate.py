@@ -229,11 +229,34 @@ class TestRunReport:
         assert rep.class_frequencies == {"Atrium": 0.75, "Ventricle": 0.25}
         assert rep.dose == "D1" and rep.seed == 3
 
-    def test_canonical_dict_drops_timings(self):
-        rep = RunReport(0.5, {"atrium": 0.5}, {"atrium": 1.0},
-                        timings={"stage1": 1.23})
-        assert "timings" not in rep.to_dict()
-        assert rep.to_dict(canonical=False)["timings"] == {"stage1": 1.23}
+    def test_each_class_is_scored_once(self, monkeypatch):
+        from tomoseg import evaluate
+
+        calls = []
+
+        def counted(pred, gt, class_id):
+            calls.append(class_id)
+            return iou(pred, gt, class_id)
+
+        monkeypatch.setattr(evaluate, "iou", counted)
+        gt = lab_from_flat([0] * 20 + [1] * 50 + [2] * 25 + [4] * 5)
+        pred = lab_from_flat([1] * 60 + [0] * 15 + [2] * 10 + [0] * 15)
+        evaluate_volumes(pred, gt)
+        assert calls == [1, 2, 4]
+        calls.clear()
+        evaluate_volumes(pred, gt, include_background=True)
+        assert calls == [0, 1, 2, 4]
+
+    @pytest.mark.parametrize("include_background", [False, True])
+    def test_weighted_iou_is_the_report_score(self, include_background):
+        rng = rng_for_seed(13)
+        for _ in range(20):
+            gt = lab(rng.integers(0, 6, size=(4, 5, 6)))
+            pred = lab(rng.integers(0, 6, size=(4, 5, 6)))
+            rep = evaluate_volumes(pred, gt, include_background)
+            assert weighted_iou(pred, gt, include_background) == rep.weighted_iou
+            freqs = class_frequencies(gt, include_background)
+            assert rep.weighted_iou == sum(f * iou(pred, gt, c) for c, f in freqs.items())
 
     def test_invariants_enforced(self):
         with pytest.raises(MetricError):
@@ -243,7 +266,7 @@ class TestRunReport:
 
     def test_save_is_stable(self, tmp_path):
         rep = RunReport(0.5, {"atrium": 0.5}, {"atrium": 1.0},
-                        config={"seed": 1}, timings={"x": 0.1})
+                        config={"seed": 1})
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         rep.save(p1)
         rep.save(p2)
