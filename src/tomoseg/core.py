@@ -117,6 +117,8 @@ class LabelVolume(_Volume):
 
     def __post_init__(self):
         super().__post_init__()
+        if len(set(self.class_names)) != len(self.class_names):
+            raise FormatError(f"class table repeats a name: {tuple(self.class_names)}")
         if self.data.size and int(self.data.max()) >= len(self.class_names):
             raise FormatError(
                 f"label value {int(self.data.max())} outside the "

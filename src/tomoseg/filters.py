@@ -2,13 +2,14 @@
 
 All 2D filters take and return uint16 images of unchanged shape, use
 reflected boundaries, and clamp results back into the 16-bit range.
+``scipy.ndimage`` is imported inside the functions that call it: every CLI
+step imports this module, and only the steps that filter pay for scipy.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .core import LabelVolume
 from .errors import ConfigError, ShapeError
@@ -51,6 +52,8 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur in float64, reflected boundary."""
+    import scipy.ndimage as ndi
+
     k = gaussian_kernel_1d(sigma)
     out = ndi.correlate1d(np.asarray(img, dtype=np.float64), k, axis=0, mode="reflect")
     return ndi.correlate1d(out, k, axis=1, mode="reflect")
@@ -73,6 +76,8 @@ def median_filter(img: np.ndarray, radius: int = 2) -> np.ndarray:
     img = _require_2d(img)
     if radius < 1:
         raise ConfigError(f"median radius must be >= 1, got {radius}")
+    import scipy.ndimage as ndi
+
     return ndi.median_filter(img, size=2 * radius + 1, mode="reflect")
 
 
@@ -136,6 +141,8 @@ def fill_holes_3d(labels: LabelVolume) -> LabelVolume:
     class id), until nothing changes.  Non-Background voxels are never
     modified, so the fill grows inward from the hole lining.
     """
+    import scipy.ndimage as ndi
+
     n_classes = len(labels.class_names)
     cur = labels.data.copy()
     bg = cur == 0

@@ -34,6 +34,9 @@ the logits and one confusion-matrix ``bincount``.  In validation and
 inference alike a pixel's label is the argmax of its logits, ties going
 to the lower index: the softmax is monotone, so no exponential is
 computed to find the most probable class.
+
+``scipy.ndimage`` is imported inside ``stack_features``, its only user, so
+the CLI steps that never compute features do not load it.
 """
 
 import json
@@ -42,7 +45,6 @@ from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from .core import ViewAxis, rng_for_seed, view_stack
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
@@ -74,6 +76,8 @@ def stack_features(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack)
     if stack.ndim != 3:
         raise ShapeError(f"expected an (n, a, b) slice stack, got shape {stack.shape}")
+    import scipy.ndimage as ndi
+
     f = stack.astype(np.float32) / np.float32(65535.0)
     feats = [f]
     for sigma in _BLUR_SIGMAS:

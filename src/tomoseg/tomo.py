@@ -213,7 +213,9 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
     two >= 2*n_bins and filtered in the frequency domain (optionally
     Hann-apodized), back-projected with linear detector interpolation, and
     scaled by pi/(2*n_angles).  Correct for uniform coverage of a 180 or
-    360 degree arc.
+    360 degree arc.  A result that is not finite everywhere (say, from a
+    voxel size so small that the filter scale overflows) raises
+    ``ReconstructionError``.
     """
     if s.n_angles < 2:
         raise ReconstructionError(f"need at least 2 angles to reconstruct, got {s.n_angles}")
@@ -228,10 +230,12 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
     out_nx, out_ny = (int(v) for v in out_dims)
     n_slices, n_angles, n_bins = s.data.shape
     scale = np.pi / (2.0 * n_angles) / s.voxel_size_um
-    filt = (_filter_matrix(n_bins, filter_name) * scale).astype(np.float32)
-    # (angle * bin, slice): one row per detector sample, one column per slice
-    filtered = np.ascontiguousarray(
-        (s.data.reshape(-1, n_bins) @ filt.T).reshape(n_slices, -1).T)
+    # a non-finite value here carries into the result, which is checked once
+    with np.errstate(over="ignore", invalid="ignore"):
+        filt = (_filter_matrix(n_bins, filter_name) * scale).astype(np.float32)
+        # (angle * bin, slice): one row per detector sample, one column per slice
+        filtered = np.ascontiguousarray(
+            (s.data.reshape(-1, n_bins) @ filt.T).reshape(n_slices, -1).T)
 
     xs = np.arange(out_nx, dtype=np.float32) - (out_nx - 1) / 2.0
     ys = np.arange(out_ny, dtype=np.float32) - (out_ny - 1) / 2.0
@@ -254,6 +258,9 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
         cols = np.concatenate([np.clip(k0, 0, n_bins - 1) + row0,
                                np.clip(k1, 0, n_bins - 1) + row0], axis=1)
         recon[lo:hi] = _csr_product(cols, np.concatenate([w0, w1], axis=1), filtered)
+    if not np.isfinite(recon).all():
+        raise ReconstructionError(
+            f"reconstruction is not finite (voxel size {s.voxel_size_um} um)")
     return AttenuationVolume(recon.T.reshape(n_slices, out_ny, out_nx), s.voxel_size_um)
 
 

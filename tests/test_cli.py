@@ -9,8 +9,12 @@ contract: 2 config, 3 missing file, 4 computation.
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +385,33 @@ def test_malformed_sidecar_exits_4(sidecar_pairs, name, key, value):
                 assert json.loads(stderr.strip())["exit_code"] == code == 4
 
 
+def test_tiny_voxel_size_reconstruction_exits_4(sidecar_pairs, tmp_path):
+    # pi / (2 * n_angles) / 5e-324 overflows the filter scale, so the result is not finite
+    path = tmp_path / "s.sino"
+    shutil.copyfile(sidecar_pairs / "s.sino", path)
+    doc = json.loads((sidecar_pairs / "s.sino.json").read_text())
+    Path(f"{path}.json").write_text(json.dumps({**doc, "voxel_size_um": 5e-324}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stderr = run_capturing("reconstruct", "--input", path, "--out", tmp_path / "r.vol",
+                                     "--size", 6, 6)
+    line = expect_error(code, stderr, 4, "ReconstructionError")
+    assert "not finite" in line["message"]
+    assert not (tmp_path / "r.vol").exists()
+
+
+def test_evaluate_repeated_class_names_exits_4(sidecar_pairs, tmp_path, capsys):
+    gt = tmp_path / "gt.vol"
+    shutil.copyfile(sidecar_pairs / "gt.vol", gt)
+    doc = json.loads((sidecar_pairs / "gt.vol.json").read_text())
+    Path(f"{gt}.json").write_text(json.dumps({**doc, "classes": ["Background", "Heart", "Heart"]}))
+    line = expect_error(run("evaluate", "--pred", sidecar_pairs / "gt.vol", "--gt", gt,
+                            "--report", tmp_path / "eval.json"),
+                        capsys.readouterr().err, 4, "FormatError")
+    assert "repeats a name" in line["message"]
+    assert not (tmp_path / "eval.json").exists()
+
+
 def test_train_defaults_are_the_model_defaults():
     from dataclasses import fields
 
@@ -395,14 +426,58 @@ def test_train_defaults_are_the_model_defaults():
     assert (args.lr, args.batch) == (0.05, 1024)
 
 
+def run_python(code: str, *args) -> str:
+    """Standard output of ``python -c code args...`` in a fresh interpreter that
+    imports tomoseg from this session's path, so its module imports start cold."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    return subprocess.run([sys.executable, "-c", code, *(str(a) for a in args)],
+                          capture_output=True, text=True, check=True, env=env,
+                          timeout=60).stdout
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # every CLI step is its own process; the sparse operators load scipy.sparse on use
-    import os
-    import subprocess
-    import sys
-
     code = "import sys, tomoseg.cli; print('scipy.sparse' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert run_python(code).strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the filters load scipy.ndimage on use, so a step that never filters never loads scipy
+    code = "import sys, tomoseg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert run_python(code).strip() == "[]"
+
+
+# Run one CLI step; the last stdout line is its exit code and the scipy parts it loaded.
+STEP_CODE = """
+import json, sys
+from tomoseg.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code] + [m for m in ("scipy.ndimage", "scipy.sparse") if m in sys.modules]))
+"""
+
+
+def test_each_step_loads_only_the_scipy_it_uses(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_dict(default_spec(n=48, seed=7))))
+    models = [tmp_path / f"m{stage}.json" for stage in (1, 2, 3)]
+    steps = [
+        (["phantom", "--spec", spec, "--out", tmp_path / "ph"], []),
+        (["project", "--input", tmp_path / "ph/atten_000.vol", "--out", tmp_path / "s.sino",
+          "--angles", 60, "--step", 3.0, "--bins", 80], ["scipy.sparse"]),
+        (["reconstruct", "--input", tmp_path / "s.sino", "--out", tmp_path / "recon.vol",
+          "--size", 48, 48], ["scipy.sparse"]),
+        *((["train", "--stage", stage, "--gray", tmp_path / "recon.vol",
+            "--labels", tmp_path / "ph/gt_000.vol", "--out", model,
+            "--epochs", 2, "--batch", 512, "--tile", 48, "--stride", 1, "--seed", 1],
+           ["scipy.ndimage"])
+          for stage, model in zip((1, 2, 3), models)),
+        (["infer", "--input", tmp_path / "recon.vol", "--models", *models,
+          "--out", tmp_path / "seg.vol", "--jobs", 1], ["scipy.ndimage"]),
+        (["evaluate", "--pred", tmp_path / "seg.vol", "--gt", tmp_path / "ph/gt_000.vol",
+          "--report", tmp_path / "eval.json"], []),
+        (["export-slices", "--input", tmp_path / "seg.vol", "--axis", "xy", "--index", 24,
+          "--out", tmp_path / "seg.pgm"], []),
+    ]
+    for argv, loaded in steps:
+        out = run_python(STEP_CODE, *argv).strip().splitlines()[-1]
+        assert json.loads(out) == [0] + loaded, argv[0]

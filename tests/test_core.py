@@ -141,6 +141,22 @@ def test_label_volume_rejects_out_of_table_values():
         LabelVolume(bad)
 
 
+def test_label_volume_rejects_repeated_class_names():
+    with pytest.raises(FormatError, match="repeats a name"):
+        LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8), 1.0, ("Background", "Heart", "Heart"))
+
+
+def test_load_rejects_repeated_class_names(tmp_path):
+    p = tmp_path / "dup.vol"
+    p.write_bytes(np.zeros((2, 2, 2), dtype=np.uint8).tobytes())
+    (tmp_path / "dup.vol.json").write_text(json.dumps({
+        "dims": [2, 2, 2], "voxel_size_um": 1.0, "dtype": "uint8",
+        "classes": ["Background", "Heart", "Heart"],
+    }))
+    with pytest.raises(FormatError, match=f"{p}.*repeats a name"):
+        load_volume(p)
+
+
 def test_class_table():
     assert len(CLASS_NAMES) == 6
     assert CLASS_NAMES[0] == "Background"
