@@ -10,12 +10,13 @@ divides that scale back out and returns plain attenuation units.
 Every slice shares the same geometry, so both operators act on all slices
 at once as sparse-times-dense products with one column per slice.
 Projection streams over blocks of angles: each block is a CSR matrix with
-one row per ray, holding 4 bilinear corners x n_t steps.  Back-projection
-streams over blocks of output pixels: one row per pixel, holding two
-linear detector taps per angle.  Every row of a block has the same length
-(out-of-slice taps carry weight 0), and a block is dropped once applied,
-so memory stays bounded by the block size and the slab, not by the full
-system matrix; nothing is cached between calls.
+one row per ray, holding the 4 bilinear corners of each unit step that
+touches the slice (over half of the steps miss it and would add only
+zeros).  Back-projection streams over blocks of output pixels: one row
+per pixel, holding two linear detector taps per angle, so every row has
+the same length (out-of-range taps carry weight 0).  A block is dropped
+once applied, so memory stays bounded by the block size and the slab,
+not by the full system matrix; nothing is cached between calls.
 
 The ramp filter is built from the real-space Ram-Lak kernel (0.25 at the
 origin, -1/(pi n)^2 at odd lags) rather than a plain |f| profile; the two
@@ -97,45 +98,63 @@ class DoseLevel:
         return f"D{self.keep_every}"
 
 
-def _csr_product(cols: np.ndarray, weights: np.ndarray, dense: np.ndarray) -> np.ndarray:
-    """``M @ dense`` for the sparse M whose row i holds ``weights[i]`` at ``cols[i]``.
+def _csr_product(indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray,
+                 dense: np.ndarray) -> np.ndarray:
+    """``M @ dense`` for the CSR matrix M with row pointer ``indptr``.
 
-    Every row has the same number of entries, so the row pointer is a plain
-    stride; a column repeated within a row simply adds up.  ``dense`` is
+    Row i holds ``weights[indptr[i]:indptr[i + 1]]`` at the matching
+    ``cols``; a column repeated within a row simply adds up.  ``dense`` is
     C-contiguous with one column per slice.
     """
     from scipy.sparse import csr_array
 
-    n_rows, width = cols.shape
-    indptr = np.arange(0, n_rows * width + 1, width)
-    mat = csr_array((weights.ravel(), cols.ravel(), indptr), shape=(n_rows, dense.shape[0]))
+    mat = csr_array((weights, cols, indptr), shape=(len(indptr) - 1, dense.shape[0]))
     return mat @ dense
 
 
 def _bilinear_taps(x: np.ndarray, y: np.ndarray, nx: int, ny: int):
-    """Pixel indices and weights of the bilinear samples at (x, y), shape (..., n_t).
+    """CSR rows (indptr, cols, weights) of the bilinear samples at (x, y), shape (..., n_t).
 
-    Returns (rows, 4 * n_t) arrays, one row per leading index.  Corners
-    outside the slice get weight 0 and a clipped, valid index.
+    One row per leading index (ray).  A step none of whose four corners
+    lies in the slice only adds zeros, so it is left out.  A row holds its
+    remaining steps corner by corner, in the order of the full 4 * n_t
+    taps, and the sums stay bit for bit the same on a finite image: a sum
+    that starts at +0 never becomes -0, and adding a zero of either sign to
+    it changes nothing.  Corners outside the slice get weight 0 and a
+    clipped, valid index.
     """
+    n_t = x.shape[-1]
+    x = x.reshape(-1, n_t)
+    y = y.reshape(-1, n_t)
+    # some corner (floor(x) + {0, 1}, floor(y) + {0, 1}) lies in the slice
+    keep = (x >= -1) & (x < nx) & (y >= -1) & (y < ny)
+    counts = np.count_nonzero(keep, axis=1)
+    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    flat = np.flatnonzero(keep)
+    ray = flat // n_t
+    # corner c of a ray's k-th kept step goes to 4 * starts[ray] + c * counts[ray] + k
+    first = 4 * starts[ray] + (np.arange(len(flat)) - starts[ray])
+    run = counts[ray]
+    x = x.ravel()[flat]
+    y = y.ravel()[flat]
     x0 = np.floor(x)
     y0 = np.floor(y)
     fx = x - x0
     fy = y - y0
     x0 = x0.astype(np.int32)
     y0 = y0.astype(np.int32)
-    shape = x.shape[:-1] + (4, x.shape[-1])
-    cols = np.empty(shape, dtype=np.int32)
-    weights = np.empty(shape, dtype=np.float32)
+    cols = np.empty(4 * len(flat), dtype=np.int32)
+    weights = np.empty(4 * len(flat), dtype=np.float32)
     for c, (dx, dy, w) in enumerate(((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
                                      (0, 1, (1 - fx) * fy), (1, 1, fx * fy))):
         xi = x0 + dx
         yi = y0 + dy
         inside = (xi >= 0) & (xi < nx) & (yi >= 0) & (yi < ny)
-        cols[..., c, :] = np.clip(yi, 0, ny - 1) * nx + np.clip(xi, 0, nx - 1)
-        weights[..., c, :] = w * inside
-    width = 4 * x.shape[-1]
-    return cols.reshape(-1, width), weights.reshape(-1, width)
+        dest = first + c * run
+        cols[dest] = np.clip(yi, 0, ny - 1) * nx + np.clip(xi, 0, nx - 1)
+        weights[dest] = w * inside
+    return 4 * starts, cols, weights
 
 
 def forward_project(vol: AttenuationVolume, cfg: AcquisitionConfig) -> SinogramStack:
@@ -245,6 +264,8 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
     sin_t = np.sin(theta).astype(np.float32)
     row0 = np.arange(n_angles, dtype=np.int32) * n_bins
     center = (n_bins - 1) / 2.0
+    width = 2 * n_angles  # every row holds two linear taps per angle
+    indptr = np.arange(0, _PIXELS_PER_BLOCK * width + 1, width)
     recon = np.empty((out_ny * out_nx, n_slices), dtype=np.float32)
     for lo in range(0, recon.shape[0], _PIXELS_PER_BLOCK):
         hi = min(lo + _PIXELS_PER_BLOCK, recon.shape[0])
@@ -257,7 +278,8 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
         w1 = fr * ((k1 >= 0) & (k1 < n_bins))
         cols = np.concatenate([np.clip(k0, 0, n_bins - 1) + row0,
                                np.clip(k1, 0, n_bins - 1) + row0], axis=1)
-        recon[lo:hi] = _csr_product(cols, np.concatenate([w0, w1], axis=1), filtered)
+        recon[lo:hi] = _csr_product(indptr[:hi - lo + 1], cols.ravel(),
+                                    np.concatenate([w0, w1], axis=1).ravel(), filtered)
     if not np.isfinite(recon).all():
         raise ReconstructionError(
             f"reconstruction is not finite (voxel size {s.voxel_size_um} um)")
