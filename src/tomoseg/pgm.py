@@ -5,6 +5,9 @@ Label slices use the fixed palette 0, 51, 102, 153, 204, 255 for class
 ids 0..5 so every class lands on a distinct, evenly spaced gray level.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 
 from .core import N_CLASSES
@@ -12,6 +15,7 @@ from .errors import FormatError, ShapeError
 
 LABEL_PALETTE = tuple(51 * i for i in range(N_CLASSES))
 _PALETTE_LUT = np.array(LABEL_PALETTE, dtype=np.uint8)
+_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 def gray_to_8bit(img: np.ndarray) -> np.ndarray:
@@ -48,15 +52,20 @@ def write_pgm(img: np.ndarray, path) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read back a binary PGM written by write_pgm (maxval 255 only)."""
-    blob = open(path, "rb").read()
-    parts = blob.split(maxsplit=4)
-    if len(parts) < 5 or parts[0] != b"P5":
+    """Read back a binary PGM written by write_pgm (maxval 255 only).
+
+    The header is the magic ``P5``, width, height and maxval, separated by
+    whitespace; exactly one whitespace byte follows maxval, so a first
+    pixel whose value is a whitespace byte is read as a pixel.
+    """
+    blob = Path(path).read_bytes()
+    header = _HEADER.match(blob)
+    if header is None:
         raise FormatError(f"{path}: not a binary PGM")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
+    w, h, maxval = (int(v) for v in header.groups())
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}")
-    data = parts[4][: w * h]
+    data = blob[header.end():header.end() + w * h]
     if len(data) != w * h:
         raise FormatError(f"{path}: truncated pixel data")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w)

@@ -14,6 +14,12 @@ then carved through the shell (toward the atrium and toward the bulbus)
 so the spongiosa communicates with the neighboring chambers; without
 them the interior would be sealed and any hole-filling post-process
 would flood it with the wall label.
+
+Generation holds no float64 array of the whole volume: an ellipsoid is
+tested one z-plane at a time, an ostium only inside the bounding box of
+its channel, and the noise is drawn and added one z-plane at a time (the
+generator fills in order, so the draws equal one volume-sized draw).
+Apart from its outputs, ``generate`` holds a few boolean masks.
 """
 
 import math
@@ -56,10 +62,16 @@ class Ellipsoid:
                 )
 
     def mask(self, dims) -> np.ndarray:
+        """Voxels inside, tested plane by plane as ``(x + y) + z <= 1``."""
         ux, uy, uz = _frac_grids(dims)
         cx, cy, cz = self.center
         sx, sy, sz = self.semi_axes
-        return ((ux - cx) / sx) ** 2 + ((uy - cy) / sy) ** 2 + ((uz - cz) / sz) ** 2 <= 1.0
+        plane = (((ux - cx) / sx) ** 2 + ((uy - cy) / sy) ** 2)[0]  # (ny, nx)
+        depth = (((uz - cz) / sz) ** 2).ravel()  # (nz,)
+        out = np.empty((len(depth),) + plane.shape, dtype=bool)
+        for k, dz in enumerate(depth):
+            np.less_equal(plane + dz, 1.0, out=out[k])
+        return out
 
     def shrunk(self, voxels: float, dims) -> "Ellipsoid":
         """Same center, semi-axes reduced by ``voxels`` grid steps per axis."""
@@ -272,7 +284,6 @@ def _carve_ostium(labels: np.ndarray, shell: np.ndarray, spec: PhantomSpec,
     r = spec.ostium_radius_voxels
     if r <= 0:
         return
-    nx, ny, nz = spec.dims
     dims_arr = np.asarray(spec.dims, dtype=float)
     a = np.asarray(spec.ventricle.center) * dims_arr - 0.5
     b = np.asarray(target_frac, dtype=float) * dims_arr - 0.5
@@ -280,13 +291,18 @@ def _carve_ostium(labels: np.ndarray, shell: np.ndarray, spec: PhantomSpec,
     dd = float(d @ d)
     if dd == 0.0:
         return
-    zz, yy, xx = np.ogrid[0:nz, 0:ny, 0:nx]
+    # a voxel outside the segment's bounding box grown by r lies at least
+    # r + 1 from the segment, so only the box needs testing
+    x0, y0, z0 = np.maximum(np.floor(np.minimum(a, b) - r), 0).astype(int)
+    x1, y1, z1 = np.minimum(np.ceil(np.maximum(a, b) + r), dims_arr - 1).astype(int)
+    zz, yy, xx = np.ogrid[z0:z1 + 1, y0:y1 + 1, x0:x1 + 1]
     # projection parameter of each voxel center onto the segment, clamped
     t = ((xx - a[0]) * d[0] + (yy - a[1]) * d[1] + (zz - a[2]) * d[2]) / dd
     t = np.clip(t, 0.0, 1.0)
     dist2 = ((xx - a[0] - t * d[0]) ** 2 + (yy - a[1] - t * d[1]) ** 2
              + (zz - a[2] - t * d[2]) ** 2)
-    labels[shell & (dist2 <= r * r)] = int(ClassId.VENTRICLE)
+    box = np.s_[z0:z1 + 1, y0:y1 + 1, x0:x1 + 1]
+    labels[box][shell[box] & (dist2 <= r * r)] = int(ClassId.VENTRICLE)
 
 
 def _paint_sphere(labels: np.ndarray, p, r: float, value: int) -> None:
@@ -354,7 +370,10 @@ def generate(spec: PhantomSpec) -> tuple[AttenuationVolume, LabelVolume]:
     _place_lacunae(labels, spec, rng)
     atten = np.asarray(spec.attenuation, dtype=np.float32)[labels]
     if spec.noise_sigma > 0:
-        atten = atten + rng.normal(0.0, spec.noise_sigma, size=atten.shape).astype(np.float32)
+        # one z-plane per draw: the generator fills in order, so these are the
+        # values of one volume-sized draw
+        for plane in atten:
+            plane += rng.normal(0.0, spec.noise_sigma, size=plane.shape).astype(np.float32)
     np.clip(atten, spec.window[0], spec.window[1], out=atten)
     return (AttenuationVolume(atten, spec.voxel_size_um),
             LabelVolume(labels, spec.voxel_size_um))

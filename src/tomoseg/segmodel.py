@@ -79,22 +79,24 @@ def stack_features(stack: np.ndarray) -> np.ndarray:
     import scipy.ndimage as ndi
 
     f = stack.astype(np.float32) / np.float32(65535.0)
-    feats = [f]
+    feats = np.empty(stack.shape + (N_FEATURES,), dtype=np.float32)
+    maps = iter(np.moveaxis(feats, -1, 0))  # each map is written straight into the bank
+    next(maps)[...] = f
     for sigma in _BLUR_SIGMAS:
-        feats.append(ndi.gaussian_filter(f, (0, sigma, sigma), mode="reflect", truncate=3.0))
-    for sigma in _GRAD_SIGMAS:
-        gx = ndi.gaussian_filter(f, (0, sigma, sigma), order=(0, 0, 1), mode="reflect",
-                                 truncate=3.0)
-        gy = ndi.gaussian_filter(f, (0, sigma, sigma), order=(0, 1, 0), mode="reflect",
-                                 truncate=3.0)
-        feats.append(np.hypot(gx, gy))
+        next(maps)[...] = ndi.gaussian_filter(f, (0, sigma, sigma), mode="reflect",
+                                              truncate=3.0)
+    for sigma in _GRAD_SIGMAS:  # the two derivatives are dropped as soon as they are used
+        np.hypot(*(ndi.gaussian_filter(f, (0, sigma, sigma), order=order, mode="reflect",
+                                       truncate=3.0) for order in ((0, 0, 1), (0, 1, 0))),
+                 out=next(maps))
     size = (1, 2 * _TEXTURE_RADIUS + 1, 2 * _TEXTURE_RADIUS + 1)
     mean = ndi.uniform_filter(f, size, mode="reflect")
-    mean_sq = ndi.uniform_filter(f * f, size, mode="reflect")
-    feats.append(np.sqrt(np.clip(mean_sq - mean * mean, 0.0, None)))
-    feats.append(ndi.median_filter(stack, size=size, mode="reflect").astype(np.float32)
-                 / np.float32(65535.0))
-    return np.stack(feats, axis=-1)
+    var = ndi.uniform_filter(f * f, size, mode="reflect")
+    var -= np.square(mean, out=mean)
+    np.sqrt(np.clip(var, 0.0, None, out=var), out=next(maps))
+    median = ndi.median_filter(stack, size=size, mode="reflect").astype(np.float32)
+    np.divide(median, np.float32(65535.0), out=next(maps))
+    return feats
 
 
 def extract_features(img: np.ndarray) -> np.ndarray:

@@ -9,14 +9,23 @@ divides that scale back out and returns plain attenuation units.
 
 Every slice shares the same geometry, so both operators act on all slices
 at once as sparse-times-dense products with one column per slice.
-Projection streams over blocks of angles: each block is a CSR matrix with
+Projection streams over blocks of rays: each block is a CSR matrix with
 one row per ray, holding the 4 bilinear corners of each unit step that
 touches the slice (over half of the steps miss it and would add only
 zeros).  Back-projection streams over blocks of output pixels: one row
 per pixel, holding two linear detector taps per angle, so every row has
-the same length (out-of-range taps carry weight 0).  A block is dropped
-once applied, so memory stays bounded by the block size and the slab,
-not by the full system matrix; nothing is cached between calls.
+the same length (out-of-range taps carry weight 0).
+
+One tap budget, ``_TAPS_PER_BLOCK``, sizes the blocks of both operators:
+a block holds as many rows as fit in it (at least one), so its memory
+does not grow with the number of angles, the detector width or the
+slice size.  Each call allocates its block buffers once and builds every
+block in them; a block is dropped once applied, and nothing is cached
+between calls.  Rows keep their order and their taps, so the sums do not
+depend on the budget, bit for bit.  Beyond the blocks, projection holds
+its output and a pixel-major copy of its input, and FBP its output and
+the filtered sinogram (twice while it is transposed); ``normalize_to_u16``
+maps one z-plane at a time.
 
 The ramp filter is built from the real-space Ram-Lak kernel (0.25 at the
 origin, -1/(pi n)^2 at odd lags) rather than a plain |f| profile; the two
@@ -36,8 +45,7 @@ from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, read_with_si
 from .errors import ConfigError, FormatError, ReconstructionError
 
 _FILTERS = ("ramlak", "hann")
-_ANGLES_PER_BLOCK = 16  # a projection block holds this many angles x n_bins rays
-_PIXELS_PER_BLOCK = 4096  # a back-projection block holds this many output pixels
+_TAPS_PER_BLOCK = 1 << 18  # CSR taps per block, before projection leaves out its zero steps
 
 
 @dataclass(frozen=True)
@@ -112,49 +120,51 @@ def _csr_product(indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray,
     return mat @ dense
 
 
-def _bilinear_taps(x: np.ndarray, y: np.ndarray, nx: int, ny: int):
-    """CSR rows (indptr, cols, weights) of the bilinear samples at (x, y), shape (..., n_t).
+def _bilinear_taps(x: np.ndarray, y: np.ndarray, nx: int, ny: int,
+                   cols: np.ndarray, weights: np.ndarray):
+    """CSR rows (indptr, cols, weights) of the bilinear samples at (x, y), shape (rays, n_t).
 
-    One row per leading index (ray).  A step none of whose four corners
-    lies in the slice only adds zeros, so it is left out.  A row holds its
-    remaining steps corner by corner, in the order of the full 4 * n_t
-    taps, and the sums stay bit for bit the same on a finite image: a sum
-    that starts at +0 never becomes -0, and adding a zero of either sign to
-    it changes nothing.  Corners outside the slice get weight 0 and a
-    clipped, valid index.
+    One row per ray.  The full 4 * n_t taps of each ray are first written,
+    corner by corner, into ``cols`` and ``weights`` (shape (rays, 4, n_t));
+    ``x`` and ``y`` are overwritten.  A step none of whose four corners
+    lies in the slice only adds zeros, so it is then left out; a row keeps
+    its remaining taps in the full order, and the sums stay bit for bit the
+    same on a finite image: a sum that starts at +0 never becomes -0, and
+    adding a zero of either sign to it changes nothing.  Corners outside
+    the slice get weight 0 and a clipped, valid index.
     """
-    n_t = x.shape[-1]
-    x = x.reshape(-1, n_t)
-    y = y.reshape(-1, n_t)
     # some corner (floor(x) + {0, 1}, floor(y) + {0, 1}) lies in the slice
     keep = (x >= -1) & (x < nx) & (y >= -1) & (y < ny)
+    along_x = _axis_corners(x, nx)
+    along_y = [(w, index * nx) for w, index in _axis_corners(y, ny)]
+    for c, (dx, dy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        (wx, ix), (wy, iy) = along_x[dx], along_y[dy]
+        # wx and wy are 0 off the slice and no factor is negative, so this is
+        # the float32 (wx * wy) * inside
+        np.multiply(wx, wy, out=weights[:, c])
+        np.add(iy, ix, out=cols[:, c])
+    kept = np.repeat(keep[:, None], 4, axis=1)
     counts = np.count_nonzero(keep, axis=1)
-    starts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    flat = np.flatnonzero(keep)
-    ray = flat // n_t
-    # corner c of a ray's k-th kept step goes to 4 * starts[ray] + c * counts[ray] + k
-    first = 4 * starts[ray] + (np.arange(len(flat)) - starts[ray])
-    run = counts[ray]
-    x = x.ravel()[flat]
-    y = y.ravel()[flat]
-    x0 = np.floor(x)
-    y0 = np.floor(y)
-    fx = x - x0
-    fy = y - y0
-    x0 = x0.astype(np.int32)
-    y0 = y0.astype(np.int32)
-    cols = np.empty(4 * len(flat), dtype=np.int32)
-    weights = np.empty(4 * len(flat), dtype=np.float32)
-    for c, (dx, dy, w) in enumerate(((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
-                                     (0, 1, (1 - fx) * fy), (1, 1, fx * fy))):
-        xi = x0 + dx
-        yi = y0 + dy
-        inside = (xi >= 0) & (xi < nx) & (yi >= 0) & (yi < ny)
-        dest = first + c * run
-        cols[dest] = np.clip(yi, 0, ny - 1) * nx + np.clip(xi, 0, nx - 1)
-        weights[dest] = w * inside
-    return 4 * starts, cols, weights
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(4 * counts, out=indptr[1:])
+    return indptr, cols[kept], weights[kept]
+
+
+def _axis_corners(u: np.ndarray, n: int):
+    """For corners floor(u) + 0 and + 1 along an axis of n voxels: (weight, clipped index).
+
+    The weight is 1 - frac(u) or frac(u), zeroed where the corner lies
+    outside 0..n-1; ``u`` is overwritten with frac(u).
+    """
+    lower = np.floor(u)
+    np.subtract(u, lower, out=u)
+    lower = lower.astype(np.int32)
+    corners = []
+    for w, index in ((1 - u, lower), (u, lower + 1)):
+        clipped = np.clip(index, 0, n - 1)
+        w *= clipped == index
+        corners.append((w, clipped))
+    return corners
 
 
 def forward_project(vol: AttenuationVolume, cfg: AcquisitionConfig) -> SinogramStack:
@@ -172,24 +182,34 @@ def forward_project(vol: AttenuationVolume, cfg: AcquisitionConfig) -> SinogramS
             f"({diag:.1f} voxels)"
         )
     n_bins = cfg.detector_bins
-    n_angles = cfg.n_projections
+    n_rays = cfg.n_projections * n_bins
     cx, cy = (nx - 1) / 2.0, (ny - 1) / 2.0
     half = math.ceil(diag / 2.0)
     t = np.arange(-half, half + 1, dtype=np.float32)
-    s = np.arange(n_bins, dtype=np.float32)[:, None] - (n_bins - 1) / 2.0
+    s = np.arange(n_bins, dtype=np.float32) - (n_bins - 1) / 2.0
     theta = np.deg2rad(cfg.angles_deg())
-    cos_t = np.cos(theta).astype(np.float32)[:, None, None]
-    sin_t = np.sin(theta).astype(np.float32)[:, None, None]
+    cos_t = np.cos(theta).astype(np.float32)
+    sin_t = np.sin(theta).astype(np.float32)
+    rows = min(n_rays, max(1, _TAPS_PER_BLOCK // (4 * len(t))))
+    x, y = np.empty((2, rows, len(t)), dtype=np.float32)
+    cols = np.empty((rows, 4, len(t)), dtype=np.int32)
+    weights = np.empty((rows, 4, len(t)), dtype=np.float32)
     pixels = np.ascontiguousarray(data3d.reshape(nz, ny * nx).T)
-    rays = np.empty((n_angles * n_bins, nz), dtype=np.float32)
-    for lo in range(0, n_angles, _ANGLES_PER_BLOCK):
-        hi = min(lo + _ANGLES_PER_BLOCK, n_angles)
-        c, sn = cos_t[lo:hi], sin_t[lo:hi]
-        x = cx + s * c - t * sn  # (angles, bins, n_t)
-        y = cy + s * sn + t * c
-        rays[lo * n_bins:hi * n_bins] = _csr_product(*_bilinear_taps(x, y, nx, ny), pixels)
-    rays *= np.float32(vol.voxel_size_um)
-    return SinogramStack(rays.T.reshape(nz, n_angles, n_bins), cfg.angular_step_deg,
+    sino = np.empty((nz, n_rays), dtype=np.float32)
+    for lo in range(0, n_rays, rows):
+        hi = min(lo + rows, n_rays)
+        m = hi - lo
+        # ray (angle a, bin b) samples (cx + s_b cos_a - t sin_a, cy + s_b sin_a + t cos_a)
+        angle, bin_ = np.divmod(np.arange(lo, hi), n_bins)
+        c, sn, sb = cos_t[angle, None], sin_t[angle, None], s[bin_, None]
+        np.multiply(t, sn, out=x[:m])
+        np.subtract(cx + sb * c, x[:m], out=x[:m])
+        np.multiply(t, c, out=y[:m])
+        np.add(cy + sb * sn, y[:m], out=y[:m])
+        sino[:, lo:hi] = _csr_product(*_bilinear_taps(x[:m], y[:m], nx, ny, cols[:m],
+                                                      weights[:m]), pixels).T
+    sino *= np.float32(vol.voxel_size_um)
+    return SinogramStack(sino.reshape(nz, cfg.n_projections, n_bins), cfg.angular_step_deg,
                          vol.voxel_size_um)
 
 
@@ -265,25 +285,42 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
     row0 = np.arange(n_angles, dtype=np.int32) * n_bins
     center = (n_bins - 1) / 2.0
     width = 2 * n_angles  # every row holds two linear taps per angle
-    indptr = np.arange(0, _PIXELS_PER_BLOCK * width + 1, width)
-    recon = np.empty((out_ny * out_nx, n_slices), dtype=np.float32)
-    for lo in range(0, recon.shape[0], _PIXELS_PER_BLOCK):
-        hi = min(lo + _PIXELS_PER_BLOCK, recon.shape[0])
-        k = grid_x[lo:hi] * cos_t + grid_y[lo:hi] * sin_t + center  # (pixels, angles)
-        k0 = np.floor(k)
-        fr = k - k0
-        k0 = k0.astype(np.int32)
-        k1 = k0 + 1
-        w0 = (1 - fr) * ((k0 >= 0) & (k0 < n_bins))
-        w1 = fr * ((k1 >= 0) & (k1 < n_bins))
-        cols = np.concatenate([np.clip(k0, 0, n_bins - 1) + row0,
-                               np.clip(k1, 0, n_bins - 1) + row0], axis=1)
-        recon[lo:hi] = _csr_product(indptr[:hi - lo + 1], cols.ravel(),
-                                    np.concatenate([w0, w1], axis=1).ravel(), filtered)
+    rows = min(out_ny * out_nx, max(1, _TAPS_PER_BLOCK // width))
+    indptr = np.arange(0, rows * width + 1, width)
+    pos_buf, frac_buf = np.empty((2, rows, n_angles), dtype=np.float32)
+    lower_buf = np.empty((rows, n_angles), dtype=np.int32)
+    inside_buf = np.empty((rows, n_angles), dtype=bool)
+    # row i: the lower tap of every angle, then the upper one
+    cols = np.empty((rows, 2, n_angles), dtype=np.int32)
+    weights = np.empty((rows, 2, n_angles), dtype=np.float32)
+    recon = np.empty((n_slices, out_ny * out_nx), dtype=np.float32)
+    for lo in range(0, recon.shape[1], rows):
+        hi = min(lo + rows, recon.shape[1])
+        m = hi - lo
+        pos, frac, lower, inside = pos_buf[:m], frac_buf[:m], lower_buf[:m], inside_buf[:m]
+        # detector position x cos + y sin + center of each (pixel, angle)
+        np.multiply(grid_x[lo:hi], cos_t, out=pos)
+        np.add(pos, np.multiply(grid_y[lo:hi], sin_t, out=frac), out=pos)
+        np.add(pos, center, out=pos)
+        np.floor(pos, out=frac)
+        lower[...] = frac
+        np.subtract(pos, frac, out=frac)
+        np.subtract(1, frac, out=weights[:m, 0])
+        weights[:m, 1] = frac
+        for j in (0, 1):
+            if j:
+                lower += 1
+            tap = cols[:m, j]
+            np.clip(lower, 0, n_bins - 1, out=tap)
+            np.equal(tap, lower, out=inside)  # the tap lies on the detector
+            weights[:m, j] *= inside
+            tap += row0
+        recon[:, lo:hi] = _csr_product(indptr[:m + 1], cols[:m].ravel(), weights[:m].ravel(),
+                                       filtered).T
     if not np.isfinite(recon).all():
         raise ReconstructionError(
             f"reconstruction is not finite (voxel size {s.voxel_size_um} um)")
-    return AttenuationVolume(recon.T.reshape(n_slices, out_ny, out_nx), s.voxel_size_um)
+    return AttenuationVolume(recon.reshape(n_slices, out_ny, out_nx), s.voxel_size_um)
 
 
 def normalize_to_u16(vol: AttenuationVolume, window: tuple[float, float]) -> GrayVolume:
@@ -291,8 +328,13 @@ def normalize_to_u16(vol: AttenuationVolume, window: tuple[float, float]) -> Gra
     lo, hi = (float(v) for v in window)
     if not lo < hi:
         raise ConfigError(f"window must satisfy lo < hi, got {window}")
-    scaled = (vol.data.astype(np.float64) - lo) * (65535.0 / (hi - lo))
-    out = np.rint(np.clip(scaled, 0.0, 65535.0)).astype(np.uint16)
+    scale = 65535.0 / (hi - lo)
+    out = np.empty(vol.data.shape, dtype=np.uint16)
+    for plane, gray in zip(vol.data, out):  # one float64 z-plane at a time
+        scaled = plane.astype(np.float64)
+        scaled -= lo
+        scaled *= scale
+        gray[...] = np.rint(np.clip(scaled, 0.0, 65535.0, out=scaled), out=scaled)
     return GrayVolume(out, vol.voxel_size_um)
 
 

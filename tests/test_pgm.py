@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tomoseg.errors import FormatError, ShapeError
 from tomoseg.pgm import LABEL_PALETTE, float_to_8bit, gray_to_8bit, label_to_8bit, \
@@ -67,3 +70,25 @@ class TestFormat:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError, match="truncated"):
             read_pgm(path)
+
+
+WHITESPACE_BYTES = (9, 10, 11, 12, 13, 32)
+
+
+@pytest.mark.parametrize("first", WHITESPACE_BYTES)
+def test_round_trip_keeps_a_whitespace_first_pixel(tmp_path, first):
+    img = np.full((2, 3), 200, dtype=np.uint8)
+    img[0, 0] = first
+    write_pgm(img, tmp_path / "x.pgm")
+    assert np.array_equal(read_pgm(tmp_path / "x.pgm"), img)
+
+
+@settings(max_examples=100, deadline=None)
+@given(img=arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9))),
+       first=st.one_of(st.none(), st.sampled_from(WHITESPACE_BYTES)))
+def test_round_trip_any_uint8_image(tmp_path_factory, img, first):
+    if first is not None:
+        img[0, 0] = first
+    path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+    write_pgm(img, path)
+    assert np.array_equal(read_pgm(path), img)

@@ -1,13 +1,17 @@
 """Phantom generation: determinism, geometry invariants, cohort jitter."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tomoseg.core import ClassId
+from tomoseg import phantom
+from tomoseg.core import ClassId, rng_for_seed
 from tomoseg.errors import SpecError
 from tomoseg.phantom import (
     CylinderZ,
@@ -192,3 +196,82 @@ def test_spec_from_dict_fills_defaults():
     assert spec.dims == (48, 48, 48)
     assert spec.seed == 5
     assert spec.attenuation == PhantomSpec().attenuation
+
+
+# --- slab-wise generation against the whole-volume formulas ----------------
+
+def reference_generate(spec: PhantomSpec):
+    """``generate`` written with whole-volume float64 arrays: the oracle for the slab-wise code."""
+    nx, ny, nz = spec.dims
+    zz, yy, xx = np.ogrid[0:nz, 0:ny, 0:nx]
+    ux, uy, uz = (xx + 0.5) / nx, (yy + 0.5) / ny, (zz + 0.5) / nz
+
+    def ellipsoid(e):
+        (cx, cy, cz), (sx, sy, sz) = e.center, e.semi_axes
+        return ((ux - cx) / sx) ** 2 + ((uy - cy) / sy) ** 2 + ((uz - cz) / sz) ** 2 <= 1.0
+
+    labels = np.zeros((nz, ny, nx), dtype=np.uint8)
+    labels[ellipsoid(spec.atrium)] = ClassId.ATRIUM
+    labels[spec.bulbus.mask(spec.dims)] = ClassId.BULBUS
+    outer = ellipsoid(spec.ventricle)
+    inner = ellipsoid(spec.ventricle.shrunk(spec.compacta_shell_voxels, spec.dims))
+    shell = outer & ~inner
+    labels[shell] = ClassId.COMPACTA
+    labels[inner] = ClassId.VENTRICLE
+    dims = np.asarray(spec.dims, dtype=float)
+    a = np.asarray(spec.ventricle.center) * dims - 0.5
+    (bx, by), (zlo, zhi) = spec.bulbus.center_xy, spec.bulbus.z_range
+    r = spec.ostium_radius_voxels
+    for target in (spec.atrium.center, (bx, by, min(max(spec.ventricle.center[2], zlo), zhi))):
+        d = np.asarray(target, dtype=float) * dims - 0.5 - a
+        dd = float(d @ d)
+        if r <= 0 or dd == 0.0:
+            continue
+        t = np.clip(((xx - a[0]) * d[0] + (yy - a[1]) * d[1] + (zz - a[2]) * d[2]) / dd, 0.0, 1.0)
+        dist2 = ((xx - a[0] - t * d[0]) ** 2 + (yy - a[1] - t * d[1]) ** 2
+                 + (zz - a[2] - t * d[2]) ** 2)
+        labels[shell & (dist2 <= r * r)] = ClassId.VENTRICLE
+    rng = rng_for_seed(spec.seed)
+    phantom._place_lacunae(labels, spec, rng)
+    atten = np.asarray(spec.attenuation, dtype=np.float32)[labels]
+    if spec.noise_sigma > 0:
+        atten = atten + rng.normal(0.0, spec.noise_sigma, size=atten.shape).astype(np.float32)
+    np.clip(atten, spec.window[0], spec.window[1], out=atten)
+    return atten, labels
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(48, 72), seed=st.integers(0, 2 ** 16), sample=st.integers(0, 2),
+       ostium=st.one_of(st.none(), st.floats(0.0, 14.0)))
+def test_generate_equals_the_whole_volume_formulas(n, seed, sample, ostium):
+    spec = default_spec(n, seed)
+    if sample:
+        spec = phantom._jittered(spec, sample)
+    if ostium is not None:
+        spec = replace(spec, ostium_radius_voxels=ostium)
+    atten, labels = generate(spec)
+    want_atten, want_labels = reference_generate(spec)
+    assert labels.data.tobytes() == want_labels.tobytes()
+    assert atten.data.tobytes() == want_atten.tobytes()
+
+
+def test_plane_by_plane_noise_equals_one_draw():
+    one = rng_for_seed(9).normal(0.0, 0.03, size=(11, 7, 5)).astype(np.float32)
+    rng = rng_for_seed(9)
+    planes = np.stack([rng.normal(0.0, 0.03, size=(7, 5)).astype(np.float32)
+                       for _ in range(11)])
+    assert one.tobytes() == planes.tobytes()
+
+
+def test_generate_allocates_little_beyond_its_outputs():
+    spec = default_spec(96)
+    generate(spec)  # any first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        atten, labels = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = atten.data.nbytes + labels.data.nbytes
+    # the outputs plus a few boolean masks; one float64 volume alone is 1.6 outputs
+    assert peak <= 2 * out

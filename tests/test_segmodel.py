@@ -1,6 +1,7 @@
 """Feature bank, softmax gradient, training protocol, and prediction tests."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,18 @@ class TestFeatures:
             img = extract_slice(vol, axis, i)
             assert np.array_equal(got[i], extract_features(img))
             assert np.array_equal(got[i], reference_features(img))
+
+    def test_stack_features_write_into_one_bank(self):
+        stack = rng_for_seed(17, 42).integers(0, 65536, size=(6, 40, 56)).astype(np.uint16)
+        stack_features(stack)  # scipy's import stays out of the measurement
+        tracemalloc.start()
+        try:
+            stack_features(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the bank plus at most five float32 maps in flight (a list and np.stack took 22)
+        assert peak <= (N_FEATURES + 5) * stack.size * 4
 
     def test_stack_features_reject_non_stacks(self):
         for shape in ((4, 4), (2, 4, 4, 1)):

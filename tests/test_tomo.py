@@ -1,11 +1,13 @@
 """Projector and FBP oracles: chord lengths, mass conservation, dose trends."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
 
+from tomoseg import tomo
 from tomoseg.core import AcquisitionConfig, AttenuationVolume
 from tomoseg.errors import ConfigError, FormatError, ReconstructionError
 from tomoseg.tomo import (
@@ -362,6 +364,15 @@ def test_normalize_monotone_and_idempotent():
     assert np.array_equal(g.data, g2.data)
 
 
+def test_normalize_equals_the_whole_volume_formula():
+    rng = np.random.Generator(np.random.Philox(5))
+    vals = rng.uniform(-0.3, 1.3, (5, 6, 7)).astype(np.float32)
+    vals[0, 0, :3] = (0.1, 0.8, 0.45)
+    got = normalize_to_u16(AttenuationVolume(vals, 1.0), (0.1, 0.8))
+    scaled = (vals.astype(np.float64) - 0.1) * (65535.0 / (0.8 - 0.1))
+    assert got.data.tobytes() == np.rint(np.clip(scaled, 0.0, 65535.0)).astype(np.uint16).tobytes()
+
+
 def test_normalize_rejects_degenerate_window():
     vol = AttenuationVolume(np.zeros((1, 2, 2), np.float32), 1.0)
     with pytest.raises(ConfigError):
@@ -395,3 +406,75 @@ def test_sinogram_load_errors(tmp_path):
     (tmp_path / "s.sino.json").write_text(json.dumps(meta))
     with pytest.raises(FormatError):
         load_sinogram(p)
+
+
+# --- the tap budget: block sizes change no bit and bound the memory ----------
+
+def traced_peak(fn):
+    """(result, peak bytes traced while ``fn`` runs)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def signed_slab():
+    data = np.random.Generator(np.random.Philox(8)).random((3, 33, 41), dtype=np.float32) - 0.3
+    data[1, :, 0] = -0.0
+    return AttenuationVolume(data, 1.5)
+
+
+@pytest.mark.parametrize("budget", [1, 7919, 1 << 40])  # one row per block, a prime, one block
+def test_tap_budget_changes_no_bit(monkeypatch, signed_slab, budget):
+    cfg = AcquisitionConfig(37, 180.0 / 37, 64)
+    want = forward_project(signed_slab, cfg)
+    recons = {(k, f): fbp_reconstruct(subsample_dose(want, DoseLevel(k)), (45, 31), f)
+              for k in (1, 2, 3) for f in ("ramlak", "hann")}
+    monkeypatch.setattr(tomo, "_TAPS_PER_BLOCK", budget)
+    got = forward_project(signed_slab, cfg)
+    assert got.data.tobytes() == want.data.tobytes()
+    for (k, f), rec in recons.items():
+        again = fbp_reconstruct(subsample_dose(got, DoseLevel(k)), (45, 31), f)
+        assert again.data.tobytes() == rec.data.tobytes()
+
+
+BYTES_PER_TAP = 48  # measured: 25 for projection, 28 for FBP (numpy 2.4, scipy 1.17)
+
+
+def test_projection_transients_are_bounded_by_the_tap_budget(monkeypatch):
+    vol = AttenuationVolume(np.ones((2, 64, 64), np.float32), 1.0)
+    cfg = AcquisitionConfig(180, 1.0, 96)
+    forward_project(vol, cfg)  # scipy's import stays out of the measurement
+    monkeypatch.setattr(tomo, "_TAPS_PER_BLOCK", 1 << 13)
+    sino, peak = traced_peak(lambda: forward_project(vol, cfg))
+    # beyond the blocks: the output and a pixel-major copy of the input
+    held = sino.data.nbytes + vol.data.nbytes
+    assert peak - held <= BYTES_PER_TAP * (1 << 13) + (64 << 10)
+
+
+def test_fbp_transients_are_bounded_by_the_tap_budget(monkeypatch):
+    sino = SinogramStack(np.ones((2, 90, 96), np.float32), 2.0)
+    fbp_reconstruct(sino, (96, 96))
+    monkeypatch.setattr(tomo, "_TAPS_PER_BLOCK", 1 << 13)
+    rec, peak = traced_peak(lambda: fbp_reconstruct(sino, (96, 96)))
+    # beyond the blocks: the output, the filtered sinogram and the filter's product
+    held = rec.data.nbytes + 2 * sino.data.nbytes
+    assert peak - held <= BYTES_PER_TAP * (1 << 13) + (64 << 10)
+
+
+def test_fbp_peak_does_not_grow_with_the_angle_count():
+    peaks = []
+    for n_angles in (90, 180):
+        sino = SinogramStack(np.ones((1, n_angles, 96), np.float32), 180.0 / n_angles)
+        fbp_reconstruct(sino, (128, 128))
+        peaks.append(traced_peak(lambda: fbp_reconstruct(sino, (128, 128)))[1])
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_normalize_holds_no_float64_volume():
+    vol = AttenuationVolume(np.full((16, 48, 40), 0.5, np.float32), 1.0)
+    gray, peak = traced_peak(lambda: normalize_to_u16(vol, (0.0, 1.0)))
+    assert peak <= gray.data.nbytes + 3 * 48 * 40 * 8
