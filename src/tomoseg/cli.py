@@ -9,7 +9,6 @@ failure prints one JSON error line to stderr.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_experiment_config, override
 from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, LabelVolume, ViewAxis, \
-    extract_slice, load_volume, save_volume
+    extract_slice, load_volume, save_volume, worker_count
 from .errors import ConfigError, DataError, SchemaError, SpecError, TomosegError
 from .evaluate import evaluate_volumes, run_dose_ablation
 from .pgm import float_to_8bit, gray_to_8bit, label_to_8bit, write_pgm
@@ -234,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="segmentation output (.vol)")
     p.add_argument("--report", help="report JSON output")
     p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="worker threads over slabs")
+    p.add_argument("--jobs", type=int,
+                   help="worker threads over slabs (default: every available CPU)")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score a segmentation against ground truth")
@@ -252,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohort", type=int, help="override cohort size")
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--lr", type=float, help="override learning rate")
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
+    p.add_argument("--jobs", type=int,
+                   help="worker threads for projection, FBP and prediction "
+                        "(default: every available CPU)")
     p.set_defaults(func=cmd_ablate_dose)
 
     p = sub.add_parser("export-slices", help="export one slice as 8-bit PGM")
@@ -268,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "jobs" in vars(args):
+            args.jobs = worker_count(args.jobs)
         return args.func(args)
     except (SchemaError, ConfigError, SpecError) as err:
         return _fail(2, err)

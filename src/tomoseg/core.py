@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 # Class table: Background is the implicit complement of the labeled anatomy.
 CLASS_NAMES = ("Background", "Atrium", "Ventricle", "Bulbus", "Compacta", "Lacunary")
@@ -60,6 +60,20 @@ class ViewAxis(enum.Enum):
 def rng_for_seed(seed, *stream) -> np.random.Generator:
     """Philox generator for ``seed``; extra ints select independent streams."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
+
+
+def worker_count(jobs=None) -> int:
+    """Worker threads for ``jobs``: None means every CPU this process may use.
+
+    A count below 1 raises ``ConfigError``.
+    """
+    if jobs is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    return int(jobs)
 
 
 @dataclass(frozen=True)
@@ -154,8 +168,6 @@ class AcquisitionConfig:
     absorption_window: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        from .errors import ConfigError
-
         if self.n_projections < 1:
             raise ConfigError(f"n_projections must be >= 1, got {self.n_projections}")
         if not self.angular_step_deg > 0:

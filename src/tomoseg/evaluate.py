@@ -227,9 +227,10 @@ def evaluate_volumes(pred: LabelVolume, gt: LabelVolume,
     )
 
 
-def reconstruct_cohort(cfg, log=None):
+def reconstruct_cohort(cfg, log=None, jobs: int = None):
     """Generate the phantom cohort and reconstruct it at every dose.
 
+    Projection and FBP run on ``jobs`` threads (None: every available CPU).
     Returns (recons, gts): dose name -> per-stack GrayVolumes, plus the
     aligned ground-truth volumes.
     """
@@ -242,10 +243,10 @@ def reconstruct_cohort(cfg, log=None):
     gts = [gt for _, gt in cohort]
     recons = {f"D{k}": [] for k in cfg.doses}
     for i, (atten, _) in enumerate(cohort):
-        sino = forward_project(atten, cfg.acquisition)
+        sino = forward_project(atten, cfg.acquisition, jobs)
         for k in cfg.doses:
             rec = fbp_reconstruct(subsample_dose(sino, DoseLevel(k)),
-                                  cfg.phantom.dims, cfg.recon_filter)
+                                  cfg.phantom.dims, cfg.recon_filter, jobs)
             recons[f"D{k}"].append(
                 normalize_to_u16(rec, cfg.acquisition.absorption_window))
             say(f"stack {i}: dose D{k} reconstructed")
@@ -257,12 +258,13 @@ def run_dose_ablation(cfg, jobs: int = 1, log=None):
     stability claim that mixed-dose training generalizes across doses.
 
     Returns (DoseMatrix, recons, gts).  Training rows are the single
-    doses plus D1+D2 when both are configured.
+    doses plus D1+D2 when both are configured.  Projection, FBP and
+    prediction run on ``jobs`` threads.
     """
     from .pipeline import run_full, train_all_stages
 
     say = log or (lambda msg: None)
-    recons, gts = reconstruct_cohort(cfg, log)
+    recons, gts = reconstruct_cohort(cfg, log, jobs)
     cols = tuple(f"D{k}" for k in cfg.doses)
     rows = tuple((c,) for c in cols)
     if {"D1", "D2"} <= set(cols):

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, restack, view_stack
+from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, restack, view_stack, \
+    worker_count
 from .errors import ConfigError, ShapeError, TrainingError
 from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_filter, mode_fuse, \
     unsharp_mask
@@ -171,7 +172,7 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
         idx = model.predict_index(feats)
         out[start:start + per_slab] = classes[idx].reshape(imgs.shape)
 
-    with ThreadPoolExecutor(max_workers=max(jobs or 1, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count(jobs)) as pool:
         list(pool.map(slab, range(0, n, per_slab)))
     return LabelVolume(labels, vol.voxel_size_um, cfg.output_names)
 

@@ -16,36 +16,46 @@ zeros).  Back-projection streams over blocks of output pixels: one row
 per pixel, holding two linear detector taps per angle, so every row has
 the same length (out-of-range taps carry weight 0).
 
-One tap budget, ``_TAPS_PER_BLOCK``, sizes the blocks of both operators:
-a block holds as many rows as fit in it (at least one), so its memory
-does not grow with the number of angles, the detector width or the
-slice size.  Each call allocates its block buffers once and builds every
-block in them; a block is dropped once applied, and nothing is cached
-between calls.  Rows keep their order and their taps, so the sums do not
-depend on the budget, bit for bit.  Beyond the blocks, projection holds
+The blocks of a call run on ``jobs`` threads (default: every CPU the
+process may use); the calling thread is one of them.  Each block writes
+its own columns of the output, and scipy's CSR product releases the GIL.
+One tap budget, ``_TAPS_PER_BLOCK``, bounds all blocks in flight: each
+of the ``jobs`` threads builds blocks of ``_TAPS_PER_BLOCK // jobs`` taps,
+as many rows as fit (at least one), so their memory does not grow with
+the number of angles, the detector width or the slice size.  Each thread
+allocates its block buffers once and builds every block it takes in them;
+a block is dropped once applied, and nothing is cached between calls.
+Rows keep their order and their taps, so the sums depend neither on the
+budget nor on ``jobs``, bit for bit.  Beyond the blocks, projection holds
 its output and a pixel-major copy of its input, and FBP its output and
-the filtered sinogram (twice while it is transposed); ``normalize_to_u16``
-maps one z-plane at a time.
+the filtered sinogram; ``normalize_to_u16`` maps one z-plane at a time.
 
 The ramp filter is built from the real-space Ram-Lak kernel (0.25 at the
 origin, -1/(pi n)^2 at odd lags) rather than a plain |f| profile; the two
 agree at high frequencies but the kernel form avoids the DC bias that
 shows up as cupping on piecewise-constant phantoms.  Filtering is the
 zero-padded FFT convolution written as one dense n_bins x n_bins Toeplitz
-matrix, applied to every projection row of every slice in one matmul.
+matrix, applied to the projection rows of a few slices per matmul and
+written straight into the filtered sinogram.
 """
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, read_with_sidecar, \
-    write_with_sidecar
+    worker_count, write_with_sidecar
 from .errors import ConfigError, FormatError, ReconstructionError
 
 _FILTERS = ("ramlak", "hann")
-_TAPS_PER_BLOCK = 1 << 18  # CSR taps per block, before projection leaves out its zero steps
+# CSR taps of all blocks in flight, before projection leaves out its zero steps
+_TAPS_PER_BLOCK = 1 << 18
+# least filtered values per filter product, far above the sizes that BLAS
+# hands to its small-matrix kernels
+_FILTER_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,18 +116,41 @@ class DoseLevel:
         return f"D{self.keep_every}"
 
 
-def _csr_product(indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-                 dense: np.ndarray) -> np.ndarray:
-    """``M @ dense`` for the CSR matrix M with row pointer ``indptr``.
+def _run_blocks(n: int, taps_per_row: int, jobs, worker) -> None:
+    """Cover rows 0..n-1 in blocks on ``jobs`` threads (None: every available CPU).
 
-    Row i holds ``weights[indptr[i]:indptr[i + 1]]`` at the matching
-    ``cols``; a column repeated within a row simply adds up.  ``dense`` is
-    C-contiguous with one column per slice.
+    The tap budget is split between the threads, and a block holds as many
+    rows as fit in its share (at least one).  ``worker(rows)`` is called
+    once in each thread and returns that thread's ``block(lo, hi)``, so a
+    thread allocates its buffers once.  The threads take the next block
+    start from one shared iterator; the calling thread is one of them.
     """
-    from scipy.sparse import csr_array
+    jobs = worker_count(jobs)
+    rows = max(1, min(n, _TAPS_PER_BLOCK // jobs // taps_per_row))
+    starts = iter(range(0, n, rows))
+    lock, failed = threading.Lock(), threading.Event()
 
-    mat = csr_array((weights, cols, indptr), shape=(len(indptr) - 1, dense.shape[0]))
-    return mat @ dense
+    def drain() -> None:
+        try:
+            block = worker(rows)
+            while not failed.is_set():
+                with lock:
+                    lo = next(starts, None)
+                if lo is None:
+                    return
+                block(lo, min(lo + rows, n))
+        except BaseException:
+            failed.set()  # the other threads take no further block
+            raise
+
+    helpers = min(jobs, -(-n // rows)) - 1
+    if helpers < 1:
+        return drain()
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for f in futures:
+            f.result()
 
 
 def _bilinear_taps(x: np.ndarray, y: np.ndarray, nx: int, ny: int,
@@ -145,7 +178,9 @@ def _bilinear_taps(x: np.ndarray, y: np.ndarray, nx: int, ny: int,
         np.add(iy, ix, out=cols[:, c])
     kept = np.repeat(keep[:, None], 4, axis=1)
     counts = np.count_nonzero(keep, axis=1)
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    # a block holds far fewer than 2^31 taps; an int64 indptr would make
+    # scipy copy ``cols`` to int64 as well
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
     np.cumsum(4 * counts, out=indptr[1:])
     return indptr, cols[kept], weights[kept]
 
@@ -167,11 +202,14 @@ def _axis_corners(u: np.ndarray, n: int):
     return corners
 
 
-def forward_project(vol: AttenuationVolume, cfg: AcquisitionConfig) -> SinogramStack:
+def forward_project(vol: AttenuationVolume, cfg: AcquisitionConfig,
+                    jobs: int = None) -> SinogramStack:
     """Project every axial slice at the configured angles.
 
     Requires the detector to span the slice diagonal so no ray clips the
-    support of the image.
+    support of the image.  The blocks of rays run on ``jobs`` threads
+    (None: every CPU this process may use); the result does not depend on
+    ``jobs``.
     """
     data3d = vol.data
     nz, ny, nx = data3d.shape
@@ -190,24 +228,32 @@ def forward_project(vol: AttenuationVolume, cfg: AcquisitionConfig) -> SinogramS
     theta = np.deg2rad(cfg.angles_deg())
     cos_t = np.cos(theta).astype(np.float32)
     sin_t = np.sin(theta).astype(np.float32)
-    rows = min(n_rays, max(1, _TAPS_PER_BLOCK // (4 * len(t))))
-    x, y = np.empty((2, rows, len(t)), dtype=np.float32)
-    cols = np.empty((rows, 4, len(t)), dtype=np.int32)
-    weights = np.empty((rows, 4, len(t)), dtype=np.float32)
     pixels = np.ascontiguousarray(data3d.reshape(nz, ny * nx).T)
     sino = np.empty((nz, n_rays), dtype=np.float32)
-    for lo in range(0, n_rays, rows):
-        hi = min(lo + rows, n_rays)
-        m = hi - lo
-        # ray (angle a, bin b) samples (cx + s_b cos_a - t sin_a, cy + s_b sin_a + t cos_a)
-        angle, bin_ = np.divmod(np.arange(lo, hi), n_bins)
-        c, sn, sb = cos_t[angle, None], sin_t[angle, None], s[bin_, None]
-        np.multiply(t, sn, out=x[:m])
-        np.subtract(cx + sb * c, x[:m], out=x[:m])
-        np.multiply(t, c, out=y[:m])
-        np.add(cy + sb * sn, y[:m], out=y[:m])
-        sino[:, lo:hi] = _csr_product(*_bilinear_taps(x[:m], y[:m], nx, ny, cols[:m],
-                                                      weights[:m]), pixels).T
+    from scipy.sparse import csr_array  # imported here, not first in a worker thread
+
+    def worker(rows):
+        x, y = np.empty((2, rows, len(t)), dtype=np.float32)
+        cols = np.empty((rows, 4, len(t)), dtype=np.int32)
+        weights = np.empty((rows, 4, len(t)), dtype=np.float32)
+
+        def block(lo, hi):
+            m = hi - lo
+            # ray (angle a, bin b) samples (cx + s_b cos_a - t sin_a, cy + s_b sin_a + t cos_a)
+            angle, bin_ = np.divmod(np.arange(lo, hi), n_bins)
+            c, sn, sb = cos_t[angle, None], sin_t[angle, None], s[bin_, None]
+            np.multiply(t, sn, out=x[:m])
+            np.subtract(cx + sb * c, x[:m], out=x[:m])
+            np.multiply(t, c, out=y[:m])
+            np.add(cy + sb * sn, y[:m], out=y[:m])
+            indptr, kept_cols, kept_weights = _bilinear_taps(x[:m], y[:m], nx, ny, cols[:m],
+                                                             weights[:m])
+            # a pixel repeated within a row (a clipped corner) simply adds up
+            mat = csr_array((kept_weights, kept_cols, indptr), shape=(m, ny * nx))
+            sino[:, lo:hi] = (mat @ pixels).T
+        return block
+
+    _run_blocks(n_rays, 4 * len(t), jobs, worker)
     sino *= np.float32(vol.voxel_size_um)
     return SinogramStack(sino.reshape(nz, cfg.n_projections, n_bins), cfg.angular_step_deg,
                          vol.voxel_size_um)
@@ -245,7 +291,8 @@ def _filter_matrix(n_bins: int, filter_name: str) -> np.ndarray:
     return impulse[lags % pad]
 
 
-def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> AttenuationVolume:
+def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak",
+                    jobs: int = None) -> AttenuationVolume:
     """Filtered back-projection of every slice onto an (nx, ny) grid.
 
     Projections are ramp-filtered as if zero-padded to the next power of
@@ -254,7 +301,9 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
     scaled by pi/(2*n_angles).  Correct for uniform coverage of a 180 or
     360 degree arc.  A result that is not finite everywhere (say, from a
     voxel size so small that the filter scale overflows) raises
-    ``ReconstructionError``.
+    ``ReconstructionError``.  The blocks of pixels run on ``jobs`` threads
+    (None: every CPU this process may use); the result does not depend on
+    ``jobs``.
     """
     if s.n_angles < 2:
         raise ReconstructionError(f"need at least 2 angles to reconstruct, got {s.n_angles}")
@@ -269,12 +318,19 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
     out_nx, out_ny = (int(v) for v in out_dims)
     n_slices, n_angles, n_bins = s.data.shape
     scale = np.pi / (2.0 * n_angles) / s.voxel_size_um
+    # (angle * bin, slice): one row per detector sample, one column per slice
+    filtered = np.empty((n_angles * n_bins, n_slices), dtype=np.float32)
+    # a few slices per product, each product at least _FILTER_VALUES values
+    # (or the whole stack): BLAS sums every row the same way once a product
+    # is that large, whatever its row count
+    per_slice = n_angles * n_bins
+    chunks = max(1, n_slices // -(-_FILTER_VALUES // per_slice))
     # a non-finite value here carries into the result, which is checked once
     with np.errstate(over="ignore", invalid="ignore"):
-        filt = (_filter_matrix(n_bins, filter_name) * scale).astype(np.float32)
-        # (angle * bin, slice): one row per detector sample, one column per slice
-        filtered = np.ascontiguousarray(
-            (s.data.reshape(-1, n_bins) @ filt.T).reshape(n_slices, -1).T)
+        filt_t = (_filter_matrix(n_bins, filter_name) * scale).astype(np.float32).T
+        for part, out in zip(np.array_split(s.data, chunks),
+                             np.array_split(filtered, chunks, axis=1)):
+            out[...] = (part.reshape(-1, n_bins) @ filt_t).reshape(-1, per_slice).T
 
     xs = np.arange(out_nx, dtype=np.float32) - (out_nx - 1) / 2.0
     ys = np.arange(out_ny, dtype=np.float32) - (out_ny - 1) / 2.0
@@ -285,38 +341,44 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak") -> 
     row0 = np.arange(n_angles, dtype=np.int32) * n_bins
     center = (n_bins - 1) / 2.0
     width = 2 * n_angles  # every row holds two linear taps per angle
-    rows = min(out_ny * out_nx, max(1, _TAPS_PER_BLOCK // width))
-    indptr = np.arange(0, rows * width + 1, width)
-    pos_buf, frac_buf = np.empty((2, rows, n_angles), dtype=np.float32)
-    lower_buf = np.empty((rows, n_angles), dtype=np.int32)
-    inside_buf = np.empty((rows, n_angles), dtype=bool)
-    # row i: the lower tap of every angle, then the upper one
-    cols = np.empty((rows, 2, n_angles), dtype=np.int32)
-    weights = np.empty((rows, 2, n_angles), dtype=np.float32)
     recon = np.empty((n_slices, out_ny * out_nx), dtype=np.float32)
-    for lo in range(0, recon.shape[1], rows):
-        hi = min(lo + rows, recon.shape[1])
-        m = hi - lo
-        pos, frac, lower, inside = pos_buf[:m], frac_buf[:m], lower_buf[:m], inside_buf[:m]
-        # detector position x cos + y sin + center of each (pixel, angle)
-        np.multiply(grid_x[lo:hi], cos_t, out=pos)
-        np.add(pos, np.multiply(grid_y[lo:hi], sin_t, out=frac), out=pos)
-        np.add(pos, center, out=pos)
-        np.floor(pos, out=frac)
-        lower[...] = frac
-        np.subtract(pos, frac, out=frac)
-        np.subtract(1, frac, out=weights[:m, 0])
-        weights[:m, 1] = frac
-        for j in (0, 1):
-            if j:
-                lower += 1
-            tap = cols[:m, j]
-            np.clip(lower, 0, n_bins - 1, out=tap)
-            np.equal(tap, lower, out=inside)  # the tap lies on the detector
-            weights[:m, j] *= inside
-            tap += row0
-        recon[:, lo:hi] = _csr_product(indptr[:m + 1], cols[:m].ravel(), weights[:m].ravel(),
-                                       filtered).T
+    from scipy.sparse import csr_array  # imported here, not first in a worker thread
+
+    def worker(rows):
+        indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
+        pos_buf, frac_buf = np.empty((2, rows, n_angles), dtype=np.float32)
+        lower_buf = np.empty((rows, n_angles), dtype=np.int32)
+        inside_buf = np.empty((rows, n_angles), dtype=bool)
+        # row i: the lower tap of every angle, then the upper one
+        cols = np.empty((rows, 2, n_angles), dtype=np.int32)
+        weights = np.empty((rows, 2, n_angles), dtype=np.float32)
+
+        def block(lo, hi):
+            m = hi - lo
+            pos, frac, lower, inside = pos_buf[:m], frac_buf[:m], lower_buf[:m], inside_buf[:m]
+            # detector position x cos + y sin + center of each (pixel, angle)
+            np.multiply(grid_x[lo:hi], cos_t, out=pos)
+            np.add(pos, np.multiply(grid_y[lo:hi], sin_t, out=frac), out=pos)
+            np.add(pos, center, out=pos)
+            np.floor(pos, out=frac)
+            lower[...] = frac
+            np.subtract(pos, frac, out=frac)
+            np.subtract(1, frac, out=weights[:m, 0])
+            weights[:m, 1] = frac
+            for j in (0, 1):
+                if j:
+                    lower += 1
+                tap = cols[:m, j]
+                np.clip(lower, 0, n_bins - 1, out=tap)
+                np.equal(tap, lower, out=inside)  # the tap lies on the detector
+                weights[:m, j] *= inside
+                tap += row0
+            mat = csr_array((weights[:m].ravel(), cols[:m].ravel(), indptr[:m + 1]),
+                            shape=(m, filtered.shape[0]))
+            recon[:, lo:hi] = (mat @ filtered).T
+        return block
+
+    _run_blocks(recon.shape[1], width, jobs, worker)
     if not np.isfinite(recon).all():
         raise ReconstructionError(
             f"reconstruction is not finite (voxel size {s.voxel_size_um} um)")

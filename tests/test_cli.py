@@ -187,6 +187,17 @@ class TestErrorPaths:
                            capsys.readouterr().err, 2, "SchemaError")
         assert "bogus" in err["message"]
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("command", ["infer", "ablate-dose"])
+    def test_jobs_below_one_exits_2(self, chain, tmp_path, capsys, command, jobs):
+        argv = {"infer": ["--input", chain / "recon0.vol", "--models", *(chain / "m1.json",) * 3,
+                          "--out", tmp_path / "seg.vol"],
+                "ablate-dose": ["--out", tmp_path]}[command]
+        err = expect_error(run(command, *argv, "--jobs", jobs), capsys.readouterr().err, 2,
+                           "ConfigError")
+        assert "jobs" in err["message"]
+        assert not (tmp_path / "seg.vol").exists()
+
     def test_wrong_volume_kind_exits_4(self, chain, tmp_path, capsys):
         expect_error(run("project", "--input", chain / "ph/gt_000.vol",
                          "--out", tmp_path / "s.sino",

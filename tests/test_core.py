@@ -1,6 +1,7 @@
 """Volume types, slicing conventions, and raw+sidecar round-trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tomoseg.core import (
     restack,
     save_volume,
     slice_count,
+    worker_count,
 )
 from tomoseg.errors import ConfigError, FormatError
 
@@ -303,3 +305,17 @@ def test_failed_sidecar_write_leaves_no_half_pair(tmp_path, monkeypatch, kind):
             save(new, kept)
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"kept{ext}", f"kept{ext}.json"]
     assert np.array_equal(load(kept).data, old.data)
+
+
+def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
+    assert worker_count() == len(os.sched_getaffinity(0))
+    assert worker_count(3) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(None) == 1
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_worker_count_rejects_fewer_than_one(jobs):
+    with pytest.raises(ConfigError, match="jobs"):
+        worker_count(jobs)

@@ -273,3 +273,33 @@ class TestRunReport:
         assert p1.read_bytes() == p2.read_bytes()
         doc = json.loads(p1.read_text())
         assert doc["weighted_iou"] == 0.5 and "timings" not in doc
+
+
+def test_the_dose_study_forwards_jobs_to_the_operators(monkeypatch):
+    from tomoseg import evaluate, tomo
+    from tomoseg.config import ExperimentConfig
+    from tomoseg.core import AcquisitionConfig
+    from tomoseg.phantom import default_spec
+
+    seen = []
+
+    def recording(op):
+        def call(*args):
+            seen.append((op.__name__, args[-1]))
+            return op(*args)
+        return call
+
+    for name in ("forward_project", "fbp_reconstruct"):
+        monkeypatch.setattr(tomo, name, recording(getattr(tomo, name)))
+    cfg = ExperimentConfig(cohort_size=1, phantom=default_spec(n=48, seed=7),
+                           acquisition=AcquisitionConfig(20, 9.0, 70), doses=(1, 2))
+    recons, _ = evaluate.reconstruct_cohort(cfg, jobs=1)
+    assert sorted(recons) == ["D1", "D2"]
+    assert seen == [("forward_project", 1), ("fbp_reconstruct", 1), ("fbp_reconstruct", 1)]
+
+    def stop(cfg, log, jobs):
+        raise RuntimeError(jobs)
+
+    monkeypatch.setattr(evaluate, "reconstruct_cohort", stop)
+    with pytest.raises(RuntimeError, match="^1$"):
+        evaluate.run_dose_ablation(cfg, jobs=1)

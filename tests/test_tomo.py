@@ -434,14 +434,72 @@ def test_tap_budget_changes_no_bit(monkeypatch, signed_slab, budget):
     recons = {(k, f): fbp_reconstruct(subsample_dose(want, DoseLevel(k)), (45, 31), f)
               for k in (1, 2, 3) for f in ("ramlak", "hann")}
     monkeypatch.setattr(tomo, "_TAPS_PER_BLOCK", budget)
-    got = forward_project(signed_slab, cfg)
-    assert got.data.tobytes() == want.data.tobytes()
-    for (k, f), rec in recons.items():
-        again = fbp_reconstruct(subsample_dose(got, DoseLevel(k)), (45, 31), f)
-        assert again.data.tobytes() == rec.data.tobytes()
+    for jobs in (1, 2, 3, 8):  # at one block, 8 workers are more than there are blocks
+        got = forward_project(signed_slab, cfg, jobs)
+        assert got.data.tobytes() == want.data.tobytes()
+        for (k, f), rec in recons.items():
+            again = fbp_reconstruct(subsample_dose(got, DoseLevel(k)), (45, 31), f, jobs)
+            assert again.data.tobytes() == rec.data.tobytes()
 
 
-BYTES_PER_TAP = 48  # measured: 25 for projection, 28 for FBP (numpy 2.4, scipy 1.17)
+def test_block_runner_covers_every_row_once_on_many_threads(monkeypatch):
+    import sys
+    import threading
+
+    monkeypatch.setattr(tomo, "_TAPS_PER_BLOCK", 8 * 3)
+    taken, threads = [], set()
+
+    def worker(rows):
+        assert rows == 1  # each of the 8 threads gets 3 of the 24 taps, one row of 3
+        threads.add(threading.get_ident())
+        return lambda lo, hi: taken.append((lo, hi))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tomo._run_blocks(5000, 3, 8, worker)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == [(i, i + 1) for i in range(5000)]
+    assert threading.get_ident() in threads and len(threads) <= 8
+
+
+def test_block_runner_stops_at_the_first_failure():
+    taken = []
+
+    def worker(rows):
+        def block(lo, hi):
+            taken.append(lo)
+            if lo == 3 * rows:
+                raise MemoryError(lo)
+        return block
+
+    with pytest.raises(MemoryError):
+        tomo._run_blocks(1 << 30, 1 << 12, 3, worker)
+    assert len(taken) < 100
+
+
+def test_operators_reject_fewer_than_one_job(signed_slab):
+    cfg = AcquisitionConfig(37, 180.0 / 37, 64)
+    with pytest.raises(ConfigError, match="jobs"):
+        forward_project(signed_slab, cfg, 0)
+    with pytest.raises(ConfigError, match="jobs"):
+        fbp_reconstruct(forward_project(signed_slab, cfg), (45, 31), jobs=-1)
+
+
+@pytest.mark.parametrize("shape", [(32, 300, 192), (48, 60, 80), (7, 33, 71), (32, 100, 192),
+                                   (9, 300, 192), (3, 2, 16)])
+def test_filtering_a_few_slices_at_a_time_changes_no_bit(monkeypatch, shape):
+    # BLAS at its default thread count; one whole product is the reference
+    data = np.random.Generator(np.random.Philox(shape)).random(shape, dtype=np.float32) - 0.3
+    sino = SinogramStack(data, 180.0 / shape[1])
+    got = fbp_reconstruct(sino, (12, 10))
+    monkeypatch.setattr(tomo, "_FILTER_VALUES", 1 << 40)
+    assert got.data.tobytes() == fbp_reconstruct(sino, (12, 10)).data.tobytes()
+
+
+# measured at jobs=2: 26-30 for projection, 28-33 for FBP (numpy 2.4, scipy 1.17)
+BYTES_PER_TAP = 40
 
 
 def test_projection_transients_are_bounded_by_the_tap_budget(monkeypatch):
@@ -449,8 +507,8 @@ def test_projection_transients_are_bounded_by_the_tap_budget(monkeypatch):
     cfg = AcquisitionConfig(180, 1.0, 96)
     forward_project(vol, cfg)  # scipy's import stays out of the measurement
     monkeypatch.setattr(tomo, "_TAPS_PER_BLOCK", 1 << 13)
-    sino, peak = traced_peak(lambda: forward_project(vol, cfg))
-    # beyond the blocks: the output and a pixel-major copy of the input
+    sino, peak = traced_peak(lambda: forward_project(vol, cfg, jobs=2))
+    # beyond the blocks of both workers: the output and a pixel-major copy of the input
     held = sino.data.nbytes + vol.data.nbytes
     assert peak - held <= BYTES_PER_TAP * (1 << 13) + (64 << 10)
 
@@ -459,9 +517,9 @@ def test_fbp_transients_are_bounded_by_the_tap_budget(monkeypatch):
     sino = SinogramStack(np.ones((2, 90, 96), np.float32), 2.0)
     fbp_reconstruct(sino, (96, 96))
     monkeypatch.setattr(tomo, "_TAPS_PER_BLOCK", 1 << 13)
-    rec, peak = traced_peak(lambda: fbp_reconstruct(sino, (96, 96)))
-    # beyond the blocks: the output, the filtered sinogram and the filter's product
-    held = rec.data.nbytes + 2 * sino.data.nbytes
+    rec, peak = traced_peak(lambda: fbp_reconstruct(sino, (96, 96), jobs=2))
+    # beyond the blocks of both workers: the output and the filtered sinogram
+    held = rec.data.nbytes + sino.data.nbytes
     assert peak - held <= BYTES_PER_TAP * (1 << 13) + (64 << 10)
 
 
@@ -470,7 +528,7 @@ def test_fbp_peak_does_not_grow_with_the_angle_count():
     for n_angles in (90, 180):
         sino = SinogramStack(np.ones((1, n_angles, 96), np.float32), 180.0 / n_angles)
         fbp_reconstruct(sino, (128, 128))
-        peaks.append(traced_peak(lambda: fbp_reconstruct(sino, (128, 128)))[1])
+        peaks.append(traced_peak(lambda: fbp_reconstruct(sino, (128, 128), jobs=2))[1])
     assert peaks[1] < 1.25 * peaks[0]
 
 
