@@ -18,7 +18,8 @@ import numpy as np
 from .config import ExperimentConfig, load_experiment_config, override
 from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, LabelVolume, ViewAxis, \
     extract_slice, load_volume, save_volume, worker_count
-from .errors import ConfigError, DataError, SchemaError, SpecError, TomosegError
+from .errors import ConfigError, DataError, SchemaError, SpecError, TomosegError, \
+    UsageError
 from .evaluate import evaluate_volumes, run_dose_ablation
 from .pgm import float_to_8bit, gray_to_8bit, label_to_8bit, write_pgm
 from .phantom import default_spec, spec_from_dict, spec_to_dict, split_cohort
@@ -170,8 +171,17 @@ def cmd_export_slices(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections, like every other bad input, end
+    with a JSON error line; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_fail(2, UsageError(f"{self.prog}: {message}")))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tomoseg",
         description="Synthetic micro-CT segmentation workflow: phantoms, "
                     "projection, FBP reconstruction, staged training, "

@@ -13,6 +13,10 @@ class ConfigError(TomosegError):
     """Invalid parameter value or parameter combination."""
 
 
+class UsageError(TomosegError):
+    """A command line the argument parser rejects."""
+
+
 class FormatError(TomosegError):
     """On-disk volume/sinogram data does not match its sidecar."""
 

@@ -13,40 +13,53 @@ train/predict surface a heavier slice model would have.
 Training follows a fixed sampling protocol: every ``slice_stride``-th
 axial slice participates, the selected slices are split once 70/30 into
 train/validation at the slice level, and each epoch draws one random tile
-per training slice.  The features of the selected slices are computed
-once per stack before the first epoch, after the split has shown that
-every class has training pixels.  Pixels within a tile are sampled with
-inverse class frequency weights (capped) so rare classes are not drowned
-out.  A tile's sampling table (its labelled pixels as rows of the
-feature matrix, their classes and the cumulative distribution of their
-weights) depends only on the slice and the tile origin, so a tile that
-spans its whole slice builds it once per ``train`` call.  Each Adam step
-then draws its batch by an inverse-CDF lookup that makes the same picks
-as ``Generator.choice`` and leaves the generator in the same state,
-gathers only the picked rows, and computes a loss whose per-row max and
-sum run column by column over the few classes, without ``axis=1``
-reductions.
+per training slice.  When the seeded split leaves a class without
+training pixels, validation slices holding it move to training, so a
+stage trains whenever any selected slice holds each of its classes.  The
+features of the selected slices are computed once per stack before the
+first epoch, after the split has shown that every class has training
+pixels.
+
+Pixels within a tile are sampled with inverse class frequency weights
+(capped) so rare classes are not drowned out.  A tile's table depends
+only on the slice and the tile origin, so a tile that spans its whole
+slice builds it once per ``train`` call.  A table with no more labelled
+pixels than the batch enters every step whole, as its own float64
+design matrix (features plus a bias column of ones), so its steps gather
+nothing.  A batch drawn from a larger table makes the same picks as
+``Generator.choice`` and leaves the generator in the same state: a kept
+table looks its uniforms up through a guide table of its cumulative
+distribution, a per-step table by a sorted ``searchsorted``.  The picked
+rows are gathered straight into one float64 batch buffer per ``train``
+call, whose bias column is set once.  The loss's per-row max and sum run
+column by column over the few classes, without ``axis=1`` reductions,
+and Adam updates its moments in place.
 
 Validation is gathered once per ``train`` call as well: the labelled
 pixels of the validation slices become one float64 (N, 9) matrix and one
-label vector.  Each epoch scores them with one affine map, an argmax over
-the logits and one confusion-matrix ``bincount``.  In validation and
-inference alike a pixel's label is the argmax of its logits, ties going
-to the lower index: the softmax is monotone, so no exponential is
-computed to find the most probable class.
+label vector.  Each epoch scores them with one affine map, a
+column-by-column argmax over the logits and one confusion-matrix
+``bincount``.  When the process may use more than one CPU and the matrix
+is large, epoch e is scored on one helper thread while epoch e+1 steps;
+the scores are read in order, and the thread ends with ``train``.  In
+validation and inference alike a pixel's label is the argmax of its
+logits, ties going to the lower index: the softmax is monotone, so no
+exponential is computed to find the most probable class.
 
 ``scipy.ndimage`` is imported inside ``stack_features``, its only user, so
 the CLI steps that never compute features do not load it.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ViewAxis, rng_for_seed, view_stack
+from .core import ViewAxis, rng_for_seed, view_stack, worker_count
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
 from .filters import _require_2d
 
@@ -59,6 +72,9 @@ _WEIGHT_CAP = 10.0
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+# Validation overlaps the next epoch's steps only over at least this many
+# pixels: a smaller set scores in less time than the thread hand-offs cost.
+_OVERLAP_ROWS = 1 << 15
 # Training hyperparameters used wherever none are given: SoftmaxModel,
 # ``tomoseg train``, an experiment config without a model section and a
 # model file without a hyperparameters section.
@@ -197,19 +213,23 @@ def softmax_loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray,
                           l2: float = 0.0) -> tuple[float, np.ndarray]:
     """Mean cross-entropy (+ L2 on non-bias weights) and its exact gradient.
 
-    x is (N, n_features), y holds class indices, weights is
-    (n_classes, n_features+1) with the bias in the last column.  The
-    per-row max and sum run column by column over the few classes instead
-    of as ``axis=1`` reductions, which numpy pays for per row; the results
-    are bit-identical to those reductions.
+    x is (N, n_features), or an (N, n_features+1) design matrix whose last
+    column holds ones (the form ``train`` passes, so no step copies its
+    batch), y holds class indices, and weights is (n_classes,
+    n_features+1) with the bias in the last column.  The per-row max and sum run column by column
+    over the few classes instead of as ``axis=1`` reductions, which numpy
+    pays for per row; the results are bit-identical to those reductions.
     """
     weights = np.asarray(weights, dtype=np.float64)
     x = np.asarray(x)
     y = np.asarray(y)
     n = x.shape[0]
-    xb = np.empty((n, x.shape[1] + 1))
-    xb[:, :-1] = x
-    xb[:, -1] = 1.0
+    if x.shape[1] == weights.shape[1]:
+        xb = np.asarray(x, dtype=np.float64)
+    else:
+        xb = np.empty((n, x.shape[1] + 1))
+        xb[:, :-1] = x
+        xb[:, -1] = 1.0
     logits = xb @ weights.T
     k = logits.shape[1]
     top = logits[:, 0].copy()
@@ -218,10 +238,12 @@ def softmax_loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray,
     logits -= top[:, None]
     log_z = np.log(_row_sums(np.exp(logits)))
     at_y = np.arange(n) * k + y  # flat index of each row's true-class logit
-    loss = float((log_z - logits.ravel()[at_y]).mean())
-    probs = np.exp(logits - log_z[:, None])
+    loss = float((log_z - logits.ravel()[at_y]).sum() / n)  # .mean()'s bits, without its overhead
+    logits -= log_z[:, None]
+    probs = np.exp(logits, out=logits)
     probs.ravel()[at_y] -= 1.0
-    grad = probs.T @ xb / n
+    grad = probs.T @ xb
+    grad /= n
     reg = weights.copy()
     reg[:, -1] = 0.0  # bias is not penalized
     loss += 0.5 * l2 * float((reg * reg).sum())
@@ -240,15 +262,45 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _tile_table(gt: np.ndarray, j: int, ti: int, tj: int, th: int, tw: int,
-                batch_size: int) -> tuple:
-    """Sampling table of the (th, tw) tile at (ti, tj) of slice ``j`` of an (n, h, w) stack.
+def _row_argmax(a: np.ndarray) -> np.ndarray:
+    """``a.argmax(axis=1)`` for finite ``a``, column by column: a later column
+    takes a row only with a strictly larger value, so ties keep the lower index."""
+    best = a[:, 0].copy()
+    idx = np.zeros(a.shape[0], dtype=np.intp)
+    larger = np.empty(a.shape[0], dtype=bool)
+    for c in range(1, a.shape[1]):
+        np.greater(a[:, c], best, out=larger)
+        np.copyto(idx, c, where=larger)
+        np.maximum(best, a[:, c], out=best)
+    return idx
 
-    ``gt`` holds class indices, -1 where a pixel is excluded.  Returns the
-    tile's labelled pixels in raster order as flat rows of the stack's
-    (n*h*w, 9) feature matrix, their class indices and, when a batch of
-    ``batch_size`` is drawn from them, the cumulative distribution of
-    their capped inverse class frequency weights (None otherwise).
+
+class _Table(NamedTuple):
+    """A tile's labelled pixels, ready for Adam steps.
+
+    ``y`` holds their class indices.  A table whose pixels all enter each
+    step holds their float64 design matrix ``x``; a table that a batch is
+    drawn from holds their flat ``rows`` of the stack's feature matrix, the
+    cumulative distribution ``cdf`` of their sampling weights and, when it
+    is kept for the whole ``train`` call, the ``guide`` of that cdf.
+    """
+
+    y: np.ndarray
+    x: np.ndarray = None
+    rows: np.ndarray = None
+    cdf: np.ndarray = None
+    guide: tuple = None
+
+
+def _tile_table(features: np.ndarray, gt: np.ndarray, j: int, ti: int, tj: int, th: int,
+                tw: int, batch_size: int) -> _Table:
+    """Table of the (th, tw) tile at (ti, tj) of slice ``j`` of an (n, h, w) stack.
+
+    ``features`` is the stack's (n*h*w, 9) feature matrix and ``gt`` holds
+    its class indices, -1 where a pixel is excluded.  The tile's labelled
+    pixels are taken in raster order.  When a batch of ``batch_size`` is
+    drawn from them, their sampling weights are the capped inverse class
+    frequencies; otherwise every one enters each step.
     """
     _, h, w = gt.shape
     y = gt[j, ti:ti + th, tj:tj + tw].ravel()
@@ -257,7 +309,7 @@ def _tile_table(gt: np.ndarray, j: int, ti: int, tj: int, th: int, tw: int,
     r, c = np.divmod(valid, tw)
     rows = (j * h + ti + r) * w + tj + c
     if not (batch_size and batch_size < y.size):
-        return rows, y, None
+        return _Table(y, x=_design(features, rows))
     freq = np.bincount(y).astype(np.float64)
     cls_w = np.zeros(freq.size)
     nz = freq > 0
@@ -266,7 +318,17 @@ def _tile_table(gt: np.ndarray, j: int, ti: int, tj: int, th: int, tw: int,
     p /= p.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return rows, y, cdf
+    return _Table(y, rows=rows, cdf=cdf)
+
+
+def _design(features: np.ndarray, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Float64 design matrix of the given rows of a feature matrix: the
+    features, then a bias column of ones (already set when ``out`` is given)."""
+    if out is None:
+        out = np.empty((rows.size, features.shape[1] + 1))
+        out[:, -1] = 1.0
+    out[:, :-1] = np.take(features, rows, axis=0)
+    return out
 
 
 def _choice(sampler: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
@@ -283,6 +345,64 @@ def _choice(sampler: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndar
     pick = np.empty(size, dtype=np.intp)
     pick[order] = cdf.searchsorted(u[order], side="right")
     return pick
+
+
+def _guide(cdf: np.ndarray) -> tuple:
+    """Guide table of a cumulative distribution that ends in 1, for ``_guided_choice``.
+
+    With M a power of two of at least twice the rows, ``g[k]`` counts the
+    cdf values <= k/M.  Returns (g as int32, M, the most rows any bucket
+    [k/M, (k+1)/M) adds).  Built in O(n + M): a value c is <= k/M exactly
+    when ceil(c M) <= k, and c M is exact.
+    """
+    m = 1 << (2 * cdf.size - 1).bit_length()
+    g = np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1)[:m].cumsum(dtype=np.int32)
+    return g, m, int(np.diff(g, append=cdf.size).max())
+
+
+def _guided_choice(sampler: np.random.Generator, cdf: np.ndarray, guide: tuple,
+                   size: int) -> np.ndarray:
+    """``_choice`` by the guide-table method (Chen & Asau, AIIE Trans. 1974).
+
+    A uniform u in [k/M, (k+1)/M) picks ``#{cdf <= u}`` like ``choice``:
+    the count starts at ``g[k]`` and steps past each following cdf value
+    <= u, at most as many steps as the bucket adds.  u M is exact, and
+    ``cdf[-1] = 1 > u`` stops every count inside the table.
+    """
+    g, m, steps = guide
+    u = sampler.random(size)
+    pick = g[(u * m).astype(np.intp)]
+    for _ in range(steps):
+        pick += cdf[pick] <= u
+    return pick
+
+
+class _Adam:
+    """Adam's moment estimates of one weight array, updated in place.
+
+    Each update rounds as ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g``
+    and ``w -= (lr m_hat) / (sqrt(v_hat) + eps)`` do, through two scratch arrays.
+    """
+
+    def __init__(self, weights: np.ndarray, learning_rate: float):
+        self.lr = learning_rate
+        self.steps = 0
+        self.m, self.v, self.a, self.b = (np.zeros_like(weights) for _ in range(4))
+
+    def step(self, weights: np.ndarray, grad: np.ndarray) -> None:
+        m, v, a, b = self.m, self.v, self.a, self.b
+        self.steps += 1
+        m *= _ADAM_BETA1
+        m += np.multiply(grad, 1 - _ADAM_BETA1, out=a)
+        v *= _ADAM_BETA2
+        np.multiply(grad, 1 - _ADAM_BETA2, out=a)
+        v += np.multiply(a, grad, out=a)
+        np.divide(m, 1 - _ADAM_BETA1 ** self.steps, out=a)  # m_hat
+        a *= self.lr
+        np.divide(v, 1 - _ADAM_BETA2 ** self.steps, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += _ADAM_EPS
+        weights -= np.divide(a, b, out=a)
 
 
 def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
@@ -314,74 +434,94 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
         id_to_idx[cid] = idx
     stride = proto.slice_stride
     gts = [id_to_idx[view_stack(lab.data, ViewAxis.XY)[::stride]] for _, lab in stacks]
-    pairs = [(s, j) for s, gt in enumerate(gts) for j in range(len(gt))]
-    rng = rng_for_seed(proto.seed, 101)
-    order = rng.permutation(len(pairs))
-    n_val = int(round(proto.val_fraction * len(pairs))) if len(pairs) > 1 else 0
-    val_pairs = [pairs[i] for i in order[:n_val]]
-    train_pairs = [pairs[i] for i in order[n_val:]]
-    if not train_pairs:
-        raise TrainingError("no training slices left after the validation split")
-
-    present = np.zeros(len(class_subset), dtype=np.int64)
-    for s, j in train_pairs:
-        gt_idx = gts[s][j]
-        present += np.bincount(gt_idx[gt_idx >= 0].ravel(), minlength=len(class_subset))
-    for idx, cid in enumerate(class_subset):
-        if present[idx] == 0:
-            raise TrainingError(f"class {cid} absent from all training labels")
+    train_pairs, val_pairs = _split(gts, proto, class_subset)
 
     feats = [stack_features(view_stack(gray.data, ViewAxis.XY)[::stride]) for gray, _ in stacks]
     val_x, val_y = _validation_set(feats, gts, val_pairs)
     feature_rows = [f.reshape(-1, N_FEATURES) for f in feats]
     tables = {}  # a tile that spans its slice always starts at (0, 0): one table per slice
+    batch = np.empty((model.batch_size, N_FEATURES + 1))  # the design matrix of drawn steps
+    batch[:, -1] = 1.0
     weights = model.weights.copy()
-    m = np.zeros_like(weights)
-    v = np.zeros_like(weights)
-    step = 0
+    adam = _Adam(weights, model.learning_rate)
     sampler = rng_for_seed(proto.seed, 202)
-    history = []
-    for epoch in range(model.epochs):
-        losses = []
-        for s, j in train_pairs:
-            _, h, w = gts[s].shape
-            th, tw = min(proto.tile_size, h), min(proto.tile_size, w)
-            for _ in range(proto.tiles_per_slice_per_epoch):
-                ti = int(sampler.integers(0, h - th + 1))
-                tj = int(sampler.integers(0, w - tw + 1))
-                if (th, tw) != (h, w):
-                    table = _tile_table(gts[s], j, ti, tj, th, tw, model.batch_size)
-                elif (s, j) in tables:
-                    table = tables[s, j]
-                else:
-                    table = tables[s, j] = _tile_table(gts[s], j, 0, 0, h, w,
-                                                       model.batch_size)
-                rows, y, cdf = table
-                if rows.size == 0:
-                    continue
-                if cdf is not None:
-                    pick = _choice(sampler, cdf, model.batch_size)
-                    rows, y = rows[pick], y[pick]
-                loss, grad = softmax_loss_and_grad(weights, feature_rows[s][rows], y, model.l2)
-                step += 1
-                m *= _ADAM_BETA1
-                m += (1 - _ADAM_BETA1) * grad
-                v *= _ADAM_BETA2
-                v += (1 - _ADAM_BETA2) * grad * grad
-                m_hat = m / (1 - _ADAM_BETA1 ** step)
-                v_hat = v / (1 - _ADAM_BETA2 ** step)
-                weights -= model.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-                losses.append(loss)
-        fitted = replace(model, weights=weights.copy(),
-                         metadata={**model.metadata, "trained_epochs": epoch + 1})
-        history.append({
-            "epoch": epoch + 1,
-            "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_iou": _validation_iou(fitted, val_x, val_y),
-        })
+    overlap = worker_count(None) > 1 and np.size(val_y) >= _OVERLAP_ROWS
+    history, scores = [], []
+    with ThreadPoolExecutor(1) as validator:
+        for epoch in range(model.epochs):
+            losses = []
+            for s, j in train_pairs:
+                _, h, w = gts[s].shape
+                th, tw = min(proto.tile_size, h), min(proto.tile_size, w)
+                for _ in range(proto.tiles_per_slice_per_epoch):
+                    ti = int(sampler.integers(0, h - th + 1))
+                    tj = int(sampler.integers(0, w - tw + 1))
+                    if (th, tw) != (h, w) or not model.batch_size:
+                        # batch_size 0 feeds whole slices: their design matrices are not kept
+                        table = _tile_table(feature_rows[s], gts[s], j, ti, tj, th, tw,
+                                            model.batch_size)
+                    elif (s, j) in tables:
+                        table = tables[s, j]
+                    else:
+                        table = _tile_table(feature_rows[s], gts[s], j, 0, 0, h, w,
+                                            model.batch_size)
+                        if table.cdf is not None:
+                            table = table._replace(guide=_guide(table.cdf))
+                        tables[s, j] = table
+                    if table.y.size == 0:
+                        continue
+                    if table.cdf is None:
+                        x, y = table.x, table.y
+                    else:
+                        pick = (_choice(sampler, table.cdf, model.batch_size)
+                                if table.guide is None else
+                                _guided_choice(sampler, table.cdf, table.guide, model.batch_size))
+                        x = _design(feature_rows[s], table.rows[pick], out=batch)
+                        y = table.y[pick]
+                    loss, grad = softmax_loss_and_grad(weights, x, y, model.l2)
+                    adam.step(weights, grad)
+                    losses.append(loss)
+            fitted = replace(model, weights=weights.copy(),
+                             metadata={**model.metadata, "trained_epochs": epoch + 1})
+            history.append({
+                "epoch": epoch + 1,
+                "train_loss": float(np.mean(losses)) if losses else float("nan"),
+                "val_iou": None,
+            })
+            scores.append(validator.submit(_validation_iou, fitted, val_x, val_y) if overlap
+                          else _validation_iou(fitted, val_x, val_y))
+        for record, score in zip(history, scores):
+            record["val_iou"] = score.result() if overlap else score
     if model.epochs == 0:
         return replace(model, weights=weights.copy()), history
     return fitted, history
+
+
+def _split(gts, proto: TrainProtocol, class_subset: tuple) -> tuple[list, list]:
+    """The seeded slice split into training and validation (slice index pairs).
+
+    The permuted slices' first ``round(val_fraction * n)`` validate.  When
+    that leaves a class without training pixels, the last-drawn
+    validation slice holding it moves to the head of the training slices;
+    a class no selected slice holds raises ``TrainingError``.
+    """
+    pairs = [(s, j) for s, gt in enumerate(gts) for j in range(len(gt))]
+    order = rng_for_seed(proto.seed, 101).permutation(len(pairs))
+    n_val = int(round(proto.val_fraction * len(pairs))) if len(pairs) > 1 else 0
+    val, fit = [pairs[i] for i in order[:n_val]], [pairs[i] for i in order[n_val:]]
+    if not fit:
+        raise TrainingError("no training slices left after the validation split")
+    k = len(class_subset)
+    held = {(s, j): np.bincount(gts[s][j][gts[s][j] >= 0], minlength=k) > 0 for s, j in pairs}
+    for idx, cid in enumerate(class_subset):
+        if any(held[pair][idx] for pair in fit):
+            continue
+        holders = [pair for pair in val if held[pair][idx]]
+        if not holders:
+            raise TrainingError(f"class {cid} absent from all training labels")
+        val.remove(holders[-1])
+        fit.insert(0, holders[-1])
+    return fit, val
 
 
 def _validation_set(feats, gts, val_pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -397,7 +537,7 @@ def _validation_set(feats, gts, val_pairs) -> tuple[np.ndarray, np.ndarray]:
 def _validation_iou(model: SoftmaxModel, val_x: np.ndarray, val_y: np.ndarray) -> float:
     """Macro IoU over the classes present in ``val_y``; NaN when none is."""
     k = model.n_classes
-    pred = model.predict_index(val_x)
+    pred = _row_argmax(model.logits(val_x))  # the logits are finite: ``logits`` checks weights
     confusion = np.bincount(val_y * k + pred, minlength=k * k).reshape(k, k)
     inter = np.diag(confusion)
     gt_count = confusion.sum(axis=1)

@@ -259,6 +259,40 @@ def test_train_stage_without_its_class_exits_4_before_the_feature_bank(tmp_path,
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("argv,usage", [
+    (["infer", "--input", "g.vol", "--models", "a", "b", "c", "--out", "s.vol", "--jobs", "abc"],
+     "usage: tomoseg infer"),
+    (["project", "--input", "a.vol", "--out", "s.sino", "--angles", "x", "--step", "1",
+      "--bins", "8"], "usage: tomoseg project"),
+    (["project", "--input", "a.vol", "--out", "s.sino"], "usage: tomoseg project"),
+    (["tomograph"], "usage: tomoseg"),
+], ids=["bad_int", "bad_int_required_flag", "missing_required_flags", "unknown_subcommand"])
+def test_rejected_arguments_exit_2_with_usage_and_a_json_line(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    line = expect_error(2, err.strip().splitlines()[-1], 2, "UsageError")
+    assert line["message"].startswith(usage.removeprefix("usage: ") + ": ")
+
+
+def test_train_keeps_the_stage_class_that_the_seeded_split_would_leave_out(tmp_path, capsys):
+    """With --seed 34 the 70/30 split of this phantom's slices puts every stage-2 target
+    slice in validation; one of them moves to training, and the stage trains."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_dict(default_spec(n=48, seed=34))))
+    assert run("phantom", "--spec", spec, "--out", tmp_path / "ph") == 0
+    assert run("project", "--input", tmp_path / "ph/atten_000.vol", "--out", tmp_path / "s.sino",
+               "--angles", 60, "--step", 3, "--bins", 80) == 0
+    assert run("reconstruct", "--input", tmp_path / "s.sino", "--out", tmp_path / "recon.vol",
+               "--size", 48, 48) == 0
+    assert run("train", "--stage", 2, "--gray", tmp_path / "recon.vol",
+               "--labels", tmp_path / "ph/gt_000.vol", "--out", tmp_path / "m2.json",
+               "--epochs", 2, "--seed", 34) == 0
+    assert json.loads((tmp_path / "m2.json").read_text())["class_subset"] == [0, 1]
+
+
 @pytest.mark.parametrize("text", ["{\"dims\": [48, 48,", "[48, 48, 48]", "{\"dims\": \"abc\"}"],
                          ids=["malformed_json", "not_an_object", "dims_not_numbers"])
 def test_bad_phantom_spec_exits_2(tmp_path, capsys, text):

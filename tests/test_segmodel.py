@@ -1,6 +1,7 @@
 """Feature bank, softmax gradient, training protocol, and prediction tests."""
 
 import json
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -302,34 +303,78 @@ class TestGradient:
             if trial % 2:
                 x = x.astype(np.float32)  # the dtype train() passes
             y = rng.integers(0, k, size=n)
-            loss, grad = softmax_loss_and_grad(w, x, y, l2=1e-4)
             want_loss, want_grad = reference_loss_and_grad(w, x, y, l2=1e-4)
-            assert loss == want_loss
-            assert np.array_equal(grad, want_grad)
+            design = np.concatenate([x, np.ones((n, 1))], axis=1, dtype=np.float64)
+            for given_x in (x, design):  # the design matrix train() passes gives the same bits
+                loss, grad = softmax_loss_and_grad(w, given_x, y, l2=1e-4)
+                assert loss == want_loss
+                assert np.array_equal(grad, want_grad)
 
 
 def generator_state(gen):
     return json.dumps(gen.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
 
 
+def guided_choice(gen, cdf, size):
+    """The guide-table sampler with the guide train() keeps for a whole-slice table."""
+    return segmodel._guided_choice(gen, cdf, segmodel._guide(cdf), size)
+
+
+SAMPLERS = (segmodel._choice, guided_choice)
+
+
+def assert_samples_like_generator_choice(p, size, seed):
+    """Each sampler, given the cdf numpy builds from p, makes Generator.choice's
+    picks and leaves the generator in the same state."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    want_gen = rng_for_seed(seed, 202)
+    want = want_gen.choice(p.size, size=size, replace=True, p=p)
+    for sampler in SAMPLERS:
+        got_gen = rng_for_seed(seed, 202)
+        got = sampler(got_gen, cdf, size)
+        assert np.array_equal(got, want)
+        assert generator_state(got_gen) == generator_state(want_gen)
+
+
 class TestChoice:
-    """The sorted-key inverse-CDF sampler against Generator.choice."""
+    """The sorted-key and guide-table inverse-CDF samplers against Generator.choice."""
 
     @settings(max_examples=200, deadline=None)
-    @given(class_w=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+    @given(class_w=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1,
+                            max_size=6),
            size=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_same_picks_and_state_as_generator_choice(self, class_w, size, seed, data):
         n = data.draw(st.integers(1, 400), label="n")  # size > n happens as well
         y = data.draw(arrays(np.int64, n, elements=st.integers(0, len(class_w) - 1)))
         p = np.asarray(class_w)[y]
-        p /= p.sum()
-        cdf = p.cumsum()
+        if not p.any():
+            p[0] = 1.0
+        p /= p.sum()  # a zero weight repeats a cdf value
+        assert_samples_like_generator_choice(p, size, seed)
+
+    @pytest.mark.parametrize("p", [
+        [1.0],
+        [0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0],
+        [0.0] * 40 + [1.0] + [0.0] * 40 + [3.0] + [0.0] * 40,
+        [1e-9] * 300 + [1.0],
+    ], ids=["single_row", "leading_zeros", "trailing_zeros", "long_runs", "one_heavy_row"])
+    def test_single_rows_and_repeated_cdf_values(self, p):
+        p = np.asarray(p)
+        assert_samples_like_generator_choice(p / p.sum(), 500, 17)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=arrays(np.float64, st.integers(1, 300),
+                          elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3))))
+    def test_guide_counts_the_cdf_values_up_to_each_bucket_start(self, weights):
+        weights[-1] = 1.0
+        cdf = weights.cumsum()
         cdf /= cdf[-1]
-        want_gen, got_gen = rng_for_seed(seed, 202), rng_for_seed(seed, 202)
-        want = want_gen.choice(n, size=size, replace=True, p=p)
-        got = segmodel._choice(got_gen, cdf, size)
-        assert np.array_equal(got, want)
-        assert generator_state(got_gen) == generator_state(want_gen)
+        g, m, steps = segmodel._guide(cdf)
+        assert g.dtype == np.int32 and 2 * cdf.size <= m < 4 * cdf.size and m & (m - 1) == 0
+        assert np.array_equal(g, cdf.searchsorted(np.arange(m) / m, side="right"))
+        assert steps == np.diff(g, append=cdf.size).max()
 
     def test_uniform_on_a_cdf_step_picks_as_generator_choice(self):
         p = np.full(256, 1 / 256)
@@ -337,8 +382,9 @@ class TestChoice:
         cdf /= cdf[-1]
         assert set(TIED_UNIFORMS) <= set(cdf)
         want = tied_sampler(0, 202).choice(256, size=8, replace=True, p=p)
-        got = segmodel._choice(tied_sampler(0, 202), cdf, 8)
-        assert np.array_equal(got, want)
+        for sampler in SAMPLERS:
+            got = sampler(tied_sampler(0, 202), cdf, 8)
+            assert np.array_equal(got, want)
         assert want[:4].tolist() == [128, 64, 192, 32]  # the first pixel past each step
 
 
@@ -635,6 +681,143 @@ class TestValidationMatchesPerSliceReference:
         assert val_slices == []
         assert_same_training(got, want)
         assert all(np.isnan(h["val_iou"]) for h in got[1])
+
+
+class TestRowArgmax:
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 6), data=st.data())
+    def test_equals_argmax_ties_to_the_lower_index(self, k, data):
+        values = st.sampled_from([-2.0, -0.0, 0.0, 1.5, 3.0])  # few values: many ties
+        a = data.draw(arrays(np.float64, (data.draw(st.integers(0, 40)), k),
+                             elements=st.one_of(values, _FINITE)))
+        assert np.array_equal(segmodel._row_argmax(a), a.argmax(axis=1))
+
+
+def overlapped(monkeypatch, on: bool):
+    """Let train() score each epoch on the helper thread (``on``) or inline."""
+    monkeypatch.setattr(segmodel, "worker_count", lambda jobs=None: 2 if on else 1)
+    if on:  # the test stacks' few hundred validation pixels would stay inline
+        monkeypatch.setattr(segmodel, "_OVERLAP_ROWS", 0)
+
+
+def record_validation_threads(monkeypatch) -> list:
+    threads = []
+    score = segmodel._validation_iou
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return score(*args)
+
+    monkeypatch.setattr(segmodel, "_validation_iou", recorded)
+    return threads
+
+
+class TestOverlappedValidation:
+    """Epoch e is scored on a helper thread while epoch e+1 steps."""
+
+    MODEL = SoftmaxModel(class_subset=(0, 1, 2, 3), learning_rate=0.05, epochs=6,
+                         batch_size=256)
+    PROTO = TrainProtocol(tile_size=16, slice_stride=1, seed=3)
+
+    def stacks(self):
+        vol, lab = blocky_stack(4)
+        return [(gray(vol), labels(lab))]
+
+    def test_histories_equal_inline_and_overlapped(self, monkeypatch):
+        threads = record_validation_threads(monkeypatch)
+        overlapped(monkeypatch, False)
+        inline = train(self.MODEL, self.stacks(), self.PROTO)
+        assert threads == [threading.main_thread()] * 6
+        overlapped(monkeypatch, True)
+        threads.clear()
+        got = train(self.MODEL, self.stacks(), self.PROTO)
+        assert len(threads) == 6 and threading.main_thread() not in threads
+        assert_same_training(got, inline)
+        assert [h["epoch"] for h in got[1]] == [1, 2, 3, 4, 5, 6]
+
+    def test_small_validation_sets_or_one_cpu_stay_inline(self, monkeypatch):
+        threads = record_validation_threads(monkeypatch)
+        monkeypatch.setattr(segmodel, "worker_count", lambda jobs=None: 2)
+        train(self.MODEL, self.stacks(), self.PROTO)  # a few hundred validation pixels
+        monkeypatch.setattr(segmodel, "worker_count", lambda jobs=None: 1)
+        monkeypatch.setattr(segmodel, "_OVERLAP_ROWS", 0)
+        train(self.MODEL, self.stacks(), self.PROTO)
+        assert threads == [threading.main_thread()] * 12
+
+    def test_a_step_that_raises_mid_epoch_leaves_no_thread(self, monkeypatch):
+        overlapped(monkeypatch, True)
+        threads = record_validation_threads(monkeypatch)
+        steps = []
+
+        def failing(*args):
+            steps.append(1)
+            if len(steps) == 30:  # epoch 4 of 8 steps each
+                raise RuntimeError("step failed")
+            return softmax_loss_and_grad(*args)
+
+        monkeypatch.setattr(segmodel, "softmax_loss_and_grad", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="step failed"):
+            train(self.MODEL, self.stacks(), self.PROTO)
+        assert threading.active_count() == before
+        assert len(threads) == 3  # the three finished epochs were scored
+
+    def test_a_failing_validation_raises_from_train(self, monkeypatch):
+        overlapped(monkeypatch, True)
+
+        def failing(*_):
+            raise ModelError("model weights are not finite")
+
+        monkeypatch.setattr(segmodel, "_validation_iou", failing)
+        before = threading.active_count()
+        with pytest.raises(ModelError):
+            train(self.MODEL, self.stacks(), self.PROTO)
+        assert threading.active_count() == before
+
+
+def plain_split(n_pairs, proto):
+    """The seeded 70/30 split as first written: permutation order, cut at round(0.3 n)."""
+    order = rng_for_seed(proto.seed, 101).permutation(n_pairs)
+    n_val = int(round(proto.val_fraction * n_pairs))
+    return order[n_val:].tolist(), order[:n_val].tolist()
+
+
+class TestClassKeepingSplit:
+    def test_a_split_that_keeps_every_class_is_the_seeded_split(self):
+        _, lab = blocky_stack(3, nz=10, seed=26)
+        proto = TrainProtocol(slice_stride=1, seed=5)
+        fit, val = segmodel._split([lab.astype(np.int64)], proto, (0, 1, 2))
+        want_fit, want_val = plain_split(10, proto)
+        assert [j for _, j in fit] == want_fit and [j for _, j in val] == want_val
+
+    def test_validation_slices_move_until_every_class_trains(self):
+        proto = TrainProtocol(slice_stride=1, seed=5)
+        want_fit, want_val = plain_split(10, proto)
+        gt = np.zeros((10, 8, 8), dtype=np.int64)
+        gt[want_val[0], :2] = 1  # class 1 only on the first-drawn validation slice
+        gt[want_val[1:], 4:] = 2  # class 2 only on the other validation slices
+        gt[:, 0, 0] = -1  # excluded pixels hold no class
+        fit, val = segmodel._split([gt], proto, (0, 1, 2))
+        # class 1 takes its only slice; class 2 the last-drawn slice that holds it
+        assert [j for _, j in fit] == [want_val[-1], want_val[0]] + want_fit
+        assert [j for _, j in val] == want_val[1:-1]
+
+    def test_training_on_the_moved_split(self):
+        vol, lab = blocky_stack(2, nz=10, seed=27)
+        proto = TrainProtocol(tile_size=16, slice_stride=1, seed=5)
+        _, want_val = plain_split(10, proto)
+        lab[:] = 0
+        vol[:] = 9000
+        lab[want_val[0], 8:16, 8:16] = 1
+        vol[want_val[0], 8:16, 8:16] = 60000
+        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=3, batch_size=64)
+        fitted, history = train(model, [(gray(vol), labels(lab))], proto)
+        assert len(history) == 3 and np.isfinite(fitted.weights).all()
+
+    def test_a_class_no_selected_slice_holds_still_raises(self):
+        gt = np.zeros((4, 8, 8), dtype=np.int64)
+        with pytest.raises(TrainingError, match="class 1 absent"):
+            segmodel._split([gt], TrainProtocol(slice_stride=1), (0, 1))
 
 
 def checker_stack(nz=6, n=16, seed=31):
