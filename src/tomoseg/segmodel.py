@@ -26,25 +26,25 @@ only on the slice and the tile origin, so a tile that spans its whole
 slice builds it once per ``train`` call.  A table with no more labelled
 pixels than the batch enters every step whole, as its own float64
 design matrix (features plus a bias column of ones), so its steps gather
-nothing.  A batch drawn from a larger table makes the same picks as
-``Generator.choice`` and leaves the generator in the same state: a kept
-table looks its uniforms up through a guide table of its cumulative
-distribution, a per-step table by a sorted ``searchsorted``.  The picked
-rows are gathered straight into one float64 batch buffer per ``train``
-call, whose bias column is set once.  The loss's per-row max and sum run
-column by column over the few classes, without ``axis=1`` reductions,
-and Adam updates its moments in place.
+nothing.  A batch drawn from a larger table looks its uniforms up in
+the table's cumulative distribution in sorted order, which makes the
+same picks as ``Generator.choice`` and leaves the generator in the same
+state.  The picked rows are gathered straight into one float64 batch
+buffer per ``train`` call, whose bias column is set once.  The loss's
+per-row max and sum run column by column over the few classes, without
+``axis=1`` reductions, and Adam updates its moments in place.
 
 Validation is gathered once per ``train`` call as well: the labelled
 pixels of the validation slices become one float64 (N, 9) matrix and one
-label vector.  Each epoch scores them with one affine map, a
-column-by-column argmax over the logits and one confusion-matrix
-``bincount``.  When the process may use more than one CPU and the matrix
-is large, epoch e is scored on one helper thread while epoch e+1 steps;
-the scores are read in order, and the thread ends with ``train``.  In
-validation and inference alike a pixel's label is the argmax of its
-logits, ties going to the lower index: the softmax is monotone, so no
-exponential is computed to find the most probable class.
+label vector.  Each epoch scores them with one affine map, an argmax over
+the logits and one confusion-matrix ``bincount``.  When the matrix is
+large, epoch e is scored on one helper thread while epoch e+1 steps;
+epoch e's score is read before epoch e+1's is submitted, so a failed
+score stops training one epoch later, and the thread ends with
+``train``.  In validation and inference alike a pixel's label is the
+argmax of its logits (``SoftmaxModel.predict_index``), ties going to the
+lower index: the softmax is monotone, so no exponential is computed to
+find the most probable class.
 
 ``scipy.ndimage`` is imported inside ``stack_features``, its only user, so
 the CLI steps that never compute features do not load it.
@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ViewAxis, rng_for_seed, view_stack, worker_count
+from .core import ViewAxis, rng_for_seed, view_stack
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
 from .filters import _require_2d
 
@@ -74,6 +74,8 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 # Validation overlaps the next epoch's steps only over at least this many
 # pixels: a smaller set scores in less time than the thread hand-offs cost.
+# The cutoff lies between the measured validation sets of 11.5k pixels
+# (slower overlapped) and 53k pixels (faster); it was not measured itself.
 _OVERLAP_ROWS = 1 << 15
 # Training hyperparameters used wherever none are given: SoftmaxModel,
 # ``tomoseg train``, an experiment config without a model section and a
@@ -210,13 +212,14 @@ class TrainProtocol:
 
 
 def softmax_loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray,
-                          l2: float = 0.0) -> tuple[float, np.ndarray]:
+                          l2: float = 0.0, *, design: bool = False) -> tuple[float, np.ndarray]:
     """Mean cross-entropy (+ L2 on non-bias weights) and its exact gradient.
 
-    x is (N, n_features), or an (N, n_features+1) design matrix whose last
-    column holds ones (the form ``train`` passes, so no step copies its
-    batch), y holds class indices, and weights is (n_classes,
-    n_features+1) with the bias in the last column.  The per-row max and sum run column by column
+    x is (N, n_features), y holds class indices, weights is
+    (n_classes, n_features+1) with the bias in the last column.  With
+    ``design``, x is instead the (N, n_features+1) float64 design matrix
+    whose last column holds ones, the form ``train`` passes so that no
+    step copies its batch.  The per-row max and sum run column by column
     over the few classes instead of as ``axis=1`` reductions, which numpy
     pays for per row; the results are bit-identical to those reductions.
     """
@@ -224,10 +227,14 @@ def softmax_loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray,
     x = np.asarray(x)
     y = np.asarray(y)
     n = x.shape[0]
-    if x.shape[1] == weights.shape[1]:
+    columns = weights.shape[1] - (0 if design else 1)
+    if x.ndim != 2 or x.shape[1] != columns:
+        raise ShapeError(f"expected {'a design' if design else 'a feature'} matrix of "
+                         f"{columns} columns, got shape {x.shape}")
+    if design:
         xb = np.asarray(x, dtype=np.float64)
     else:
-        xb = np.empty((n, x.shape[1] + 1))
+        xb = np.empty((n, columns + 1))
         xb[:, :-1] = x
         xb[:, -1] = 1.0
     logits = xb @ weights.T
@@ -262,34 +269,19 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _row_argmax(a: np.ndarray) -> np.ndarray:
-    """``a.argmax(axis=1)`` for finite ``a``, column by column: a later column
-    takes a row only with a strictly larger value, so ties keep the lower index."""
-    best = a[:, 0].copy()
-    idx = np.zeros(a.shape[0], dtype=np.intp)
-    larger = np.empty(a.shape[0], dtype=bool)
-    for c in range(1, a.shape[1]):
-        np.greater(a[:, c], best, out=larger)
-        np.copyto(idx, c, where=larger)
-        np.maximum(best, a[:, c], out=best)
-    return idx
-
-
 class _Table(NamedTuple):
     """A tile's labelled pixels, ready for Adam steps.
 
     ``y`` holds their class indices.  A table whose pixels all enter each
     step holds their float64 design matrix ``x``; a table that a batch is
-    drawn from holds their flat ``rows`` of the stack's feature matrix, the
-    cumulative distribution ``cdf`` of their sampling weights and, when it
-    is kept for the whole ``train`` call, the ``guide`` of that cdf.
+    drawn from holds their flat ``rows`` of the stack's feature matrix and
+    the cumulative distribution ``cdf`` of their sampling weights.
     """
 
     y: np.ndarray
     x: np.ndarray = None
     rows: np.ndarray = None
     cdf: np.ndarray = None
-    guide: tuple = None
 
 
 def _tile_table(features: np.ndarray, gt: np.ndarray, j: int, ti: int, tj: int, th: int,
@@ -344,36 +336,6 @@ def _choice(sampler: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndar
     order = u.argsort()
     pick = np.empty(size, dtype=np.intp)
     pick[order] = cdf.searchsorted(u[order], side="right")
-    return pick
-
-
-def _guide(cdf: np.ndarray) -> tuple:
-    """Guide table of a cumulative distribution that ends in 1, for ``_guided_choice``.
-
-    With M a power of two of at least twice the rows, ``g[k]`` counts the
-    cdf values <= k/M.  Returns (g as int32, M, the most rows any bucket
-    [k/M, (k+1)/M) adds).  Built in O(n + M): a value c is <= k/M exactly
-    when ceil(c M) <= k, and c M is exact.
-    """
-    m = 1 << (2 * cdf.size - 1).bit_length()
-    g = np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1)[:m].cumsum(dtype=np.int32)
-    return g, m, int(np.diff(g, append=cdf.size).max())
-
-
-def _guided_choice(sampler: np.random.Generator, cdf: np.ndarray, guide: tuple,
-                   size: int) -> np.ndarray:
-    """``_choice`` by the guide-table method (Chen & Asau, AIIE Trans. 1974).
-
-    A uniform u in [k/M, (k+1)/M) picks ``#{cdf <= u}`` like ``choice``:
-    the count starts at ``g[k]`` and steps past each following cdf value
-    <= u, at most as many steps as the bucket adds.  u M is exact, and
-    ``cdf[-1] = 1 > u`` stops every count inside the table.
-    """
-    g, m, steps = guide
-    u = sampler.random(size)
-    pick = g[(u * m).astype(np.intp)]
-    for _ in range(steps):
-        pick += cdf[pick] <= u
     return pick
 
 
@@ -445,8 +407,8 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
     weights = model.weights.copy()
     adam = _Adam(weights, model.learning_rate)
     sampler = rng_for_seed(proto.seed, 202)
-    overlap = worker_count(None) > 1 and np.size(val_y) >= _OVERLAP_ROWS
-    history, scores = [], []
+    overlap = np.size(val_y) >= _OVERLAP_ROWS
+    history = []
     with ThreadPoolExecutor(1) as validator:
         for epoch in range(model.epochs):
             losses = []
@@ -463,22 +425,17 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
                     elif (s, j) in tables:
                         table = tables[s, j]
                     else:
-                        table = _tile_table(feature_rows[s], gts[s], j, 0, 0, h, w,
-                                            model.batch_size)
-                        if table.cdf is not None:
-                            table = table._replace(guide=_guide(table.cdf))
-                        tables[s, j] = table
+                        table = tables[s, j] = _tile_table(feature_rows[s], gts[s], j, 0, 0,
+                                                           h, w, model.batch_size)
                     if table.y.size == 0:
                         continue
                     if table.cdf is None:
                         x, y = table.x, table.y
                     else:
-                        pick = (_choice(sampler, table.cdf, model.batch_size)
-                                if table.guide is None else
-                                _guided_choice(sampler, table.cdf, table.guide, model.batch_size))
+                        pick = _choice(sampler, table.cdf, model.batch_size)
                         x = _design(feature_rows[s], table.rows[pick], out=batch)
                         y = table.y[pick]
-                    loss, grad = softmax_loss_and_grad(weights, x, y, model.l2)
+                    loss, grad = softmax_loss_and_grad(weights, x, y, model.l2, design=True)
                     adam.step(weights, grad)
                     losses.append(loss)
             fitted = replace(model, weights=weights.copy(),
@@ -488,10 +445,14 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
                 "train_loss": float(np.mean(losses)) if losses else float("nan"),
                 "val_iou": None,
             })
-            scores.append(validator.submit(_validation_iou, fitted, val_x, val_y) if overlap
-                          else _validation_iou(fitted, val_x, val_y))
-        for record, score in zip(history, scores):
-            record["val_iou"] = score.result() if overlap else score
+            if not overlap:
+                history[-1]["val_iou"] = _validation_iou(fitted, val_x, val_y)
+                continue
+            if epoch:  # one score in flight at most: a failed one stops training here
+                history[-2]["val_iou"] = scoring.result()
+            scoring = validator.submit(_validation_iou, fitted, val_x, val_y)
+        if overlap and history:
+            history[-1]["val_iou"] = scoring.result()
     if model.epochs == 0:
         return replace(model, weights=weights.copy()), history
     return fitted, history
@@ -537,7 +498,7 @@ def _validation_set(feats, gts, val_pairs) -> tuple[np.ndarray, np.ndarray]:
 def _validation_iou(model: SoftmaxModel, val_x: np.ndarray, val_y: np.ndarray) -> float:
     """Macro IoU over the classes present in ``val_y``; NaN when none is."""
     k = model.n_classes
-    pred = _row_argmax(model.logits(val_x))  # the logits are finite: ``logits`` checks weights
+    pred = model.predict_index(val_x)
     confusion = np.bincount(val_y * k + pred, minlength=k * k).reshape(k, k)
     inter = np.diag(confusion)
     gt_count = confusion.sum(axis=1)

@@ -306,39 +306,39 @@ class TestGradient:
             want_loss, want_grad = reference_loss_and_grad(w, x, y, l2=1e-4)
             design = np.concatenate([x, np.ones((n, 1))], axis=1, dtype=np.float64)
             for given_x in (x, design):  # the design matrix train() passes gives the same bits
-                loss, grad = softmax_loss_and_grad(w, given_x, y, l2=1e-4)
+                loss, grad = softmax_loss_and_grad(w, given_x, y, l2=1e-4,
+                                                   design=given_x is design)
                 assert loss == want_loss
                 assert np.array_equal(grad, want_grad)
+
+    def test_rejects_a_matrix_of_the_other_form(self):
+        w = np.zeros((3, N_FEATURES + 1))
+        y = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ShapeError, match="feature matrix of 9 columns"):
+            softmax_loss_and_grad(w, np.ones((4, N_FEATURES + 1)), y)
+        with pytest.raises(ShapeError, match="design matrix of 10 columns"):
+            softmax_loss_and_grad(w, np.ones((4, N_FEATURES)), y, design=True)
 
 
 def generator_state(gen):
     return json.dumps(gen.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
 
 
-def guided_choice(gen, cdf, size):
-    """The guide-table sampler with the guide train() keeps for a whole-slice table."""
-    return segmodel._guided_choice(gen, cdf, segmodel._guide(cdf), size)
-
-
-SAMPLERS = (segmodel._choice, guided_choice)
-
-
 def assert_samples_like_generator_choice(p, size, seed):
-    """Each sampler, given the cdf numpy builds from p, makes Generator.choice's
+    """Given the cdf numpy builds from p, the sampler makes Generator.choice's
     picks and leaves the generator in the same state."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     want_gen = rng_for_seed(seed, 202)
     want = want_gen.choice(p.size, size=size, replace=True, p=p)
-    for sampler in SAMPLERS:
-        got_gen = rng_for_seed(seed, 202)
-        got = sampler(got_gen, cdf, size)
-        assert np.array_equal(got, want)
-        assert generator_state(got_gen) == generator_state(want_gen)
+    got_gen = rng_for_seed(seed, 202)
+    got = segmodel._choice(got_gen, cdf, size)
+    assert np.array_equal(got, want)
+    assert generator_state(got_gen) == generator_state(want_gen)
 
 
 class TestChoice:
-    """The sorted-key and guide-table inverse-CDF samplers against Generator.choice."""
+    """The sorted-key inverse-CDF sampler against Generator.choice."""
 
     @settings(max_examples=200, deadline=None)
     @given(class_w=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1,
@@ -364,27 +364,14 @@ class TestChoice:
         p = np.asarray(p)
         assert_samples_like_generator_choice(p / p.sum(), 500, 17)
 
-    @settings(max_examples=100, deadline=None)
-    @given(weights=arrays(np.float64, st.integers(1, 300),
-                          elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3))))
-    def test_guide_counts_the_cdf_values_up_to_each_bucket_start(self, weights):
-        weights[-1] = 1.0
-        cdf = weights.cumsum()
-        cdf /= cdf[-1]
-        g, m, steps = segmodel._guide(cdf)
-        assert g.dtype == np.int32 and 2 * cdf.size <= m < 4 * cdf.size and m & (m - 1) == 0
-        assert np.array_equal(g, cdf.searchsorted(np.arange(m) / m, side="right"))
-        assert steps == np.diff(g, append=cdf.size).max()
-
     def test_uniform_on_a_cdf_step_picks_as_generator_choice(self):
         p = np.full(256, 1 / 256)
         cdf = p.cumsum()
         cdf /= cdf[-1]
         assert set(TIED_UNIFORMS) <= set(cdf)
         want = tied_sampler(0, 202).choice(256, size=8, replace=True, p=p)
-        for sampler in SAMPLERS:
-            got = sampler(tied_sampler(0, 202), cdf, 8)
-            assert np.array_equal(got, want)
+        got = segmodel._choice(tied_sampler(0, 202), cdf, 8)
+        assert np.array_equal(got, want)
         assert want[:4].tolist() == [128, 64, 192, 32]  # the first pixel past each step
 
 
@@ -683,21 +670,10 @@ class TestValidationMatchesPerSliceReference:
         assert all(np.isnan(h["val_iou"]) for h in got[1])
 
 
-class TestRowArgmax:
-    @settings(max_examples=200, deadline=None)
-    @given(k=st.integers(1, 6), data=st.data())
-    def test_equals_argmax_ties_to_the_lower_index(self, k, data):
-        values = st.sampled_from([-2.0, -0.0, 0.0, 1.5, 3.0])  # few values: many ties
-        a = data.draw(arrays(np.float64, (data.draw(st.integers(0, 40)), k),
-                             elements=st.one_of(values, _FINITE)))
-        assert np.array_equal(segmodel._row_argmax(a), a.argmax(axis=1))
-
-
 def overlapped(monkeypatch, on: bool):
-    """Let train() score each epoch on the helper thread (``on``) or inline."""
-    monkeypatch.setattr(segmodel, "worker_count", lambda jobs=None: 2 if on else 1)
-    if on:  # the test stacks' few hundred validation pixels would stay inline
-        monkeypatch.setattr(segmodel, "_OVERLAP_ROWS", 0)
+    """Let train() score each epoch on the helper thread (``on``) or inline, whatever
+    the size of the validation set."""
+    monkeypatch.setattr(segmodel, "_OVERLAP_ROWS", 0 if on else float("inf"))
 
 
 def record_validation_threads(monkeypatch) -> list:
@@ -735,25 +711,21 @@ class TestOverlappedValidation:
         assert_same_training(got, inline)
         assert [h["epoch"] for h in got[1]] == [1, 2, 3, 4, 5, 6]
 
-    def test_small_validation_sets_or_one_cpu_stay_inline(self, monkeypatch):
+    def test_small_validation_sets_stay_inline(self, monkeypatch):
         threads = record_validation_threads(monkeypatch)
-        monkeypatch.setattr(segmodel, "worker_count", lambda jobs=None: 2)
         train(self.MODEL, self.stacks(), self.PROTO)  # a few hundred validation pixels
-        monkeypatch.setattr(segmodel, "worker_count", lambda jobs=None: 1)
-        monkeypatch.setattr(segmodel, "_OVERLAP_ROWS", 0)
-        train(self.MODEL, self.stacks(), self.PROTO)
-        assert threads == [threading.main_thread()] * 12
+        assert threads == [threading.main_thread()] * 6
 
     def test_a_step_that_raises_mid_epoch_leaves_no_thread(self, monkeypatch):
         overlapped(monkeypatch, True)
         threads = record_validation_threads(monkeypatch)
         steps = []
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             steps.append(1)
             if len(steps) == 30:  # epoch 4 of 8 steps each
                 raise RuntimeError("step failed")
-            return softmax_loss_and_grad(*args)
+            return softmax_loss_and_grad(*args, **kwargs)
 
         monkeypatch.setattr(segmodel, "softmax_loss_and_grad", failing)
         before = threading.active_count()
@@ -773,6 +745,29 @@ class TestOverlappedValidation:
         with pytest.raises(ModelError):
             train(self.MODEL, self.stacks(), self.PROTO)
         assert threading.active_count() == before
+
+    def test_a_failing_validation_stops_training_one_epoch_later(self, monkeypatch):
+        overlapped(monkeypatch, True)
+        steps, scored = [], []
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return softmax_loss_and_grad(*args, **kwargs)
+
+        score = segmodel._validation_iou
+
+        def failing_first(*args):
+            scored.append(1)
+            if len(scored) == 1:
+                raise ModelError("model weights are not finite")
+            return score(*args)
+
+        monkeypatch.setattr(segmodel, "softmax_loss_and_grad", counted)
+        monkeypatch.setattr(segmodel, "_validation_iou", failing_first)
+        with pytest.raises(ModelError):
+            train(self.MODEL, self.stacks(), self.PROTO)
+        assert len(steps) == 2 * 8  # epoch 1's score is read after epoch 2 steps
+        assert len(scored) == 1
 
 
 def plain_split(n_pairs, proto):
