@@ -1,19 +1,34 @@
 """2D pre/post-processing filters, tri-view label fusion, 3D hole filling.
 
 All 2D filters take and return uint16 images of unchanged shape, use
-reflected boundaries, and clamp results back into the 16-bit range.
-``scipy.ndimage`` is imported inside the functions that call it: every CLI
-step imports this module, and only the steps that filter pay for scipy.
+reflected boundaries, and clamp results back into the 16-bit range; the
+``*_stack`` forms filter the last two axes of an (n, a, b) stack of such
+images in one call.
+
+``correlate1d``, ``uniform_filter1d`` and ``median_stack`` compute what
+``scipy.ndimage.correlate1d``, ``uniform_filter1d`` and ``median_filter``
+compute in mode "reflect", bit for bit: lines are extended the same way
+(d c b a | a b c d | d c b a, repeated however far the window reaches)
+and sums are taken in float64 in scipy's order.  Each works on a whole
+array with the filtered axis first, so a pass is a few dozen numpy calls
+whatever the number of lines.  Stacks are filtered a chunk of slices at
+a time, which bounds the float64 temporaries.  Only ``fill_holes_3d``
+uses scipy (``ndimage.label``), and it imports it inside.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LabelVolume
 from .errors import ConfigError, ShapeError
 
+# Voxels per chunk of slices: a filter holds a few float64 (or 25 u16)
+# values per voxel of its chunk, whatever the size of the stack.
+CHUNK_VOXELS = 1 << 13
+_DBL_EPSILON = np.finfo(np.float64).eps
 _FACE_SHIFTS = ((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0))
 
 
@@ -42,6 +57,132 @@ def _require_2d(img: np.ndarray) -> np.ndarray:
     return img
 
 
+def _require_stack(stack: np.ndarray) -> np.ndarray:
+    stack = np.asarray(stack)
+    if stack.ndim != 3:
+        raise ShapeError(f"expected an (n, a, b) slice stack, got shape {stack.shape}")
+    return stack
+
+
+def slice_chunks(n: int, slice_voxels: int, budget: int = CHUNK_VOXELS) -> list:
+    """Slices cutting ``n`` slices into equal runs of about ``budget`` voxels,
+    at least one slice each."""
+    count = max(1, -(-n * slice_voxels // budget))
+    per = max(1, -(-n // count))
+    return [slice(i, i + per) for i in range(0, n, per)]
+
+
+def reflect_index(n: int, r: int) -> np.ndarray:
+    """Positions -r .. n+r-1 of an axis of length n folded back into it, as
+    scipy's "reflect" mode extends a line: with period 2n, however far out."""
+    i = np.arange(-r, n + r) % (2 * n)
+    return np.where(i < n, i, 2 * n - 1 - i)
+
+
+def reflect_pad(x: np.ndarray, r: int) -> np.ndarray:
+    """float64 copy of ``x`` extended by ``r`` reflected rows at both ends of axis 0."""
+    n = x.shape[0]
+    p = np.empty((n + 2 * r,) + x.shape[1:])
+    p[r:r + n] = x
+    if 0 < r <= n:  # one mirrored block a side, copied without a temporary
+        p[:r] = p[2 * r - 1:r - 1:-1]
+        p[r + n:] = p[r + n - 1:n - 1:-1]
+    elif r:
+        index = r + reflect_index(n, r)
+        p[:r] = p[index[:r]]
+        p[r + n:] = p[index[r + n:]]
+    return p
+
+
+def correlate_padded(p: np.ndarray, weights: np.ndarray, out: np.ndarray,
+                     tmp: np.ndarray) -> np.ndarray:
+    """Correlate axis 0 of ``p`` with odd, symmetric or antisymmetric weights, as scipy does.
+
+    ``p`` holds ``n = len(out)`` rows reflect-padded by the same number of
+    rows, at least ``len(weights) // 2``, at both ends.  The float64 sums
+    go to ``out``; ``tmp`` is float64 scratch of its shape.  As in scipy's
+    ``correlate1d``, for weights symmetric (antisymmetric) to within
+    DBL_EPSILON, output = x[i] w[r], then += (x[i-j] +- x[i+j]) w[r-j] for
+    j = r down to 1.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    n, r = out.shape[0], len(w) // 2
+    c = (p.shape[0] - n) // 2
+    if len(w) % 2 == 0 or c < r:
+        raise ConfigError(f"need an odd number of weights and a pad of at least {r} rows")
+    left, right = w[:r][::-1], w[r + 1:]
+    if np.all(np.abs(right - left) <= _DBL_EPSILON):
+        pair = np.add
+    elif np.all(np.abs(right + left) <= _DBL_EPSILON):
+        pair = np.subtract
+    else:
+        raise ConfigError("the weights are neither symmetric nor antisymmetric")
+    np.multiply(p[c:c + n], w[r], out=out)
+    for j in range(r, 0, -1):
+        pair(p[c - j:c - j + n], p[c + j:c + j + n], out=tmp)
+        tmp *= w[r - j]
+        out += tmp
+    return out
+
+
+def correlate1d(x: np.ndarray, weights, axis: int = -1) -> np.ndarray:
+    """``scipy.ndimage.correlate1d(x, weights, axis, mode="reflect")`` for odd,
+    symmetric or antisymmetric weights: float64 sums, cast to the dtype of ``x``."""
+    x = np.asarray(x)
+    w = np.asarray(weights, dtype=np.float64)
+    p = reflect_pad(np.moveaxis(x, axis, 0), len(w) // 2)
+    acc = np.empty((x.shape[axis],) + p.shape[1:])
+    acc = correlate_padded(p, w, acc, np.empty_like(acc))
+    return np.moveaxis(acc, 0, axis).astype(x.dtype, copy=False)
+
+
+def uniform_filter1d(x: np.ndarray, size: int, axis: int = -1) -> np.ndarray:
+    """``scipy.ndimage.uniform_filter1d(x, size, axis, mode="reflect")`` for an
+    odd ``size``, cast to the dtype of ``x``.
+
+    As in scipy, the first window is summed from 0.0 left to right, each
+    next window's float64 sum adds (entering - leaving) to the last one
+    (``np.cumsum`` adds in sequence), and each sum is divided by ``size``.
+    """
+    if size < 1 or size % 2 == 0:
+        raise ConfigError(f"box size must be odd and positive, got {size}")
+    x = np.asarray(x)
+    n = x.shape[axis]
+    p = reflect_pad(np.moveaxis(x, axis, 0), size // 2)
+    acc = np.empty((n,) + p.shape[1:])
+    first = p[0] + 0.0
+    for row in p[1:size]:
+        first += row
+    acc[0] = first
+    np.subtract(p[size:], p[:n - 1], out=acc[1:])
+    np.cumsum(acc, axis=0, out=acc)
+    acc /= size
+    return np.moveaxis(acc, 0, axis).astype(x.dtype, copy=False)
+
+
+def gaussian_weights(sigma: float, order: int = 0) -> np.ndarray:
+    """The weights ``scipy.ndimage.gaussian_filter1d`` correlates with at truncate 3.
+
+    A sampled Gaussian of radius ``int(3 * sigma + 0.5)`` normalized to sum
+    1, times the polynomial its ``order``-th derivative brings down,
+    reversed; built with scipy's own operations, so the floats are equal.
+    """
+    radius = int(3.0 * float(sigma) + 0.5)
+    powers = np.arange(order + 1)
+    sigma2 = sigma * sigma
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / sigma2 * x ** 2)
+    phi = phi / phi.sum()
+    if order:
+        q = np.zeros(order + 1)
+        q[0] = 1
+        derive = np.diag(powers[1:], 1) + np.diag(np.ones(order) / -sigma2, -1)
+        for _ in range(order):
+            q = derive.dot(q)
+        phi = (x[:, None] ** powers).dot(q) * phi
+    return phi[::-1]
+
+
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Sampled Gaussian truncated at 3*sigma (radius floor(3*sigma)), normalized."""
     radius = int(math.floor(3.0 * sigma))
@@ -51,34 +192,60 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur in float64, reflected boundary."""
-    import scipy.ndimage as ndi
-
+    """Separable Gaussian blur of the last two axes in float64, reflected boundary."""
     k = gaussian_kernel_1d(sigma)
-    out = ndi.correlate1d(np.asarray(img, dtype=np.float64), k, axis=0, mode="reflect")
-    return ndi.correlate1d(out, k, axis=1, mode="reflect")
+    out = correlate1d(np.asarray(img, dtype=np.float64), k, axis=-2)
+    return correlate1d(out, k, axis=-1)
 
 
-def unsharp_mask(img: np.ndarray, sigma: float = 2.0, amount: float = 1.0) -> np.ndarray:
-    """Sharpen by adding ``amount`` times the detail layer (image minus blur)."""
-    img = _require_2d(img)
+def unsharp_stack(stack: np.ndarray, sigma: float = 2.0, amount: float = 1.0) -> np.ndarray:
+    """``unsharp_mask`` of every slice of an (n, a, b) stack."""
+    stack = _require_stack(stack)
     if not sigma > 0:
         raise ConfigError(f"unsharp sigma must be positive, got {sigma}")
     if amount < 0:
         raise ConfigError(f"unsharp amount must be non-negative, got {amount}")
-    f = img.astype(np.float64)
-    sharp = f + amount * (f - gaussian_blur(f, sigma))
-    return np.rint(np.clip(sharp, 0, 65535)).astype(np.uint16)
+    out = np.empty(stack.shape, dtype=np.uint16)
+    for chunk in slice_chunks(len(stack), stack.shape[1] * stack.shape[2]):
+        f = stack[chunk].astype(np.float64)
+        sharp = f + amount * (f - gaussian_blur(f, sigma))
+        out[chunk] = np.rint(np.clip(sharp, 0, 65535))
+    return out
+
+
+def unsharp_mask(img: np.ndarray, sigma: float = 2.0, amount: float = 1.0) -> np.ndarray:
+    """Sharpen by adding ``amount`` times the detail layer (image minus blur)."""
+    return unsharp_stack(_require_2d(img)[np.newaxis], sigma, amount)[0]
+
+
+def median_stack(stack: np.ndarray, radius: int = 2) -> np.ndarray:
+    """``median_filter`` of every slice of an (n, a, b) stack.
+
+    Each (2r+1)^2 window of the reflect-padded slices is copied out and
+    partitioned at its middle rank, so the values are those of scipy's
+    ``median_filter``, ties included.
+    """
+    stack = _require_stack(stack)
+    if radius < 1:
+        raise ConfigError(f"median radius must be >= 1, got {radius}")
+    n, a, b = stack.shape
+    size = 2 * radius + 1
+    mid = size * size // 2
+    rows, cols = reflect_index(a, radius), reflect_index(b, radius)
+    out = np.empty(stack.shape, dtype=stack.dtype)
+    # the windows copy size^2 values a voxel: a chunk takes the bytes of one float64 chunk
+    for chunk in slice_chunks(n, a * b, CHUNK_VOXELS * 8 // (size * size * stack.itemsize)):
+        windows = sliding_window_view(stack[chunk][:, rows][:, :, cols], (size, size),
+                                      axis=(1, 2))
+        windows = windows.reshape(windows.shape[:3] + (size * size,))
+        windows.partition(mid, axis=-1)
+        out[chunk] = windows[..., mid]
+    return out
 
 
 def median_filter(img: np.ndarray, radius: int = 2) -> np.ndarray:
     """Median over the (2r+1)^2 neighborhood, reflected boundary."""
-    img = _require_2d(img)
-    if radius < 1:
-        raise ConfigError(f"median radius must be >= 1, got {radius}")
-    import scipy.ndimage as ndi
-
-    return ndi.median_filter(img, size=2 * radius + 1, mode="reflect")
+    return median_stack(_require_2d(img)[np.newaxis], radius)[0]
 
 
 def hist_equalize(img: np.ndarray, bins: int = 256) -> np.ndarray:

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, restack, view_stack, \
+from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, view_stack, \
     worker_count
 from .errors import ConfigError, ShapeError, TrainingError
-from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_filter, mode_fuse, \
-    unsharp_mask
+from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_stack, mode_fuse, \
+    unsharp_stack
 from .segmodel import N_FEATURES, SoftmaxModel, TrainProtocol, stack_features, train
 
 MASK_DILATION_VOXELS = 8
@@ -112,15 +112,16 @@ def ventricle_mask_from_stage1(stage1: LabelVolume) -> LabelVolume:
     return LabelVolume(mask, stage1.voxel_size_um, ("Background", "Ventricle"))
 
 
-def _apply_filters(img: np.ndarray, names, fc: FilterConfig) -> np.ndarray:
+def _apply_filters(stack: np.ndarray, names, fc: FilterConfig) -> np.ndarray:
+    """The stage's 2D filters on every slice of an (n, a, b) stack."""
     for name in names:
         if name == "unsharp":
-            img = unsharp_mask(img, fc.unsharp_sigma, fc.unsharp_amount)
+            stack = unsharp_stack(stack, fc.unsharp_sigma, fc.unsharp_amount)
         elif name == "median":
-            img = median_filter(img, fc.median_radius)
+            stack = median_stack(stack, fc.median_radius)
         elif name == "histeq":
-            img = hist_equalize(img, fc.histeq_bins)
-    return img
+            stack = np.stack([hist_equalize(img, fc.histeq_bins) for img in stack])
+    return stack
 
 
 def _crop_to_mask(data: np.ndarray, mask: np.ndarray) -> tuple:
@@ -141,40 +142,48 @@ def preprocess_volume(vol: GrayVolume, names, fc: FilterConfig) -> GrayVolume:
     """Apply the stage's 2D filters to every axial slice."""
     if not names:
         return vol
-    slices = [_apply_filters(img, names, fc) for img in view_stack(vol.data, ViewAxis.XY)]
-    return GrayVolume(restack(slices, ViewAxis.XY), vol.voxel_size_um)
+    data = np.empty_like(vol.data)
+    view_stack(data, ViewAxis.XY)[...] = _apply_filters(view_stack(vol.data, ViewAxis.XY),
+                                                        names, fc)
+    return GrayVolume(data, vol.voxel_size_um)
 
 
 def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: ViewAxis,
-                 jobs: int = 1) -> LabelVolume:
-    """Label every ``axis`` slice of ``vol`` with the stage's class names.
+                 jobs: int = 1, slices: slice = None) -> LabelVolume:
+    """Label the ``axis`` slices of ``vol`` with the stage's class names.
 
-    The view's slice stack is walked in contiguous slabs of about
-    ``_VOXELS_PER_SLAB`` voxels.  Each slab is preprocessed slice by slice
-    with the stage's filters, then takes one feature-bank call and one
-    ``predict_index`` call (the argmax of the logits), and its labels are
-    written straight into the output.  ``jobs`` worker threads share the
-    slabs.
+    ``slices`` picks the slices to label (default all); the others are
+    labelled Background.  They are walked in contiguous slabs of about
+    ``_VOXELS_PER_SLAB`` voxels.  Each slab takes one call per stage filter,
+    one feature-bank call and one ``predict_index`` call (the argmax of the
+    logits), and its labels are written straight into the output.  ``jobs``
+    worker threads share the slabs.  The bank takes a slab in one chunk:
+    the slab size already bounds its memory, and fewer, longer numpy calls
+    wait less on the other thread for the GIL.
     """
     stack = view_stack(vol.data, axis)
     n, a, b = stack.shape
+    start, stop, _ = (slices or slice(None)).indices(n)
     per_slab = max(1, _VOXELS_PER_SLAB // (a * b))
-    labels = np.empty(vol.data.shape, dtype=np.uint8)
+    labels = np.zeros(vol.data.shape, dtype=np.uint8)
     out = view_stack(labels, axis)
     classes = np.asarray(model.class_subset, dtype=np.uint8)
 
-    def slab(start: int) -> None:
-        imgs = stack[start:start + per_slab]
-        if cfg.preprocess:
-            imgs = np.stack([_apply_filters(img, cfg.preprocess, cfg.filter_config)
-                             for img in imgs])
-        feats = stack_features(imgs).reshape(-1, N_FEATURES)
-        idx = model.predict_index(feats)
-        out[start:start + per_slab] = classes[idx].reshape(imgs.shape)
+    def slab(first: int) -> None:
+        last = min(first + per_slab, stop)
+        imgs = _apply_filters(stack[first:last], cfg.preprocess, cfg.filter_config)
+        feats = stack_features(imgs, chunk_voxels=_VOXELS_PER_SLAB).reshape(-1, N_FEATURES)
+        out[first:last] = classes[model.predict_index(feats)].reshape(imgs.shape)
 
     with ThreadPoolExecutor(max_workers=worker_count(jobs)) as pool:
-        list(pool.map(slab, range(0, n, per_slab)))
+        list(pool.map(slab, range(start, stop, per_slab)))
     return LabelVolume(labels, vol.voxel_size_um, cfg.output_names)
+
+
+def _occupied(mask: np.ndarray, axis: ViewAxis) -> slice:
+    """The run of ``axis`` slices from the first to the last that holds a mask voxel."""
+    held = np.flatnonzero(view_stack(mask, axis).any(axis=(1, 2)))
+    return slice(int(held[0]), int(held[-1]) + 1)
 
 
 def run_stage(cfg: StageConfig, model, vol: GrayVolume,
@@ -183,7 +192,9 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
 
     Masked stages crop to the mask's bounding box (dilated by
     ``MASK_DILATION_VOXELS``), zero the voxels outside the mask, and force
-    them to Background in the output.
+    them to Background in the output.  So each view labels only the slices
+    from its first to its last one holding a mask voxel: the voxels of the
+    others end as Background whatever their label.
     """
     names = cfg.output_names
     if cfg.mask_to_ventricle:
@@ -198,12 +209,13 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
                                vol.voxel_size_um, names)
         sub, box = _crop_to_mask(vol.data, mask)
         work = GrayVolume(sub, vol.voxel_size_um)
+        spans = [_occupied(mask[box], ax) for ax in ViewAxis]
     elif ventricle_mask is not None:
         raise ConfigError(f"stage {cfg.stage} does not take a ventricle mask")
     else:
-        work = vol
+        work, spans = vol, [None] * len(ViewAxis)
 
-    views = [predict_view(cfg, model, work, ax, jobs) for ax in ViewAxis]
+    views = [predict_view(cfg, model, work, ax, jobs, span) for ax, span in zip(ViewAxis, spans)]
     fused = mode_fuse(views[0], views[1], views[2], tiebreak="a")
     labels = fused.data.copy()
     if cfg.mask_to_ventricle:

@@ -46,8 +46,10 @@ argmax of its logits (``SoftmaxModel.predict_index``), ties going to the
 lower index: the softmax is monotone, so no exponential is computed to
 find the most probable class.
 
-``scipy.ndimage`` is imported inside ``stack_features``, its only user, so
-the CLI steps that never compute features do not load it.
+The filters of the bank are the exact numpy forms in ``filters``: each
+map equals the ``scipy.ndimage`` filter the bank was first written with
+(``gaussian_filter``, ``uniform_filter``, ``median_filter``) bit for bit,
+so ``FEATURE_VERSION`` is unchanged, and training loads no scipy.
 """
 
 import json
@@ -61,13 +63,21 @@ import numpy as np
 
 from .core import ViewAxis, rng_for_seed, view_stack
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
-from .filters import _require_2d
+from .filters import CHUNK_VOXELS, _require_2d, _require_stack, correlate_padded, \
+    gaussian_weights, median_stack, reflect_pad, slice_chunks, uniform_filter1d
 
 FEATURE_VERSION = "fb1"
 N_FEATURES = 9
 _BLUR_SIGMAS = (1.0, 2.0, 4.0, 8.0)
 _GRAD_SIGMAS = (1.0, 2.0)
 _TEXTURE_RADIUS = 2
+# Maps of the bank: 0 intensity, 1-4 blurs, 5-6 gradient magnitudes, 7 local
+# standard deviation, 8 median.  The weights of each sigma's order-0 and
+# order-1 Gaussian passes; the widest sets how far the first pass pads.
+_BLUR_MAPS = dict(zip(_BLUR_SIGMAS, range(1, 5)))
+_GRAD_MAPS = dict(zip(_GRAD_SIGMAS, range(5, 7)))
+_WEIGHTS = {s: (gaussian_weights(s, 0), gaussian_weights(s, 1)) for s in _BLUR_SIGMAS}
+_PAD = max(len(w0) for w0, _ in _WEIGHTS.values()) // 2
 _WEIGHT_CAP = 10.0
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -84,37 +94,82 @@ DEFAULT_HYPERPARAMETERS = MappingProxyType(
     {"learning_rate": 0.05, "epochs": 150, "batch_size": 1024, "l2": 1e-4})
 
 
-def stack_features(stack: np.ndarray) -> np.ndarray:
+def stack_features(stack: np.ndarray, chunk_voxels: int = CHUNK_VOXELS) -> np.ndarray:
     """Per-pixel features of an (n, a, b) u16 slice stack: (n, a, b, 9), float32.
 
     Each filter has zero extent along the slice axis (Gaussian sigma
     ``(0, s, s)``, window ``(1, 5, 5)``) and reflects at the slice borders,
     so ``stack_features(s)[i]`` equals ``extract_features(s[i])`` bit for bit.
+    The Gaussians and box means run over runs of slices of about
+    ``chunk_voxels`` voxels and hold 30-40 bytes a voxel of the run.
     """
-    stack = np.asarray(stack)
-    if stack.ndim != 3:
-        raise ShapeError(f"expected an (n, a, b) slice stack, got shape {stack.shape}")
-    import scipy.ndimage as ndi
-
-    f = stack.astype(np.float32) / np.float32(65535.0)
+    stack = _require_stack(stack)
     feats = np.empty(stack.shape + (N_FEATURES,), dtype=np.float32)
-    maps = iter(np.moveaxis(feats, -1, 0))  # each map is written straight into the bank
-    next(maps)[...] = f
-    for sigma in _BLUR_SIGMAS:
-        next(maps)[...] = ndi.gaussian_filter(f, (0, sigma, sigma), mode="reflect",
-                                              truncate=3.0)
-    for sigma in _GRAD_SIGMAS:  # the two derivatives are dropped as soon as they are used
-        np.hypot(*(ndi.gaussian_filter(f, (0, sigma, sigma), order=order, mode="reflect",
-                                       truncate=3.0) for order in ((0, 0, 1), (0, 1, 0))),
-                 out=next(maps))
-    size = (1, 2 * _TEXTURE_RADIUS + 1, 2 * _TEXTURE_RADIUS + 1)
-    mean = ndi.uniform_filter(f, size, mode="reflect")
-    var = ndi.uniform_filter(f * f, size, mode="reflect")
-    var -= np.square(mean, out=mean)
-    np.sqrt(np.clip(var, 0.0, None, out=var), out=next(maps))
-    median = ndi.median_filter(stack, size=size, mode="reflect").astype(np.float32)
-    np.divide(median, np.float32(65535.0), out=next(maps))
+    maps = np.moveaxis(feats, -1, 0)  # each map is written straight into the bank
+    np.divide(stack, np.float32(65535.0), out=maps[0], dtype=np.float32)
+    if stack.size:
+        for chunk in slice_chunks(len(stack), stack[0].size, chunk_voxels):
+            _gaussian_maps(maps[:, chunk])
+            _local_std(maps[:, chunk])
+        np.divide(median_stack(stack, _TEXTURE_RADIUS), np.float32(65535.0), out=maps[8],
+                  dtype=np.float32)
     return feats
+
+
+def _gaussian_maps(maps: np.ndarray) -> None:
+    """Maps 1-6 of a chunk of the bank whose map 0 (the intensity) is filled.
+
+    Each Gaussian is ``scipy.ndimage.gaussian_filter(map0, (0, s, s), order,
+    truncate=3)``: a pass along axis 1, rounded to float32, then a pass
+    along axis 2.  Every first pass reads one padded copy of the intensity.
+    The gradient's d/dx shares the blur's first pass; its d/dy first pass
+    waits in map 7 or 8, which are filled later.
+    """
+    _, m, a, b = maps.shape
+    work = np.empty((2, m * a * b))  # a float64 sum and its scratch, reused by every pass
+
+    def correlate(padded, weights, dst):
+        dst[...] = correlate_padded(padded, weights, *(x.reshape(dst.shape) for x in work))
+
+    def rows(k):  # map k with the axis of the first pass first
+        return maps[k].transpose(1, 0, 2)
+
+    def cols(k):
+        return maps[k].transpose(2, 0, 1)
+
+    def second_pass(k, *passes):  # the padded copy of map k lives only here
+        padded = reflect_pad(cols(k), len(passes[0][1]) // 2)
+        for dst, w in passes:
+            correlate(padded, w, cols(dst))
+
+    dy = dict(zip(_GRAD_SIGMAS, (7, 8)))
+    first = [(k, _WEIGHTS[s][0]) for s, k in _BLUR_MAPS.items()]
+    first += [(k, _WEIGHTS[s][1]) for s, k in dy.items()]
+    padded = reflect_pad(rows(0), _PAD)
+    for k, w in first:
+        r = len(w) // 2
+        correlate(padded[_PAD - r:_PAD + r + a], w, rows(k))
+    del padded
+    for s, k in _BLUR_MAPS.items():
+        w0, w1 = _WEIGHTS[s]
+        second_pass(k, *([(_GRAD_MAPS[s], w1)] if s in _GRAD_MAPS else []), (k, w0))
+    for s, k in dy.items():
+        second_pass(k, (k, _WEIGHTS[s][0]))
+        np.hypot(maps[_GRAD_MAPS[s]], maps[k], out=maps[_GRAD_MAPS[s]])
+
+
+def _local_std(maps: np.ndarray) -> None:
+    """Map 7, the standard deviation over each (1, 5, 5) window, from
+    ``scipy.ndimage.uniform_filter`` means of the intensity and its square;
+    maps 7 and 8 hold the means on the way."""
+    size = 2 * _TEXTURE_RADIUS + 1
+    mean, var = maps[7], maps[8]
+    np.multiply(maps[0], maps[0], out=var)
+    for src, dst in ((maps[0], mean), (var, var)):
+        dst[...] = uniform_filter1d(src, size, axis=1)
+        dst[...] = uniform_filter1d(dst, size, axis=2)
+    var -= np.square(mean, out=mean)
+    np.sqrt(np.clip(var, 0.0, None, out=var), out=maps[7])
 
 
 def extract_features(img: np.ndarray) -> np.ndarray:

@@ -487,8 +487,28 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # the filters load scipy.ndimage on use, so a step that never filters never loads scipy
+    # only the hole fill loads scipy.ndimage, on use: a step that never fills never loads scipy
     code = "import sys, tomoseg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert run_python(code).strip() == "[]"
+
+
+def test_feature_bank_and_filters_load_no_scipy():
+    code = """
+import sys
+import numpy as np
+from tomoseg.filters import gaussian_blur, median_filter, unsharp_mask
+from tomoseg.pipeline import preprocess_volume, StageConfig
+from tomoseg.core import GrayVolume
+from tomoseg.segmodel import stack_features
+stack = np.arange(3 * 30 * 31, dtype=np.uint16).reshape(3, 30, 31)
+stack_features(stack)
+gaussian_blur(stack[0], 2.0)
+unsharp_mask(stack[0])
+median_filter(stack[0])
+preprocess_volume(GrayVolume(stack, 5.0), ("unsharp", "median", "histeq"),
+                  StageConfig(stage=2).filter_config)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
     assert run_python(code).strip() == "[]"
 
 
@@ -513,8 +533,7 @@ def test_each_step_loads_only_the_scipy_it_uses(tmp_path):
           "--size", 48, 48], ["scipy.sparse"]),
         *((["train", "--stage", stage, "--gray", tmp_path / "recon.vol",
             "--labels", tmp_path / "ph/gt_000.vol", "--out", model,
-            "--epochs", 2, "--batch", 512, "--tile", 48, "--stride", 1, "--seed", 1],
-           ["scipy.ndimage"])
+            "--epochs", 2, "--batch", 512, "--tile", 48, "--stride", 1, "--seed", 1], [])
           for stage, model in zip((1, 2, 3), models)),
         (["infer", "--input", tmp_path / "recon.vol", "--models", *models,
           "--out", tmp_path / "seg.vol", "--jobs", 1], ["scipy.ndimage"]),

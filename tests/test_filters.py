@@ -1,21 +1,33 @@
 """Filter primitives against directly computed oracles."""
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tomoseg.core import LabelVolume
 from tomoseg.errors import ConfigError, ShapeError
 from tomoseg.filters import (
     FilterConfig,
+    correlate1d,
     fill_holes_3d,
+    gaussian_blur,
     gaussian_kernel_1d,
+    gaussian_weights,
     hist_equalize,
     median_filter,
+    median_stack,
     mode_fuse,
+    reflect_pad,
     unsharp_mask,
+    unsharp_stack,
+    uniform_filter1d,
 )
 
 
@@ -32,6 +44,116 @@ def reference_blur(img: np.ndarray, sigma: float) -> np.ndarray:
         for j in range(img.shape[1]):
             out[i, j] = (padded[i:i + 2 * radius + 1, j:j + 2 * radius + 1] * k2).sum()
     return out
+
+
+def bits(x):
+    """The raw bits of a float array, so -0.0 and every rounding count."""
+    return x.view(f"u{x.itemsize}")
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(bits(got), bits(expected))
+
+
+# slice stacks whose axes run from one pixel to past the sigma = 8 radius of 24
+u16_stacks = st.tuples(st.integers(1, 3), st.integers(1, 30), st.integers(1, 30)).flatmap(
+    lambda shape: arrays(np.uint16, shape))
+
+
+def intensity(stack):
+    """The feature bank's first map: u16 rescaled to [0, 1] in float32."""
+    return stack.astype(np.float32) / np.float32(65535.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(u16_stacks, st.sampled_from([1.0, 2.0, 4.0, 8.0]), st.sampled_from([0, 1]),
+       st.sampled_from([1, 2]))
+def test_gaussian_pass_matches_scipy(stack, sigma, order, axis):
+    f = intensity(stack)
+    expected = ndi.gaussian_filter1d(f, sigma, axis, order, mode="reflect", truncate=3.0)
+    assert_same_bits(correlate1d(f, gaussian_weights(sigma, order), axis), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(u16_stacks, st.integers(0, 6), st.booleans(), st.sampled_from([0, 1, 2]), st.data())
+def test_correlate1d_matches_scipy(stack, radius, symmetric, axis, data):
+    w = data.draw(arrays(np.float64, 2 * radius + 1,
+                         elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    w = w + w[::-1] if symmetric else w - w[::-1]
+    for x in (intensity(stack), stack.astype(np.float64) - 30000.0):
+        assert_same_bits(correlate1d(x, w, axis), ndi.correlate1d(x, w, axis, mode="reflect"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 30), st.integers(1, 30)).flatmap(
+           lambda shape: arrays(np.float64, shape, elements=st.floats(-1e6, 1e6))),
+       st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+def test_gaussian_blur_matches_scipy(img, sigma):
+    k = gaussian_kernel_1d(sigma)
+    expected = ndi.correlate1d(ndi.correlate1d(img, k, axis=0, mode="reflect"), k, axis=1,
+                               mode="reflect")
+    assert_same_bits(gaussian_blur(img, sigma), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(u16_stacks, st.sampled_from([1, 3, 5, 7]), st.sampled_from([1, 2]))
+def test_uniform_filter1d_matches_scipy(stack, size, axis):
+    f = intensity(stack)
+    for x in (f, f * f, stack.astype(np.float64) / 7.0 - 3000.0):
+        assert_same_bits(uniform_filter1d(x, size, axis),
+                         ndi.uniform_filter1d(x, size, axis, mode="reflect"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(u16_stacks, st.integers(1, 3))
+def test_median_matches_scipy(stack, radius):
+    size = 2 * radius + 1
+    expected = ndi.median_filter(stack, size=(1, size, size), mode="reflect")
+    assert np.array_equal(median_stack(stack, radius), expected)
+    assert np.array_equal(median_filter(stack[0], radius), expected[0])
+
+
+@given(st.integers(1, 9), st.integers(0, 30))
+def test_reflect_pad_repeats_the_mirrored_line(n, r):
+    line = np.arange(n, dtype=np.float64)
+    period = np.concatenate([line, line[::-1]])  # d c b a | a b c d | d c b a ...
+    expected = np.take(period, np.arange(-r, n + r), mode="wrap")
+    assert np.array_equal(reflect_pad(line, r), expected)
+
+
+def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
+    from tomoseg.segmodel import stack_features
+
+    for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)  # "import scipy..." now raises
+    stack = np.arange(2 * 26 * 27, dtype=np.uint16).reshape(2, 26, 27)
+    stack_features(stack)
+    gaussian_blur(stack[0], 2.0)
+    unsharp_stack(stack)
+    median_stack(stack)
+
+
+def test_filter_stacks_equal_their_slices():
+    rng = np.random.Generator(np.random.Philox(9))
+    stack = rng.integers(0, 65536, (4, 11, 13), dtype=np.uint16)
+    sharp = unsharp_stack(stack, 1.5, 0.8)
+    med = median_stack(stack, 2)
+    for i, img in enumerate(stack):
+        assert np.array_equal(sharp[i], unsharp_mask(img, 1.5, 0.8))
+        assert np.array_equal(med[i], median_filter(img, 2))
+    for fn in (unsharp_stack, median_stack):
+        with pytest.raises(ShapeError):
+            fn(stack[0])
+
+
+def test_correlate_and_box_reject_what_they_do_not_compute():
+    x = np.zeros((4, 5))
+    for w in (np.ones(4), np.ones(6), np.array([1.0, 2.0, 3.0])):  # even, or neither
+        with pytest.raises(ConfigError):
+            correlate1d(x, w)
+    with pytest.raises(ConfigError):
+        uniform_filter1d(x, 4)
 
 
 def test_unsharp_constant_unchanged():

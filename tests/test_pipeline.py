@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from tomoseg import pipeline
 from tomoseg.core import ClassId, GrayVolume, LabelVolume, rng_for_seed
 from tomoseg.errors import ConfigError, ShapeError, TrainingError
 from tomoseg.filters import fill_holes_3d
 from tomoseg.pipeline import EXCLUDED_LABEL, MASK_DILATION_VOXELS, StageConfig, \
-    canonical_report, default_stage_configs, ensemble, run_full, run_stage, stage_gt, \
-    stage_training_stacks, train_all_stages, train_stage, ventricle_mask_from_gt, \
+    canonical_report, default_stage_configs, ensemble, predict_view, run_full, run_stage, \
+    stage_gt, stage_training_stacks, train_all_stages, train_stage, ventricle_mask_from_gt, \
     ventricle_mask_from_stage1
 from tomoseg.segmodel import N_FEATURES, SoftmaxModel
 
@@ -178,6 +179,27 @@ class TestRunStage:
         out = run_stage(StageConfig(stage=2, preprocess=()),
                         binary_threshold_model(), vol, mask)
         assert np.array_equal(out.data != 0, ball)
+
+    def test_masked_stage_labels_only_slices_holding_the_mask(self, monkeypatch):
+        # a model that labels the zeroed out-of-mask voxels 1, so skipped slices would show
+        rng = rng_for_seed(19, 42)
+        vol = gray(rng.integers(0, 65536, size=(20, 20, 20)))
+        _, ball = self.ball_volume(r=4.0)
+        mask = lab(ball.astype(np.uint8), ("Background", "Ventricle"))
+        model = binary_threshold_model(cut=0.2, scale=-400.0)
+        cfg = StageConfig(stage=2)
+        got = run_stage(cfg, model, vol, mask)
+        picked = []
+
+        def every_slice(cfg, model, vol, axis, jobs=1, slices=None):
+            picked.append(slices)
+            return predict_view(cfg, model, vol, axis, jobs)
+
+        monkeypatch.setattr(pipeline, "predict_view", every_slice)
+        assert np.array_equal(run_stage(cfg, model, vol, mask).data, got.data)
+        # the ball spans voxels 6-13 of every axis; the crop starts at 6 - 8 < 0, so at 0
+        assert picked == [slice(6, 14)] * 3
+        assert got.data[ball].any() and not got.data[~ball].any()
 
     def test_monotone_masking_for_pixelwise_rule(self):
         vol, ball = self.ball_volume()

@@ -241,6 +241,14 @@ class TestFeatures:
             assert np.array_equal(got[i], extract_features(img))
             assert np.array_equal(got[i], reference_features(img))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 30), st.integers(1, 30)).flatmap(
+        lambda shape: arrays(np.uint16, shape)))
+    def test_stack_features_match_scipy_bank(self, stack):
+        got = stack_features(stack)
+        for i, img in enumerate(stack):
+            assert np.array_equal(got[i].view(np.uint32), reference_features(img).view(np.uint32))
+
     def test_stack_features_write_into_one_bank(self):
         stack = rng_for_seed(17, 42).integers(0, 65536, size=(6, 40, 56)).astype(np.uint16)
         stack_features(stack)  # scipy's import stays out of the measurement
@@ -909,9 +917,9 @@ class TestPredictVolume:
         monkeypatch.setattr(pipeline, "_VOXELS_PER_SLAB", per_slab * a * b)
         slabs = []
 
-        def counted(stack):
+        def counted(stack, **kw):
             slabs.append(len(stack))
-            return stack_features(stack)
+            return stack_features(stack, **kw)
 
         monkeypatch.setattr(pipeline, "stack_features", counted)
         got = predict_view(cfg, model, vol, axis, jobs=2).data
@@ -928,6 +936,17 @@ class TestPredictVolume:
                           for i in range(n)], axis)
         assert np.array_equal(got, manual)
         assert 0 < got.mean() < 1
+
+    def test_picked_slices_match_full_prediction(self):
+        rng = rng_for_seed(18, 42)
+        vol = gray(rng.integers(0, 65536, size=(6, 9, 11)).astype(np.uint16))
+        model = threshold_model()
+        full = predict_view(STAGE1, model, vol, ViewAxis.XZ).data
+        part = predict_view(STAGE1, model, vol, ViewAxis.XZ, jobs=2, slices=slice(2, 7)).data
+        full_xz, part_xz = view_stack(full, ViewAxis.XZ), view_stack(part, ViewAxis.XZ)
+        assert np.array_equal(part_xz[2:7], full_xz[2:7])
+        assert not part_xz[:2].any() and not part_xz[7:].any()
+        assert full_xz[:2].any()
 
     def test_per_pixel_rule_is_view_independent(self):
         vol3 = np.full((12, 12, 12), 10000, dtype=np.uint16)
