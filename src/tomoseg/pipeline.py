@@ -33,9 +33,10 @@ from .segmodel import N_FEATURES, SoftmaxModel, TrainProtocol, stack_features, t
 
 MASK_DILATION_VOXELS = 8
 EXCLUDED_LABEL = 2  # training-only sentinel outside the binary stages' mask
-# Voxels per slab of the view predictor.  Every worker thread holds one
-# slab's feature-bank and logit temporaries, a few hundred bytes per
-# voxel, so this bounds what inference adds to the peak memory.
+# Voxels per slab of the view predictor, to the nearest whole slice.  Every
+# worker thread holds one slab's feature bank and its float64 temporaries,
+# about 70 bytes a voxel, so this bounds what inference adds to the peak
+# memory; the logits are taken a block of rows at a time.
 _VOXELS_PER_SLAB = 1 << 14
 
 STAGE1_NAMES = ("Background", "Atrium", "Ventricle", "Bulbus")
@@ -153,8 +154,9 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     """Label the ``axis`` slices of ``vol`` with the stage's class names.
 
     ``slices`` picks the slices to label (default all); the others are
-    labelled Background.  They are walked in contiguous slabs of about
-    ``_VOXELS_PER_SLAB`` voxels.  Each slab takes one call per stage filter,
+    labelled Background.  They are walked in contiguous slabs of the whole
+    number of slices nearest ``_VOXELS_PER_SLAB`` voxels (at least one), so a
+    slab of 9k-voxel slices holds two.  Each slab takes one call per stage filter,
     one feature-bank call and one ``predict_index`` call (the argmax of the
     logits), and its labels are written straight into the output.  ``jobs``
     worker threads share the slabs.  The bank takes a slab in one chunk:
@@ -164,7 +166,7 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     stack = view_stack(vol.data, axis)
     n, a, b = stack.shape
     start, stop, _ = (slices or slice(None)).indices(n)
-    per_slab = max(1, _VOXELS_PER_SLAB // (a * b))
+    per_slab = max(1, round(_VOXELS_PER_SLAB / (a * b)))
     labels = np.zeros(vol.data.shape, dtype=np.uint8)
     out = view_stack(labels, axis)
     classes = np.asarray(model.class_subset, dtype=np.uint8)
@@ -172,7 +174,7 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     def slab(first: int) -> None:
         last = min(first + per_slab, stop)
         imgs = _apply_filters(stack[first:last], cfg.preprocess, cfg.filter_config)
-        feats = stack_features(imgs, chunk_voxels=_VOXELS_PER_SLAB).reshape(-1, N_FEATURES)
+        feats = stack_features(imgs, chunk_voxels=imgs.size).reshape(-1, N_FEATURES)
         out[first:last] = classes[model.predict_index(feats)].reshape(imgs.shape)
 
     with ThreadPoolExecutor(max_workers=worker_count(jobs)) as pool:

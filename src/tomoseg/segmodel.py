@@ -79,6 +79,10 @@ _GRAD_MAPS = dict(zip(_GRAD_SIGMAS, range(5, 7)))
 _WEIGHTS = {s: (gaussian_weights(s, 0), gaussian_weights(s, 1)) for s in _BLUR_SIGMAS}
 _PAD = max(len(w0) for w0, _ in _WEIGHTS.values()) // 2
 _WEIGHT_CAP = 10.0
+# Rows a prediction scores at once: each takes 8 bytes a feature in float64.
+# Scored whole, the 2^14-voxel slabs of inference's two worker threads left
+# the infer process's peak RSS about 2 MB higher on the 48^3 chain.
+_PREDICT_ROWS = 1 << 12
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
@@ -233,8 +237,17 @@ class SoftmaxModel:
         return x @ self.weights[:, :-1].T + self.weights[:, -1]
 
     def predict_index(self, features: np.ndarray) -> np.ndarray:
-        """Index into ``class_subset`` of each row's largest logit, ties to the lower one."""
-        return self.logits(features).argmax(axis=1)
+        """Index into ``class_subset`` of each row's largest logit, ties to the lower one.
+
+        Rows are scored in even blocks of at most ``_PREDICT_ROWS``, which
+        bounds the float64 copy of the features that the product takes.
+        The product gives a row the same bits in any block of two or more
+        rows (``test_blocked_logits_equal_whole``; a single row goes through
+        a matrix-vector path that may round otherwise), and the blocks are
+        cut evenly, so none has one row unless the matrix has.
+        """
+        blocks = np.array_split(features, max(1, -(-len(features) // _PREDICT_ROWS)))
+        return np.concatenate([self.logits(x).argmax(axis=1) for x in blocks])
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Softmax probabilities for an (N, 9) feature matrix; rows sum to 1."""

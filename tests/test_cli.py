@@ -492,26 +492,6 @@ def test_cli_import_leaves_scipy_unloaded():
     assert run_python(code).strip() == "[]"
 
 
-def test_feature_bank_and_filters_load_no_scipy():
-    code = """
-import sys
-import numpy as np
-from tomoseg.filters import gaussian_blur, median_filter, unsharp_mask
-from tomoseg.pipeline import preprocess_volume, StageConfig
-from tomoseg.core import GrayVolume
-from tomoseg.segmodel import stack_features
-stack = np.arange(3 * 30 * 31, dtype=np.uint16).reshape(3, 30, 31)
-stack_features(stack)
-gaussian_blur(stack[0], 2.0)
-unsharp_mask(stack[0])
-median_filter(stack[0])
-preprocess_volume(GrayVolume(stack, 5.0), ("unsharp", "median", "histeq"),
-                  StageConfig(stage=2).filter_config)
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
-"""
-    assert run_python(code).strip() == "[]"
-
-
 # Run one CLI step; the last stdout line is its exit code and the scipy parts it loaded.
 STEP_CODE = """
 import json, sys

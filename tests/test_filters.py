@@ -56,9 +56,11 @@ def assert_same_bits(got, expected):
     assert np.array_equal(bits(got), bits(expected))
 
 
-# slice stacks whose axes run from one pixel to past the sigma = 8 radius of 24
+# slice stacks whose axes run from one pixel to past the sigma = 8 radius of 24,
+# dense or mostly zeros (as a masked stage's crop is)
 u16_stacks = st.tuples(st.integers(1, 3), st.integers(1, 30), st.integers(1, 30)).flatmap(
-    lambda shape: arrays(np.uint16, shape))
+    lambda shape: st.one_of(arrays(np.uint16, shape),
+                            arrays(np.uint16, shape, fill=st.just(0))))
 
 
 def intensity(stack):
@@ -123,6 +125,8 @@ def test_reflect_pad_repeats_the_mirrored_line(n, r):
 
 
 def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
+    from tomoseg.core import GrayVolume
+    from tomoseg.pipeline import StageConfig, preprocess_volume
     from tomoseg.segmodel import stack_features
 
     for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
@@ -131,7 +135,11 @@ def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
     stack_features(stack)
     gaussian_blur(stack[0], 2.0)
     unsharp_stack(stack)
+    unsharp_mask(stack[0])
     median_stack(stack)
+    median_filter(stack[0])
+    preprocess_volume(GrayVolume(stack, 5.0), ("unsharp", "median", "histeq"),
+                      StageConfig(stage=2).filter_config)
 
 
 def test_filter_stacks_equal_their_slices():

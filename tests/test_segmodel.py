@@ -243,7 +243,8 @@ class TestFeatures:
 
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(st.integers(1, 3), st.integers(1, 30), st.integers(1, 30)).flatmap(
-        lambda shape: arrays(np.uint16, shape)))
+        lambda shape: st.one_of(arrays(np.uint16, shape),
+                                arrays(np.uint16, shape, fill=st.just(0)))))
     def test_stack_features_match_scipy_bank(self, stack):
         got = stack_features(stack)
         for i, img in enumerate(stack):
@@ -467,6 +468,21 @@ class TestLogits:
         # so wherever the top probability is unique both rules pick the same index
         unique = (p == p.max(axis=1, keepdims=True)).sum(axis=1) == 1
         assert np.array_equal(pick[unique], p.argmax(axis=1)[unique])
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_logits_equal_whole(self, k, seed):
+        # predict_index scores rows in blocks; the product must not depend on the cut
+        rng = np.random.Generator(np.random.Philox(seed))
+        model = SoftmaxModel(class_subset=tuple(range(k)),
+                             weights=rng.normal(size=(k, N_FEATURES + 1)))
+        x = rng.random((3 * segmodel._PREDICT_ROWS + 5, N_FEATURES), dtype=np.float32)
+        whole = model.logits(x)
+        cuts = np.sort(rng.choice(np.arange(2, len(x) - 1), 6, replace=False))
+        cuts = cuts[np.diff(cuts, prepend=0) >= 2]
+        for block, want in zip(np.split(x, cuts), np.split(whole, cuts)):
+            assert np.array_equal(model.logits(block).view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(model.predict_index(x), whole.argmax(axis=1))
 
     def test_logits_keep_apart_what_the_softmax_rounds_together(self):
         weights = np.zeros((2, N_FEATURES + 1))
