@@ -159,7 +159,10 @@ def cmd_ablate_dose(args) -> int:
 
 def cmd_export_slices(args) -> int:
     vol = load_volume(args.input)
-    img = extract_slice(vol, ViewAxis(args.axis), args.index)
+    try:
+        img = extract_slice(vol, ViewAxis(args.axis), args.index)
+    except IndexError as err:
+        raise ConfigError(str(err)) from err
     if isinstance(vol, LabelVolume):
         img8 = label_to_8bit(img)
     elif isinstance(vol, GrayVolume):

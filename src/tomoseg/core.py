@@ -92,9 +92,9 @@ class _Volume:
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=self.dtype)
-        if data.ndim != 3:
-            raise FormatError(
-                f"volume data must be 3-dimensional, got shape {np.shape(self.data)}")
+        if data.ndim != 3 or not data.size:
+            raise FormatError("volume data must be 3-dimensional with no zero extent, "
+                              f"got shape {np.shape(self.data)}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         if not self.voxel_size_um > 0:
@@ -133,7 +133,7 @@ class LabelVolume(_Volume):
         super().__post_init__()
         if len(set(self.class_names)) != len(self.class_names):
             raise FormatError(f"class table repeats a name: {tuple(self.class_names)}")
-        if self.data.size and int(self.data.max()) >= len(self.class_names):
+        if int(self.data.max()) >= len(self.class_names):
             raise FormatError(
                 f"label value {int(self.data.max())} outside the "
                 f"{len(self.class_names)}-entry class table"

@@ -12,8 +12,12 @@ compute in mode "reflect", bit for bit: lines are extended the same way
 and sums are taken in float64 in scipy's order.  Each works on a whole
 array with the filtered axis first, so a pass is a few dozen numpy calls
 whatever the number of lines.  Stacks are filtered a chunk of slices at
-a time, which bounds the float64 temporaries.  Only ``fill_holes_3d``
-uses scipy (``ndimage.label``), and it imports it inside.
+a time, which bounds the float64 temporaries.
+
+``mode_fuse`` holds one boolean volume beside its output.  ``fill_holes_3d``
+(the module's only scipy use, imported inside) labels the background once,
+keeps the hole voxels' flat indices and frees the int32 labels, then
+touches only the hole voxels of one label copy.
 """
 
 import math
@@ -29,7 +33,6 @@ from .errors import ConfigError, ShapeError
 # values per voxel of its chunk, whatever the size of the stack.
 CHUNK_VOXELS = 1 << 13
 _DBL_EPSILON = np.finfo(np.float64).eps
-_FACE_SHIFTS = ((0, 0, 1), (0, 0, -1), (0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -261,73 +264,48 @@ def hist_equalize(img: np.ndarray, bins: int = 256) -> np.ndarray:
     return np.rint(65535.0 * cdf[idx]).astype(np.uint16)
 
 
-def mode_fuse(a: LabelVolume, b: LabelVolume, c: LabelVolume,
-              tiebreak: str = "a") -> LabelVolume:
-    """Per-voxel majority over three label volumes.
+def mode_fuse(a: LabelVolume, b: LabelVolume, c: LabelVolume) -> LabelVolume:
+    """Per-voxel majority over three label volumes, ``a`` where all three differ.
 
-    With no majority (all three labels distinct) the voxel takes the value
-    of the ``tiebreak`` input; by convention callers pass the axial (XY)
-    prediction as ``a``, the view the model was trained on.
+    ``a`` keeps its label unless ``b`` and ``c`` agree against it; by
+    convention callers pass the axial (XY) prediction as ``a``, the view the
+    model was trained on.
     """
-    if tiebreak not in ("a", "b", "c"):
-        raise ConfigError(f"tiebreak must be 'a', 'b' or 'c', got {tiebreak!r}")
     if not (a.dims == b.dims == c.dims):
         raise ShapeError(f"dims mismatch: {a.dims} vs {b.dims} vs {c.dims}")
-    da, db, dc = a.data, b.data, c.data
-    src = {"a": da, "b": db, "c": dc}[tiebreak]
-    fused = np.where((da == db) | (da == dc), da, np.where(db == dc, db, src))
+    fused = np.where(b.data == c.data, b.data, a.data)
     return LabelVolume(fused, a.voxel_size_um, a.class_names)
-
-
-def _neighbor_class_counts(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Count face-adjacent (6-connectivity) occurrences of each class per voxel."""
-    counts = np.zeros((n_classes,) + labels.shape, dtype=np.uint8)
-    for dz, dy, dx in _FACE_SHIFTS:
-        src = labels[
-            slice(max(dz, 0), labels.shape[0] + min(dz, 0)),
-            slice(max(dy, 0), labels.shape[1] + min(dy, 0)),
-            slice(max(dx, 0), labels.shape[2] + min(dx, 0)),
-        ]
-        dst = (
-            slice(max(-dz, 0), labels.shape[0] + min(-dz, 0)),
-            slice(max(-dy, 0), labels.shape[1] + min(-dy, 0)),
-            slice(max(-dx, 0), labels.shape[2] + min(-dx, 0)),
-        )
-        for cid in range(1, n_classes):
-            counts[cid][dst] += src == cid
-    return counts
 
 
 def fill_holes_3d(labels: LabelVolume) -> LabelVolume:
     """Relabel enclosed Background cavities from their surroundings.
 
-    Background is flood-filled from the volume border with 6-connectivity;
-    unreached Background voxels are holes.  Holes are filled iteratively:
-    each sweep simultaneously assigns every hole voxel the majority label
-    of its face-adjacent non-Background neighbors (ties to the lowest
-    class id), until nothing changes.  Non-Background voxels are never
-    modified, so the fill grows inward from the hole lining.
+    Background is labelled into 6-connected components; those that touch
+    the volume border are open, the others are holes.  Each sweep assigns
+    every hole voxel that has a non-Background face neighbour, all at once,
+    the majority label of those neighbours (ties to the lowest class id),
+    until no hole voxel is left; non-Background voxels never change, so the
+    fill grows inward from the hole lining.  No hole voxel lies on a face,
+    so its six neighbours sit at flat offsets +-1, +-nx and +-nx*ny.
     """
     import scipy.ndimage as ndi
 
-    n_classes = len(labels.class_names)
+    _, ny, nx = labels.data.shape
+    comp, count = ndi.label(labels.data == 0, structure=ndi.generate_binary_structure(3, 1))
+    reached = np.zeros(count + 1, dtype=bool)
+    reached[0] = True  # the labelled voxels
+    for axis in range(3):  # the components on the six faces are open
+        reached[comp.take((0, -1), axis=axis)] = True
+    holes = np.flatnonzero((~reached)[comp])
+    del comp  # the sweeps need only the hole indices
     cur = labels.data.copy()
-    bg = cur == 0
-    comp, _ = ndi.label(bg, structure=ndi.generate_binary_structure(3, 1))
-    border_ids = np.unique(np.concatenate([
-        comp[0].ravel(), comp[-1].ravel(),
-        comp[:, 0].ravel(), comp[:, -1].ravel(),
-        comp[:, :, 0].ravel(), comp[:, :, -1].ravel(),
-    ]))
-    border_ids = border_ids[border_ids != 0]
-    holes = bg & ~np.isin(comp, border_ids)
-    while holes.any():
-        counts = _neighbor_class_counts(cur, n_classes)[1:]
-        filled = counts.max(axis=0) > 0
-        best = (np.argmax(counts, axis=0) + 1).astype(np.uint8)
-        update = holes & filled
-        if not update.any():
-            break
-        cur[update] = best[update]
-        holes &= ~update
+    flat = cur.reshape(-1)
+    k = len(labels.class_names)
+    while holes.size:
+        near = np.stack([flat[holes + step] for step in (1, -1, nx, -nx, nx * ny, -nx * ny)])
+        lined = near.any(axis=0)
+        near = near[:, lined]
+        counts = np.stack([(near == c).sum(axis=0, dtype=np.uint8) for c in range(1, k)])
+        flat[holes[lined]] = counts.argmax(axis=0) + 1
+        holes = holes[~lined]
     return LabelVolume(cur, labels.voxel_size_um, labels.class_names)

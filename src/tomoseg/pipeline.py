@@ -218,18 +218,14 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
         work, spans = vol, [None] * len(ViewAxis)
 
     views = [predict_view(cfg, model, work, ax, jobs, span) for ax, span in zip(ViewAxis, spans)]
-    fused = mode_fuse(views[0], views[1], views[2], tiebreak="a")
-    labels = fused.data.copy()
-    if cfg.mask_to_ventricle:
-        labels[~mask[box]] = 0
-    filled = fill_holes_3d(LabelVolume(labels, vol.voxel_size_um, names)).data
-    if cfg.mask_to_ventricle:
-        filled = filled.copy()
-        filled[~mask[box]] = 0
-        full = np.zeros(vol.data.shape, dtype=np.uint8)
-        full[box] = filled
-        return LabelVolume(full, vol.voxel_size_um, names)
-    return LabelVolume(filled, vol.voxel_size_um, names)
+    fused = mode_fuse(*views)
+    if not cfg.mask_to_ventricle:
+        return fill_holes_3d(fused)
+    inside = mask[box]
+    filled = fill_holes_3d(LabelVolume(np.where(inside, fused.data, 0), vol.voxel_size_um, names))
+    full = np.zeros(vol.data.shape, dtype=np.uint8)
+    full[box] = np.where(inside, filled.data, 0)
+    return LabelVolume(full, vol.voxel_size_um, names)
 
 
 def ensemble(stage1: LabelVolume, lacunary: LabelVolume,

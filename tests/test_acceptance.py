@@ -157,7 +157,7 @@ def test_criterion_05_fusion_oracle():
     a = np.array([t[0] for t in triples], np.uint8).reshape(shape)[None]
     b = np.array([t[1] for t in triples], np.uint8).reshape(shape)[None]
     c = np.array([t[2] for t in triples], np.uint8).reshape(shape)[None]
-    fused = mode_fuse(LabelVolume(a), LabelVolume(b), LabelVolume(c), tiebreak="a")
+    fused = mode_fuse(LabelVolume(a), LabelVolume(b), LabelVolume(c))
     got = fused.data.ravel()
     bad = []
     for idx, (x, y, z) in enumerate(triples):

@@ -29,6 +29,7 @@ from tomoseg.core import AcquisitionConfig, GrayVolume, LabelVolume, ViewAxis, e
 from tomoseg.errors import FormatError, SchemaError
 from tomoseg.pgm import label_to_8bit, read_pgm
 from tomoseg.phantom import default_spec, spec_to_dict
+from tomoseg.segmodel import SoftmaxModel, save_model
 from tomoseg.tomo import SinogramStack, load_sinogram, save_sinogram
 
 TRAIN_FLAGS = ["--epochs", "6", "--lr", "0.05", "--batch", "512",
@@ -455,6 +456,31 @@ def test_evaluate_repeated_class_names_exits_4(sidecar_pairs, tmp_path, capsys):
                         capsys.readouterr().err, 4, "FormatError")
     assert "repeats a name" in line["message"]
     assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("index", [8, 999, -1])
+def test_export_slice_index_out_of_range_exits_2(tmp_path, capsys, index):
+    save_volume(LabelVolume(np.zeros((8, 8, 8), dtype=np.uint8)), tmp_path / "l.vol")
+    line = expect_error(run("export-slices", "--input", tmp_path / "l.vol", "--axis", "xy",
+                            "--index", index, "--out", tmp_path / "s.pgm"),
+                        capsys.readouterr().err, 2, "ConfigError")
+    assert "out of range" in line["message"]
+    assert not (tmp_path / "s.pgm").exists()
+
+
+def test_infer_on_a_zero_extent_volume_exits_4(tmp_path, capsys):
+    save_volume(GrayVolume(np.zeros((1, 8, 8), dtype=np.uint16)), tmp_path / "g.vol")
+    doc = json.loads((tmp_path / "g.vol.json").read_text())
+    (tmp_path / "g.vol.json").write_text(json.dumps({**doc, "dims": [8, 8, 0]}))
+    (tmp_path / "g.vol").write_bytes(b"")
+    models = [tmp_path / f"m{stage}.json" for stage in (1, 2, 3)]
+    for subset, path in zip(((0, 1, 2, 3), (0, 1), (0, 1)), models):
+        save_model(SoftmaxModel(class_subset=subset), path)
+    line = expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", *models,
+                            "--out", tmp_path / "seg.vol"),
+                        capsys.readouterr().err, 4, "FormatError")
+    assert "zero extent" in line["message"]
+    assert not (tmp_path / "seg.vol").exists()
 
 
 def test_train_defaults_are_the_model_defaults():
