@@ -12,12 +12,15 @@ compute in mode "reflect", bit for bit: lines are extended the same way
 and sums are taken in float64 in scipy's order.  Each works on a whole
 array with the filtered axis first, so a pass is a few dozen numpy calls
 whatever the number of lines.  Stacks are filtered a chunk of slices at
-a time, which bounds the float64 temporaries.
+a time, which bounds the float64 temporaries.  The module loads no scipy.
 
 ``mode_fuse`` holds one boolean volume beside its output.  ``fill_holes_3d``
-(the module's only scipy use, imported inside) labels the background once,
-keeps the hole voxels' flat indices and frees the int32 labels, then
-touches only the hole voxels of one label copy.
+finds the hole voxels by a search over the Background runs along x
+(``hole_voxels``: about 3 bytes a voxel while it finds the runs, then a
+few int32 values per run and per hole voxel), copies the labels, and
+fills from the hole lining inward; after the first sweep, which goes over
+the hole voxels a chunk at a time, each sweep touches only the unfilled
+neighbours of the voxels that the sweep before it filled.
 """
 
 import math
@@ -222,7 +225,8 @@ def unsharp_mask(img: np.ndarray, sigma: float = 2.0, amount: float = 1.0) -> np
 
 
 def median_stack(stack: np.ndarray, radius: int = 2) -> np.ndarray:
-    """``median_filter`` of every slice of an (n, a, b) stack.
+    """Median over the (2r+1)^2 neighbourhood of every slice of an (n, a, b)
+    stack, reflected boundary.
 
     Each (2r+1)^2 window of the reflect-padded slices is copied out and
     partitioned at its middle rank, so the values are those of scipy's
@@ -244,11 +248,6 @@ def median_stack(stack: np.ndarray, radius: int = 2) -> np.ndarray:
         windows.partition(mid, axis=-1)
         out[chunk] = windows[..., mid]
     return out
-
-
-def median_filter(img: np.ndarray, radius: int = 2) -> np.ndarray:
-    """Median over the (2r+1)^2 neighborhood, reflected boundary."""
-    return median_stack(_require_2d(img)[np.newaxis], radius)[0]
 
 
 def hist_equalize(img: np.ndarray, bins: int = 256) -> np.ndarray:
@@ -277,35 +276,98 @@ def mode_fuse(a: LabelVolume, b: LabelVolume, c: LabelVolume) -> LabelVolume:
     return LabelVolume(fused, a.voxel_size_um, a.class_names)
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray, dtype) -> np.ndarray:
+    """``arange(lo[i], hi[i])`` for every i with ``lo[i] < hi[i]``, concatenated,
+    built by one in-place ``cumsum`` of the steps between them."""
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    out = np.ones(int((hi - lo).sum()), dtype=dtype)
+    if out.size:
+        out[0] = lo[0]
+        out[np.cumsum(hi - lo)[:-1]] = lo[1:] - hi[:-1] + 1
+        np.cumsum(out, dtype=dtype, out=out)
+    return out
+
+
+def hole_voxels(data: np.ndarray) -> np.ndarray:
+    """Sorted flat indices of the Background (0) voxels of an (nz, ny, nx)
+    array that no 6-connected path of Background joins to a face.
+
+    The nodes of a graph are the Background runs along x.  A run is keyed
+    by its flat position in an (nz * ny, nx + 1) table of rows (one spare
+    column, so that no run spans two rows); the keys of the runs' starts and
+    ends both ascend, so the runs of row ``r + d`` that overlap ``[x0, x1)``
+    of row ``r`` are those from the first one ending after ``x0`` to the last
+    one starting before ``x1``: two ``searchsorted`` calls for a whole
+    frontier.  A breadth-first search from the runs that touch a face
+    reaches every open run; the others are the holes, and each expands to
+    its voxels.  At the ends of a plane the row shifts wrap: y + 1 of the
+    last y row is the first y row of the next plane, and y - 1 of the first
+    is the last of the one before.  Both rows lie on a face, so their runs
+    start reached and the wrap joins no new run.  Keys, run ids and flat
+    indices are int32 while the shifted keys stay below 2^31.
+    """
+    nz, ny, nx = data.shape
+    w = nx + 1
+    itype = np.int32 if (nz + 1) * ny * w < 2 ** 31 else np.int64
+    edge = np.diff((data == 0).view(np.int8).reshape(nz * ny, nx), axis=1,
+                   prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(edge > 0).astype(itype)
+    ends = np.flatnonzero(edge < 0).astype(itype)  # one past each run's last voxel
+    del edge
+    row = starts // w
+    y = row % ny
+    reached = ((starts % w == 0) | (ends % w == nx) | (y == 0) | (y == ny - 1)
+               | (row < ny) | (row >= (nz - 1) * ny))
+    del row, y
+    shifts = np.array([[w], [-w], [ny * w], [-ny * w]], dtype=itype)
+    front = np.flatnonzero(reached)
+    while front.size:
+        lo = np.searchsorted(ends, (starts[front] + shifts).ravel(), side="right")
+        hi = np.searchsorted(starts, (ends[front] + shifts).ravel(), side="left")
+        near = _ranges(lo, hi, itype)
+        front = np.unique(near[~reached[near]])
+        reached[front] = True
+    holes = ~reached
+    first = starts[holes]
+    return _ranges(first - first // w, ends[holes] - first // w, itype)
+
+
 def fill_holes_3d(labels: LabelVolume) -> LabelVolume:
     """Relabel enclosed Background cavities from their surroundings.
 
-    Background is labelled into 6-connected components; those that touch
-    the volume border are open, the others are holes.  Each sweep assigns
-    every hole voxel that has a non-Background face neighbour, all at once,
-    the majority label of those neighbours (ties to the lowest class id),
-    until no hole voxel is left; non-Background voxels never change, so the
-    fill grows inward from the hole lining.  No hole voxel lies on a face,
-    so its six neighbours sit at flat offsets +-1, +-nx and +-nx*ny.
+    Background voxels that no 6-connected Background path joins to the
+    volume border are holes (``hole_voxels``).  Each sweep assigns every
+    hole voxel that has a non-Background face neighbour, all at once, the
+    majority label of those neighbours (ties to the lowest class id), until
+    no hole voxel is left; non-Background voxels never change, so the fill
+    grows inward from the hole lining.  A hole voxel's neighbours are hole
+    or non-Background voxels, never open Background, so after the first
+    sweep the voxels to fill are the unfilled neighbours of those filled in
+    the sweep before.  No hole voxel lies on a face, so its six neighbours
+    sit at flat offsets +-1, +-nx and +-nx*ny.
     """
-    import scipy.ndimage as ndi
-
     _, ny, nx = labels.data.shape
-    comp, count = ndi.label(labels.data == 0, structure=ndi.generate_binary_structure(3, 1))
-    reached = np.zeros(count + 1, dtype=bool)
-    reached[0] = True  # the labelled voxels
-    for axis in range(3):  # the components on the six faces are open
-        reached[comp.take((0, -1), axis=axis)] = True
-    holes = np.flatnonzero((~reached)[comp])
-    del comp  # the sweeps need only the hole indices
+    holes = hole_voxels(labels.data)
     cur = labels.data.copy()
     flat = cur.reshape(-1)
     k = len(labels.class_names)
-    while holes.size:
-        near = np.stack([flat[holes + step] for step in (1, -1, nx, -nx, nx * ny, -nx * ny)])
-        lined = near.any(axis=0)
-        near = near[:, lined]
+    steps = (1, -1, nx, -nx, nx * ny, -nx * ny)
+
+    def lined(cand):  # the voxels of cand with a labelled neighbour, and their labels
+        near = np.stack([flat[cand + step] for step in steps])
+        keep = near.any(axis=0)
+        near = near[:, keep]
         counts = np.stack([(near == c).sum(axis=0, dtype=np.uint8) for c in range(1, k)])
-        flat[holes[lined]] = counts.argmax(axis=0) + 1
-        holes = holes[~lined]
+        return cand[keep], (counts.argmax(axis=0) + 1).astype(np.uint8)
+
+    # the first sweep goes over the hole voxels a chunk at a time, which bounds its temporaries
+    parts = [lined(holes[i:i + CHUNK_VOXELS]) for i in range(0, max(holes.size, 1), CHUNK_VOXELS)]
+    del holes
+    filled, values = map(np.concatenate, zip(*parts))
+    del parts
+    while filled.size:
+        flat[filled] = values
+        cand = [n[flat[n] == 0] for n in (filled + step for step in steps)]
+        filled, values = lined(np.unique(np.concatenate(cand)))
     return LabelVolume(cur, labels.voxel_size_um, labels.class_names)

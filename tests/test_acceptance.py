@@ -7,10 +7,12 @@ criterion 8) are module fixtures computed once; everything is seeded, so
 every number here is reproducible bit for bit.
 """
 
+import hashlib
 import itertools
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from tomoseg.tomo import (DoseLevel, fbp_reconstruct, forward_project,
                           normalize_to_u16, subsample_dose)
 
 JOBS = os.cpu_count() or 1
+GOLDEN = Path(__file__).with_name("golden.json")
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -308,3 +311,29 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     verdict(10, not diffs,
             f"two identical runs agree byte-for-byte on {len(compared)} artifacts"
             if not diffs else f"artifacts differ: {diffs}")
+    assert_golden("criterion_10", {name: hashlib.sha256((tmp_path / "a" / name).read_bytes())
+                                   .hexdigest() for name in compared})
+
+
+def platform_fields() -> dict:
+    """The numpy version and the BLAS it was built with: the bits of the FBP
+    filter product and of the logits depend on the BLAS kernels."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def assert_golden(key: str, digests: dict) -> None:
+    """Compare sha256 digests with those recorded in ``tests/golden.json``.
+
+    A mismatch names the artifacts that moved and every platform field that
+    differs from the recording.  A change that alters outputs on purpose
+    records the new digests (and the platform they were taken on).
+    """
+    golden = json.loads(GOLDEN.read_text())
+    moved = sorted(name for name in golden[key].keys() | digests.keys()
+                   if golden[key].get(name) != digests.get(name))
+    here = platform_fields()
+    differ = [f"{field} recorded {value!r}, here {here.get(field)!r}"
+              for field, value in golden["platform"].items() if here.get(field) != value]
+    assert not moved, (f"{key}: {moved} differ from tests/golden.json; platform fields "
+                       f"that differ: {differ or 'none'}")

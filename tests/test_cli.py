@@ -513,7 +513,7 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the hole fill loads scipy.ndimage, on use: a step that never fills never loads scipy
+    # only the sparse operators of project and reconstruct load scipy, and only on use
     code = "import sys, tomoseg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     assert run_python(code).strip() == "[]"
 
@@ -542,7 +542,7 @@ def test_each_step_loads_only_the_scipy_it_uses(tmp_path):
             "--epochs", 2, "--batch", 512, "--tile", 48, "--stride", 1, "--seed", 1], [])
           for stage, model in zip((1, 2, 3), models)),
         (["infer", "--input", tmp_path / "recon.vol", "--models", *models,
-          "--out", tmp_path / "seg.vol", "--jobs", 1], ["scipy.ndimage"]),
+          "--out", tmp_path / "seg.vol", "--jobs", 1], []),
         (["evaluate", "--pred", tmp_path / "seg.vol", "--gt", tmp_path / "ph/gt_000.vol",
           "--report", tmp_path / "eval.json"], []),
         (["export-slices", "--input", tmp_path / "seg.vol", "--axis", "xy", "--index", 24,

@@ -22,7 +22,7 @@ from tomoseg.filters import (
     gaussian_kernel_1d,
     gaussian_weights,
     hist_equalize,
-    median_filter,
+    hole_voxels,
     median_stack,
     mode_fuse,
     reflect_pad,
@@ -114,7 +114,6 @@ def test_median_matches_scipy(stack, radius):
     size = 2 * radius + 1
     expected = ndi.median_filter(stack, size=(1, size, size), mode="reflect")
     assert np.array_equal(median_stack(stack, radius), expected)
-    assert np.array_equal(median_filter(stack[0], radius), expected[0])
 
 
 @given(st.integers(1, 9), st.integers(0, 30))
@@ -127,8 +126,8 @@ def test_reflect_pad_repeats_the_mirrored_line(n, r):
 
 def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
     from tomoseg.core import GrayVolume
-    from tomoseg.pipeline import StageConfig, preprocess_volume
-    from tomoseg.segmodel import stack_features
+    from tomoseg.pipeline import StageConfig, preprocess_volume, run_full
+    from tomoseg.segmodel import N_FEATURES, SoftmaxModel, stack_features
 
     for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
         monkeypatch.setitem(sys.modules, name, None)  # "import scipy..." now raises
@@ -138,9 +137,29 @@ def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
     unsharp_stack(stack)
     unsharp_mask(stack[0])
     median_stack(stack)
-    median_filter(stack[0])
     preprocess_volume(GrayVolume(stack, 5.0), ("unsharp", "median", "histeq"),
                       StageConfig(stage=2).filter_config)
+    cube = np.full((5, 5, 5), 2, dtype=np.uint8)
+    cube[2, 2, 2] = 0
+    assert (fill_holes_3d(_vol(cube)).data == 2).all()
+    # a bright shell around a dark core: stage 1 (Ventricle above 0.35 of full
+    # scale) leaves the core as a hole that its fill closes, and the binary
+    # stages run inside the Ventricle mask it makes
+    z, y, x = np.ogrid[:12, :12, :12]
+    r2 = (z - 5.5) ** 2 + (y - 5.5) ** 2 + (x - 5.5) ** 2
+    gray = np.where((r2 <= 25) & (r2 > 4), 50000, 5000).astype(np.uint16)
+
+    def threshold(classes, positive, cut):  # classes[positive] above cut, else Background
+        w = np.zeros((len(classes), N_FEATURES + 1))
+        w[1:, -1] = -1000.0
+        w[positive, [0, -1]] = 400.0, -400.0 * cut
+        return SoftmaxModel(class_subset=classes, weights=w)
+
+    models = {1: threshold((0, 1, 2, 3), 2, 0.35), 2: threshold((0, 1), 1, 0.9),
+              3: threshold((0, 1), 1, 0.6)}
+    final, report = run_full(models, GrayVolume(gray, 5.0))
+    assert report["label_histograms"]["stage1"]["Background"] == (r2 > 25).sum()
+    assert (final.data[r2 <= 4] != 0).all()
 
 
 def test_filter_stacks_equal_their_slices():
@@ -150,7 +169,7 @@ def test_filter_stacks_equal_their_slices():
     med = median_stack(stack, 2)
     for i, img in enumerate(stack):
         assert np.array_equal(sharp[i], unsharp_mask(img, 1.5, 0.8))
-        assert np.array_equal(med[i], median_filter(img, 2))
+        assert np.array_equal(med[i], median_stack(img[np.newaxis], 2)[0])
     for fn in (unsharp_stack, median_stack):
         with pytest.raises(ShapeError):
             fn(stack[0])
@@ -203,27 +222,27 @@ def test_unsharp_kernel_truncation():
 
 
 def test_median_constant_unchanged():
-    img = np.full((8, 8), 77, dtype=np.uint16)
-    assert np.array_equal(median_filter(img, 1), img)
+    img = np.full((1, 8, 8), 77, dtype=np.uint16)
+    assert np.array_equal(median_stack(img, 1), img)
 
 
 def test_median_removes_salt_pixel():
-    img = np.full((7, 7), 100, dtype=np.uint16)
-    img[3, 3] = 65535
-    out = median_filter(img, 1)
-    assert out[3, 3] == 100
+    img = np.full((1, 7, 7), 100, dtype=np.uint16)
+    img[0, 3, 3] = 65535
+    out = median_stack(img, 1)
+    assert out[0, 3, 3] == 100
     assert (out == 100).all()
 
 
 def test_median_idempotent_on_cleaned_sparse_noise():
     rng = np.random.Generator(np.random.Philox(3))
-    img = np.zeros((32, 32), dtype=np.uint16)
+    img = np.zeros((1, 32, 32), dtype=np.uint16)
     # isolated salt, pairwise far apart, dies in one pass
     for _ in range(10):
         i, j = rng.integers(2, 30, size=2)
-        img[i, j] = 65535
-    once = median_filter(img, 1)
-    twice = median_filter(once, 1)
+        img[0, i, j] = 65535
+    once = median_stack(img, 1)
+    twice = median_stack(once, 1)
     assert np.array_equal(once, twice)
 
 
@@ -263,7 +282,6 @@ def test_filters_preserve_shape_and_reject_3d():
     rng = np.random.Generator(np.random.Philox(5))
     img = rng.integers(0, 65536, (9, 14), dtype=np.uint16)
     for fn in (lambda i: unsharp_mask(i, 1.0, 1.0),
-               lambda i: median_filter(i, 1),
                lambda i: hist_equalize(i, 64)):
         out = fn(img)
         assert out.shape == img.shape
@@ -478,21 +496,73 @@ def test_fill_holes_one_voxel_thick(shape):
 
 
 def test_fill_holes_memory_per_voxel():
-    """Background labels, one label copy and the hole indices: at most 8 bytes
-    a voxel on a 96^3 volume with a cavity and scattered one-voxel holes."""
+    """The run search, one label copy and the int32 hole indices: at most 8
+    bytes a voxel on a 96^3 volume with a cavity and scattered one-voxel
+    holes, and at most 10 when a 92^3 cavity fills nearly all of it."""
     n = 96
     z, y, x = np.ogrid[:n, :n, :n]
     r = np.sqrt((z - 47.5) ** 2 + (y - 47.5) ** 2 + (x - 47.5) ** 2)
-    arr = ((r < 44).astype(np.uint8) + (r < 30) + (r < 20)).astype(np.uint8)
-    arr[r < 10] = 0
-    arr[(np.random.Generator(np.random.Philox(5)).random(arr.shape) < 0.02) & (r < 40)] = 0
-    vol = LabelVolume(arr, class_names=_classes(4))
-    fill_holes_3d(vol)  # any first-call allocations stay out of the measurement
-    tracemalloc.start()
-    try:
-        out = fill_holes_3d(vol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (out.data[r < 40] != 0).all()
-    assert peak <= 8 * arr.size, f"{peak / arr.size:.1f} bytes a voxel"
+    shells = ((r < 44).astype(np.uint8) + (r < 30) + (r < 20)).astype(np.uint8)
+    shells[r < 10] = 0
+    shells[(np.random.Generator(np.random.Philox(5)).random(shells.shape) < 0.02) & (r < 40)] = 0
+    cavity = np.ones((n, n, n), dtype=np.uint8)
+    cavity[2:-2, 2:-2, 2:-2] = 0
+    for arr, filled, bound in ((shells, r < 40, 8), (cavity, np.s_[:], 10)):
+        vol = LabelVolume(arr, class_names=_classes(4))
+        fill_holes_3d(vol)  # any first-call allocations stay out of the measurement
+        tracemalloc.start()
+        try:
+            out = fill_holes_3d(vol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.data[filled] != 0).all()
+        assert peak <= bound * arr.size, f"{peak / arr.size:.1f} bytes a voxel"
+
+
+# --- the hole finder against scipy's component labelling --------------------
+
+def labelled_holes(data: np.ndarray) -> np.ndarray:
+    """Flat indices of the Background voxels in 6-connected components of
+    Background that touch no face, from ``scipy.ndimage.label``."""
+    comp, _ = ndi.label(data == 0, structure=ndi.generate_binary_structure(3, 1))
+    open_ids = np.unique(np.concatenate([comp.take((0, -1), axis=a).ravel() for a in range(3)]))
+    return np.flatnonzero((comp != 0) & ~np.isin(comp, open_ids))
+
+
+@st.composite
+def background_volumes(draw):
+    """Axes of 1-16 voxels; Background on 5-60% of cubes of 1-3 voxels (1 makes
+    speckle), or on none or all of the volume."""
+    shape = tuple(draw(st.integers(1, 16)) for _ in range(3))
+    share = draw(st.one_of(st.floats(0.05, 0.60), st.sampled_from([0.0, 1.0])))
+    block = draw(st.integers(1, 3))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2 ** 32 - 1))))
+    coarse = tuple(-(-n // block) for n in shape)
+    data = (rng.random(coarse) >= share).astype(np.uint8)
+    for axis in range(3):
+        data = np.repeat(data, block, axis=axis)
+    return np.ascontiguousarray(data[:shape[0], :shape[1], :shape[2]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(background_volumes())
+def test_hole_voxels_equal_the_labelled_holes(data):
+    assert np.array_equal(hole_voxels(data), labelled_holes(data))
+
+
+@pytest.mark.parametrize("opened", [True, False])
+def test_hole_voxels_follow_a_serpentine_tunnel(opened):
+    """A one-voxel tunnel winds along y through 21 columns, each voxel of a
+    column its own run: the search needs about 840 levels to cross it."""
+    n = 43
+    data = np.ones((3, n, n), dtype=np.uint8)
+    data[1, 1:-1, 1:-1:2] = 0  # the columns x = 1, 3, ..., 41
+    data[1, -2, 2:-2:4] = 0  # joined at alternate ends
+    data[1, 1, 4:-2:4] = 0
+    tunnel = np.flatnonzero(data == 0)
+    data[1, 0, 1] = 0 if opened else 1  # the tunnel's one opening, onto the y = 0 face
+    holes = hole_voxels(data)
+    assert np.array_equal(holes, labelled_holes(data))
+    assert np.array_equal(holes, [] if opened else tunnel)
+
