@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--lr", type=float, help="override learning rate")
     p.add_argument("--jobs", type=int,
-                   help="worker threads for projection, FBP and prediction "
+                   help="worker threads for projection, FBP and prediction, and "
+                        "at most JOBS - 1 forked processes for stage training "
                         "(default: every available CPU)")
     p.set_defaults(func=cmd_ablate_dose)
 

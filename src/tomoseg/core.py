@@ -21,6 +21,8 @@ Conventions used throughout the package:
 import enum
 import json
 import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,7 +65,8 @@ def rng_for_seed(seed, *stream) -> np.random.Generator:
 
 
 def worker_count(jobs=None) -> int:
-    """Worker threads for ``jobs``: None means every CPU this process may use.
+    """Workers (threads or forked processes) for ``jobs``: None means every CPU
+    this process may use.
 
     A count below 1 raises ``ConfigError``.
     """
@@ -74,6 +77,83 @@ def worker_count(jobs=None) -> int:
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     return int(jobs)
+
+
+def fork_map(fn, items, jobs=None) -> list:
+    """``[fn(item) for item in items]``, the items after the first run in forked children.
+
+    This process runs the first item while at most ``worker_count(jobs) - 1``
+    children share the rest in contiguous runs.  A child reads this
+    process's data copy-on-write and sends back only its results, pickled
+    through a pipe.  One worker, a platform without ``os.fork`` or a live
+    second thread (fork copies only the calling thread, so a lock another
+    thread holds would stay held in the child) run the loop in-process.
+    The first failing item's exception is raised, with its type and
+    message, as the loop raises it.  Every child is reaped before this
+    returns or raises, and killed first when this process's own item
+    raises or is interrupted.
+    """
+    items = list(items)
+    children = min(worker_count(jobs), len(items)) - 1
+    if children < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(item) for item in items]
+    rest = items[1:]
+    cuts = [len(rest) * k // children for k in range(children + 1)]
+    forked = []  # (pid, read end of its pipe)
+    try:
+        for lo, hi in zip(cuts, cuts[1:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if not pid:
+                    _run_child(w, fn, rest[lo:hi])
+                forked.append((pid, r))
+            except OSError:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+        results = [fn(items[0])]
+        for pid, r in forked:
+            with open(r, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            if not payload:
+                raise ChildProcessError(f"forked worker {pid} ended without a result")
+            done, error = pickle.loads(payload)
+            results += done
+            if error is not None:
+                raise error
+        return results
+    except BaseException:
+        import signal  # only here: no CLI step pays for it
+
+        for pid, _ in forked:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in forked:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
+def _run_child(w: int, fn, items) -> None:
+    """In a forked child: run ``items`` up to the first that raises, write
+    (results, exception or None) to the pipe ``w`` and exit."""
+    try:
+        done, error = [], None
+        try:
+            for item in items:
+                done.append(fn(item))
+        except BaseException as e:
+            error = e
+        try:
+            payload = pickle.dumps((done, error))
+        except Exception as e:  # a result or an exception that pickle cannot carry
+            payload = pickle.dumps(([], ChildProcessError(repr(error or e))))
+        with open(w, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
 
 
 @dataclass(frozen=True)

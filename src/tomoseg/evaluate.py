@@ -259,7 +259,8 @@ def run_dose_ablation(cfg, jobs: int = 1, log=None):
 
     Returns (DoseMatrix, recons, gts).  Training rows are the single
     doses plus D1+D2 when both are configured.  Projection, FBP and
-    prediction run on ``jobs`` threads.
+    prediction run on ``jobs`` threads; stage training forks at most
+    ``jobs - 1`` children (``train_all_stages``).
     """
     from .pipeline import run_full, train_all_stages
 
@@ -272,7 +273,7 @@ def run_dose_ablation(cfg, jobs: int = 1, log=None):
 
     def train_fn(stacks):
         protos = {s: cfg.protocol_for_stage(s) for s in (1, 2, 3)}
-        models, _ = train_all_stages(stacks, cfgs=cfg.stages, protos=protos,
+        models, _ = train_all_stages(stacks, cfgs=cfg.stages, protos=protos, jobs=jobs,
                                      **cfg.model)
         return models
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, view_stack, \
-    worker_count
+from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, fork_map, \
+    view_stack, worker_count
 from .errors import ConfigError, ShapeError, TrainingError
 from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_stack, mode_fuse, \
     unsharp_stack
@@ -335,14 +335,24 @@ def train_stage(cfg: StageConfig, cohort, proto: TrainProtocol = None,
 
 
 def train_all_stages(cohort, cfgs: dict = None, protos: dict = None, seed: int = 0,
-                     **model_kw) -> tuple:
-    """Train the three stage models; returns ({stage: model}, {stage: history})."""
+                     jobs: int = None, **model_kw) -> tuple:
+    """Train the three stage models; returns ({stage: model}, {stage: history}).
+
+    Each stage trains on the ground truth alone, so the stages run side by
+    side: this process trains stage 1, the longest, while at most
+    ``jobs - 1`` forked children train stages 2 and 3 (``core.fork_map``;
+    ``jobs`` None means every available CPU).  The models and histories
+    are those of training the stages one after another, bit for bit, and
+    ``jobs=1`` trains them so, in this process.
+    """
     cfgs = cfgs or default_stage_configs()
-    models, histories = {}, {}
-    for stage in (1, 2, 3):
+
+    def fit(stage):
         proto = (protos or {}).get(stage)
         if proto is None:
             proto = TrainProtocol(tile_size=cfgs[stage].tile_size, seed=seed + stage)
-        models[stage], histories[stage] = train_stage(cfgs[stage], cohort, proto,
-                                                      **model_kw)
-    return models, histories
+        return train_stage(cfgs[stage], cohort, proto, **model_kw)
+
+    fitted = dict(zip((1, 2, 3), fork_map(fit, (1, 2, 3), jobs)))
+    return ({s: model for s, (model, _) in fitted.items()},
+            {s: history for s, (_, history) in fitted.items()})

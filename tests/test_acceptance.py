@@ -4,7 +4,9 @@ Run `pytest tests/test_acceptance.py -v` to see a pass/fail line per
 criterion.  The two expensive studies (the 64-voxel dose matrix behind
 criteria 2-3 and the full-scale 128-voxel cross-validation behind
 criterion 8) are module fixtures computed once; everything is seeded, so
-every number here is reproducible bit for bit.
+every number here is reproducible bit for bit.  Beside criterion 10, the
+stage models and histories of one small training run are checked against
+the digests in ``tests/golden.json``.
 """
 
 import hashlib
@@ -24,9 +26,9 @@ from tomoseg.core import (AcquisitionConfig, AttenuationVolume, ClassId, LabelVo
 from tomoseg.evaluate import kfold_cv, run_dose_ablation, reconstruct_cohort, \
     weighted_iou
 from tomoseg.filters import fill_holes_3d, mode_fuse
-from tomoseg.phantom import default_spec, generate, spec_to_dict
+from tomoseg.phantom import default_spec, generate, spec_to_dict, split_cohort
 from tomoseg.pipeline import ensemble, run_full, train_all_stages
-from tomoseg.segmodel import softmax_loss_and_grad
+from tomoseg.segmodel import save_model, softmax_loss_and_grad
 from tomoseg.tomo import (DoseLevel, fbp_reconstruct, forward_project,
                           normalize_to_u16, subsample_dose)
 
@@ -337,3 +339,28 @@ def assert_golden(key: str, digests: dict) -> None:
               for field, value in golden["platform"].items() if here.get(field) != value]
     assert not moved, (f"{key}: {moved} differ from tests/golden.json; platform fields "
                        f"that differ: {differ or 'none'}")
+
+
+@pytest.fixture(scope="module")
+def training_cohort():
+    """Two 64-voxel samples reconstructed at 60 x 3 deg x 96 bins."""
+    acq = AcquisitionConfig(60, 3.0, 96)
+    cohort = []
+    for atten, gt in split_cohort(default_spec(n=64, seed=5), 2):
+        rec = fbp_reconstruct(forward_project(atten, acq), (64, 64))
+        cohort.append((normalize_to_u16(rec, acq.absorption_window), gt))
+    return cohort
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_training_matches_golden_digests(training_cohort, tmp_path, jobs):
+    # the saved models and the histories of every stage, for in-process and forked training
+    models, histories = train_all_stages(training_cohort, seed=3, jobs=jobs, epochs=5,
+                                         learning_rate=0.05, batch_size=512)
+    digests = {"histories": hashlib.sha256(json.dumps(histories, sort_keys=True).encode())
+               .hexdigest()}
+    for stage, model in models.items():
+        save_model(model, tmp_path / f"m{stage}.json")
+        digests[f"m{stage}.json"] = hashlib.sha256(
+            (tmp_path / f"m{stage}.json").read_bytes()).hexdigest()
+    assert_golden("training", digests)

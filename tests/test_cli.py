@@ -513,8 +513,10 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the sparse operators of project and reconstruct load scipy, and only on use
-    code = "import sys, tomoseg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # only the sparse operators of project and reconstruct load scipy, and only on use;
+    # stage training forks through os alone, so no process-pool module loads either
+    code = ("import sys, tomoseg.cli; print(sorted(m for m in sys.modules if m.startswith("
+            "('scipy', 'multiprocessing', 'concurrent.futures.process'))))")
     assert run_python(code).strip() == "[]"
 
 

@@ -15,6 +15,7 @@ from tomoseg.core import (
     LabelVolume,
     ViewAxis,
     extract_slice,
+    fork_map,
     load_volume,
     restack,
     save_volume,
@@ -319,3 +320,44 @@ def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
 def test_worker_count_rejects_fewer_than_one(jobs):
     with pytest.raises(ConfigError, match="jobs"):
         worker_count(jobs)
+
+
+def _pid_and(item):
+    return item, os.getpid()
+
+
+def _fail_at_even(item):
+    if item and item % 2 == 0:
+        raise ConfigError(f"item {item}")
+    return item
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4, 9])
+def test_fork_map_keeps_the_order_and_runs_the_first_item_here(jobs):
+    out = fork_map(_pid_and, range(5), jobs)
+    assert [item for item, _ in out] == list(range(5))
+    pids = [pid for _, pid in out]
+    assert pids[0] == os.getpid()
+    assert len(set(pids[1:]) - {os.getpid()}) == min(jobs - 1, 4)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+def test_fork_map_raises_the_first_failing_items_error(jobs):
+    # items 2 and 4 fail, in one child or in two: item 2's error is raised
+    with pytest.raises(ConfigError, match="^item 2$"):
+        fork_map(_fail_at_even, range(5), jobs)
+    _assert_no_child_left()
+
+
+def test_fork_map_reports_what_a_child_cannot_send():
+    with pytest.raises(ChildProcessError, match="pickle"):
+        fork_map(lambda item: lambda: item, range(2), 2)
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        fork_map(lambda item: os._exit(3) if item else item, range(2), 2)
+    _assert_no_child_left()

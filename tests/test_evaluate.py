@@ -303,3 +303,21 @@ def test_the_dose_study_forwards_jobs_to_the_operators(monkeypatch):
     monkeypatch.setattr(evaluate, "reconstruct_cohort", stop)
     with pytest.raises(RuntimeError, match="^1$"):
         evaluate.run_dose_ablation(cfg, jobs=1)
+
+
+def test_the_dose_study_forwards_jobs_to_stage_training(monkeypatch):
+    from tomoseg import evaluate, pipeline
+    from tomoseg.config import ExperimentConfig
+
+    def two_blank_stacks(cfg, log, jobs):
+        gray = GrayVolume(np.zeros((2, 2, 2), dtype=np.uint16))
+        return {"D1": [gray, gray]}, [LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8))] * 2
+
+    def stop(*args, jobs=None, **kw):
+        raise RuntimeError(jobs)
+
+    monkeypatch.setattr(evaluate, "reconstruct_cohort", two_blank_stacks)
+    monkeypatch.setattr(pipeline, "train_all_stages", stop)
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError, match=f"^{jobs}$"):
+            evaluate.run_dose_ablation(ExperimentConfig(cohort_size=2, doses=(1,)), jobs=jobs)

@@ -1,5 +1,10 @@
 """Stage orchestration, masking semantics, and ensemble rule tests."""
 
+import json
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -350,3 +355,93 @@ class TestTrainAllStages:
         assert all(len(histories[s]) == 3 for s in (1, 2, 3))
         final, report = run_full(models, cohort[0][0])
         assert final.dims == cohort[0][0].dims
+
+    @staticmethod
+    def one_slice_cohort():
+        """One 1x16x16 sample holding every class: each stage trains on its
+        one slice and validates on none, so every val_iou is NaN."""
+        gt = np.zeros((1, 16, 16), dtype=np.uint8)
+        gt[0, 4:12, 4:12] = VEN
+        gt[0, 6:10, 6:9] = COM
+        gt[0, 7:9, 9:11] = LAC
+        gt[0, 1:3, 1:3] = ATR
+        gt[0, 13:15, 13:15] = BUL
+        vol = (10000 + 8000 * gt.astype(np.int64)).astype(np.uint16)
+        return [(gray(vol), lab(gt))]
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def train(self, cohort, jobs):
+        """The models and histories of ``train_all_stages``, in a form whose
+        == compares every float bit for bit, NaN included."""
+        models, histories = train_all_stages(cohort, seed=1, jobs=jobs, epochs=3,
+                                             learning_rate=0.05, batch_size=256)
+        return ([vars(m) | {"weights": m.weights.tobytes()} for m in models.values()],
+                json.dumps(histories))
+
+    @pytest.mark.parametrize("name", ["smoke", "one_slice"])
+    def test_jobs_give_bitwise_equal_models_and_histories(self, monkeypatch, name):
+        cohort = (TestTrainingStacks().make_cohort() * 2 if name == "smoke"
+                  else self.one_slice_cohort())
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs, forked = {}, {}
+        for jobs in (1, 2, 3):
+            before = len(forks)
+            runs[jobs] = self.train(cohort, jobs)
+            forked[jobs] = len(forks) - before
+        assert runs[1] == runs[2] == runs[3]
+        assert forked == {1: 0, 2: 1, 3: 2}  # none, one for stages 2-3, one a stage
+        self.assert_no_child_left()
+        scores = [r["val_iou"] for h in json.loads(runs[2][1]).values() for r in h]
+        assert all(np.isnan(scores)) == (name == "one_slice")
+
+    @pytest.mark.parametrize("strip, message", [
+        ((VEN, COM, LAC), "class 2 absent"),  # no ventricle: stage 1 fails in this process
+        ((COM, LAC), "class 1 absent"),  # stages 2 and 3 fail in the children
+    ])
+    def test_a_failing_stage_raises_as_in_the_loop(self, strip, message):
+        (vol, gt), = TestTrainingStacks().make_cohort()
+        cohort = [(vol, lab(np.where(np.isin(gt.data, strip), BG, gt.data)))]
+        for jobs in (1, 2, 3):
+            with pytest.raises(TrainingError) as err:
+                self.train(cohort, jobs)
+            assert (type(err.value), str(err.value)) == \
+                (TrainingError, f"{message} from all training labels")
+            self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_the_parents_stage_failing_kills_the_child(self, monkeypatch, error):
+        # stage 1 fails here while the child would sleep for a minute
+        def fake_train_stage(cfg, *args, **kw):
+            if cfg.stage == 1:
+                raise error("stage 1 failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(pipeline, "train_stage", fake_train_stage)
+        t0 = time.perf_counter()
+        with pytest.raises(error, match="stage 1 failed"):
+            self.train([], 2)
+        assert time.perf_counter() - t0 < 30
+        self.assert_no_child_left()
+
+    def test_one_job_or_a_live_thread_trains_in_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        cohort = TestTrainingStacks().make_cohort()
+        expected = self.train(cohort, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.train(cohort, 1) == expected
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait, args=(60,))
+        helper.start()
+        try:
+            assert self.train(cohort, 2) == expected
+        finally:
+            release.set()
+            helper.join(10)
+        assert not helper.is_alive()
