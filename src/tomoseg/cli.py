@@ -265,9 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="override training epochs")
     p.add_argument("--lr", type=float, help="override learning rate")
     p.add_argument("--jobs", type=int,
-                   help="worker threads for projection, FBP and prediction, and "
-                        "at most JOBS - 1 forked processes for stage training "
-                        "(default: every available CPU)")
+                   help="worker threads for projection, FBP and prediction; "
+                        "2 or more also trains stages 2 and 3 in one forked "
+                        "process on Linux (default: every available CPU)")
     p.set_defaults(func=cmd_ablate_dose)
 
     p = sub.add_parser("export-slices", help="export one slice as 8-bit PGM")

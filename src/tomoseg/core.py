@@ -22,6 +22,7 @@ import enum
 import json
 import os
 import pickle
+import sys
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,60 +81,58 @@ def worker_count(jobs=None) -> int:
 
 
 def fork_map(fn, items, jobs=None) -> list:
-    """``[fn(item) for item in items]``, the items after the first run in forked children.
+    """``[fn(item) for item in items]``, the items after the first run in one forked child.
 
-    This process runs the first item while at most ``worker_count(jobs) - 1``
-    children share the rest in contiguous runs.  A child reads this
-    process's data copy-on-write and sends back only its results, pickled
-    through a pipe.  One worker, a platform without ``os.fork`` or a live
-    second thread (fork copies only the calling thread, so a lock another
-    thread holds would stay held in the child) run the loop in-process.
-    The first failing item's exception is raised, with its type and
-    message, as the loop raises it.  Every child is reaped before this
-    returns or raises, and killed first when this process's own item
-    raises or is interrupted.
+    With ``worker_count(jobs)`` of 2 or more, this process runs the first
+    item while one child runs the rest.  The child reads this process's
+    data copy-on-write and sends back only its results, pickled through a
+    pipe.  One worker, a platform other than Linux (where forking a
+    process whose BLAS has started its threads was not checked, and a hung
+    child would block the read forever) or a live second thread (fork
+    copies only the calling thread, so a lock another thread holds would
+    stay held in the child) run the loop in-process.  The first failing
+    item's exception is raised, with its type and message, as the loop
+    raises it.  The child is reaped before this returns or raises, and
+    killed first when this process's own item raises or is interrupted.
+    A child that ends without sending a whole result, or with a nonzero
+    wait status, raises ``ChildProcessError`` naming its pid and status.
     """
     items = list(items)
-    children = min(worker_count(jobs), len(items)) - 1
-    if children < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if (len(items) < 2 or worker_count(jobs) < 2 or sys.platform != "linux"
+            or threading.active_count() > 1):
         return [fn(item) for item in items]
-    rest = items[1:]
-    cuts = [len(rest) * k // children for k in range(children + 1)]
-    forked = []  # (pid, read end of its pipe)
+    r, w = os.pipe()
     try:
-        for lo, hi in zip(cuts, cuts[1:]):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-                if not pid:
-                    _run_child(w, fn, rest[lo:hi])
-                forked.append((pid, r))
-            except OSError:
-                os.close(r)
-                raise
-            finally:
-                os.close(w)
-        results = [fn(items[0])]
-        for pid, r in forked:
-            with open(r, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            if not payload:
-                raise ChildProcessError(f"forked worker {pid} ended without a result")
-            done, error = pickle.loads(payload)
-            results += done
-            if error is not None:
-                raise error
-        return results
-    except BaseException:
-        import signal  # only here: no CLI step pays for it
-
-        for pid, _ in forked:
-            os.kill(pid, signal.SIGKILL)
+        pid = os.fork()
+        if not pid:
+            _run_child(w, fn, items[1:])
+    except OSError:
+        os.close(r)
         raise
     finally:
-        for pid, r in forked:
-            os.close(r)
+        os.close(w)
+    with open(r, "rb") as pipe:
+        try:
+            first = fn(items[0])
+            payload = pipe.read()
+        except BaseException:
+            import signal  # only here: no CLI step pays for it
+
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            raise
+    status = os.waitpid(pid, 0)[1]
+    try:
+        rest, error = pickle.loads(payload)
+    except Exception:  # nothing sent, or cut short
+        rest = None
+    if status or rest is None:
+        raise ChildProcessError(f"forked worker {pid} ended with wait status {status} after "
+                                f"sending {len(payload)} bytes"
+                                + (" that do not unpickle" if rest is None else ""))
+    if error is not None:
+        raise error
+    return [first] + rest
 
 
 def _run_child(w: int, fn, items) -> None:

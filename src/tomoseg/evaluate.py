@@ -259,8 +259,8 @@ def run_dose_ablation(cfg, jobs: int = 1, log=None):
 
     Returns (DoseMatrix, recons, gts).  Training rows are the single
     doses plus D1+D2 when both are configured.  Projection, FBP and
-    prediction run on ``jobs`` threads; stage training forks at most
-    ``jobs - 1`` children (``train_all_stages``).
+    prediction run on ``jobs`` threads; with ``jobs`` of 2 or more, stage
+    training forks one child on Linux (``train_all_stages``).
     """
     from .pipeline import run_full, train_all_stages
 

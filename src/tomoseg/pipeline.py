@@ -339,11 +339,12 @@ def train_all_stages(cohort, cfgs: dict = None, protos: dict = None, seed: int =
     """Train the three stage models; returns ({stage: model}, {stage: history}).
 
     Each stage trains on the ground truth alone, so the stages run side by
-    side: this process trains stage 1, the longest, while at most
-    ``jobs - 1`` forked children train stages 2 and 3 (``core.fork_map``;
-    ``jobs`` None means every available CPU).  The models and histories
-    are those of training the stages one after another, bit for bit, and
-    ``jobs=1`` trains them so, in this process.
+    side: with ``jobs`` of 2 or more (None means every available CPU),
+    this process trains stage 1, the longest, while one forked child
+    trains stages 2 and 3 (``core.fork_map``).  The fork is made on Linux
+    only; elsewhere, and for ``jobs=1``, the stages train one after
+    another in this process.  The models and histories are the same,
+    bit for bit, either way.
     """
     cfgs = cfgs or default_stage_configs()
 

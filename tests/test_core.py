@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -343,21 +344,63 @@ def test_fork_map_keeps_the_order_and_runs_the_first_item_here(jobs):
     assert [item for item, _ in out] == list(range(5))
     pids = [pid for _, pid in out]
     assert pids[0] == os.getpid()
-    assert len(set(pids[1:]) - {os.getpid()}) == min(jobs - 1, 4)
+    assert len(set(pids[1:])) == 1  # the rest run in one process
+    assert (pids[1] == os.getpid()) == (jobs == 1)
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
 def test_fork_map_raises_the_first_failing_items_error(jobs):
-    # items 2 and 4 fail, in one child or in two: item 2's error is raised
+    # items 2 and 4 fail, here or in the child: item 2's error is raised
     with pytest.raises(ConfigError, match="^item 2$"):
         fork_map(_fail_at_even, range(5), jobs)
     _assert_no_child_left()
 
 
-def test_fork_map_reports_what_a_child_cannot_send():
+class _WritesThenExits:
+    """Stands for a child's pipe: writes ``share`` of the payload, then exits 9."""
+
+    share = 1.0
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+    def write(self, payload):
+        os.write(self.fd, payload[:int(len(payload) * self.share)])
+        os._exit(9)
+
+
+def test_fork_map_reports_what_a_child_cannot_send(monkeypatch):
+    from tomoseg import core
+
     with pytest.raises(ChildProcessError, match="pickle"):
         fork_map(lambda item: lambda: item, range(2), 2)
-    with pytest.raises(ChildProcessError, match="ended without a result"):
+    with pytest.raises(ChildProcessError,
+                       match=r"^forked worker \d+ ended with wait status 768 after "
+                             r"sending 0 bytes that do not unpickle$"):
         fork_map(lambda item: os._exit(3) if item else item, range(2), 2)
+    # a child that dies while it writes: half or all of its payload arrives
+    monkeypatch.setattr(core, "open", lambda fd, mode, **kw: _WritesThenExits(fd)
+                        if "w" in mode else open(fd, mode, **kw), raising=False)
+    for share, tail in ((0.5, " that do not unpickle"), (1.0, "")):
+        monkeypatch.setattr(_WritesThenExits, "share", share)
+        with pytest.raises(ChildProcessError,
+                           match=r"^forked worker \d+ ended with wait status 2304 after "
+                                 rf"sending [1-9]\d* bytes{tail}$"):
+            fork_map(_pid_and, range(2), 2)
     _assert_no_child_left()
+
+
+def test_fork_map_forks_only_on_linux(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert fork_map(_pid_and, range(3), 2) == [(item, os.getpid()) for item in range(3)]

@@ -394,14 +394,14 @@ class TestTrainAllStages:
             runs[jobs] = self.train(cohort, jobs)
             forked[jobs] = len(forks) - before
         assert runs[1] == runs[2] == runs[3]
-        assert forked == {1: 0, 2: 1, 3: 2}  # none, one for stages 2-3, one a stage
+        assert forked == {1: 0, 2: 1, 3: 1}  # none, then one child for stages 2-3
         self.assert_no_child_left()
         scores = [r["val_iou"] for h in json.loads(runs[2][1]).values() for r in h]
         assert all(np.isnan(scores)) == (name == "one_slice")
 
     @pytest.mark.parametrize("strip, message", [
         ((VEN, COM, LAC), "class 2 absent"),  # no ventricle: stage 1 fails in this process
-        ((COM, LAC), "class 1 absent"),  # stages 2 and 3 fail in the children
+        ((COM, LAC), "class 1 absent"),  # stages 2 and 3 fail in the child
     ])
     def test_a_failing_stage_raises_as_in_the_loop(self, strip, message):
         (vol, gt), = TestTrainingStacks().make_cohort()
