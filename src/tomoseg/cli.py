@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, load_experiment_config, override
+from .config import config_from_dict, load_experiment_config, read_config_document
 from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, LabelVolume, ViewAxis, \
     extract_slice, load_volume, save_volume, worker_count
 from .errors import ConfigError, DataError, SchemaError, SpecError, TomosegError, \
@@ -25,8 +25,8 @@ from .pgm import float_to_8bit, gray_to_8bit, label_to_8bit, write_pgm
 from .phantom import default_spec, spec_from_dict, spec_to_dict, split_cohort
 from .pipeline import StageConfig, canonical_report, run_full, train_stage
 from .segmodel import DEFAULT_HYPERPARAMETERS, TrainProtocol, load_model, save_model
-from .tomo import DoseLevel, fbp_reconstruct, forward_project, load_sinogram, \
-    normalize_to_u16, save_sinogram, subsample_dose
+from .tomo import RECON_FILTERS, DoseLevel, fbp_reconstruct, forward_project, \
+    load_sinogram, normalize_to_u16, save_sinogram, subsample_dose
 
 
 def _expect(vol, kind, path):
@@ -93,14 +93,14 @@ def cmd_train(args) -> int:
     cfg = StageConfig(stage=args.stage, tile_size=args.tile,
                       preprocess=tuple(args.preprocess) if args.preprocess is not None
                       else None)
-    proto = TrainProtocol(tile_size=cfg.tile_size, slice_stride=args.stride,
-                          val_fraction=args.val_fraction, seed=args.seed)
     cohort = [(_expect(load_volume(g), GrayVolume, g),
                _expect(load_volume(l), LabelVolume, l))
               for g, l in zip(args.gray, args.labels)]
-    model, history = train_stage(cfg, cohort, proto, learning_rate=args.lr,
-                                 epochs=args.epochs, batch_size=args.batch,
-                                 l2=args.l2)
+    model, history = train_stage(cfg, cohort, args.seed,
+                                 {"slice_stride": args.stride,
+                                  "val_fraction": args.val_fraction},
+                                 learning_rate=args.lr, epochs=args.epochs,
+                                 batch_size=args.batch, l2=args.l2)
     model.metadata["stage"] = args.stage
     model.metadata["history"] = history
     save_model(model, args.out)
@@ -113,8 +113,8 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     vol = _expect(load_volume(args.input), GrayVolume, args.input)
     models = {i + 1: load_model(p) for i, p in enumerate(args.models)}
-    cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    final, report = run_full(models, vol, cfg.stages, jobs=args.jobs,
+    stages = load_experiment_config(args.config).stages if args.config else None
+    final, report = run_full(models, vol, stages, jobs=args.jobs,
                              config_snapshot={"models": [str(p) for p in args.models],
                                               "input": str(args.input)})
     save_volume(final, args.out)
@@ -137,15 +137,22 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _with_keys(section, **values):
+    """``section`` with every value that is not None set; a section that is not
+    an object comes back as it is, for ``config_from_dict`` to reject."""
+    if not isinstance(section, dict):
+        return section
+    return {**section, **{key: value for key, value in values.items() if value is not None}}
+
+
 def cmd_ablate_dose(args) -> int:
-    cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    cfg = override(cfg, seed=args.seed, cohort_size=args.cohort)
-    model_kw = dict(cfg.model)
-    if args.epochs is not None:
-        model_kw["epochs"] = args.epochs
-    if args.lr is not None:
-        model_kw["learning_rate"] = args.lr
-    cfg = replace(cfg, model=model_kw)
+    doc = read_config_document(args.config) if args.config else {}
+    if isinstance(doc, dict):
+        # a flag sets its key in the document, so it means what the key means in a file
+        doc = _with_keys(doc, seed=args.seed, cohort_size=args.cohort,
+                         model=_with_keys(doc.get("model") or {}, epochs=args.epochs,
+                                          learning_rate=args.lr))
+    cfg = config_from_dict(doc)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     matrix, _, _ = run_dose_ablation(cfg, jobs=args.jobs, log=print)
@@ -213,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="reconstructed gray volume (.vol)")
     p.add_argument("--dose", type=int, default=1, choices=(1, 2, 3),
                    help="angle decimation stride")
-    p.add_argument("--filter", default="ramlak", choices=("ramlak", "hann"))
+    p.add_argument("--filter", default="ramlak", choices=RECON_FILTERS)
     p.add_argument("--size", type=int, nargs=2, metavar=("NX", "NY"),
                    help="slice size (default: detector bins squared)")
     p.add_argument("--window", type=float, nargs=2, default=(0.0, 1.0),
@@ -232,11 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=DEFAULT_HYPERPARAMETERS["batch_size"],
                    help="pixels per step")
     p.add_argument("--l2", type=float, default=DEFAULT_HYPERPARAMETERS["l2"])
-    p.add_argument("--stride", type=int, default=3, help="slice stride")
-    p.add_argument("--val-fraction", type=float, default=0.30)
+    p.add_argument("--stride", type=int, default=TrainProtocol.slice_stride,
+                   help="slice stride")
+    p.add_argument("--val-fraction", type=float, default=TrainProtocol.val_fraction)
     p.add_argument("--preprocess", nargs="*",
                    help="per-slice filters (default per stage)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=TrainProtocol.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="run the full three-stage pipeline")
@@ -260,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate-dose", help="train/test dose combination matrix")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--out", help="output directory (default: config out_dir)")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--cohort", type=int, help="override cohort size")
-    p.add_argument("--epochs", type=int, help="override training epochs")
-    p.add_argument("--lr", type=float, help="override learning rate")
+    p.add_argument("--seed", type=int, help="the config's seed")
+    p.add_argument("--cohort", type=int, help="the config's cohort_size")
+    p.add_argument("--epochs", type=int, help="the config's model.epochs")
+    p.add_argument("--lr", type=float, help="the config's model.learning_rate")
     p.add_argument("--jobs", type=int,
                    help="worker threads for projection, FBP and prediction; "
                         "2 or more also trains stages 2 and 3 in one forked "

@@ -3,12 +3,14 @@
 The schema mirrors the toolchain: a phantom section, an acquisition
 section, dose strides, filter parameters, per-stage settings, the tile
 sampling protocol, classifier hyperparameters, and evaluation options.
-Unknown keys anywhere are rejected before any computation starts, and
-command-line flags override file values.
+Unknown keys anywhere are rejected before any computation starts.  The
+three stages share the one filters section, and each stage trains with
+the seed ``seed + stage``.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import AcquisitionConfig
@@ -17,6 +19,7 @@ from .filters import FilterConfig
 from .phantom import PhantomSpec, default_spec, spec_from_dict, spec_to_dict
 from .pipeline import StageConfig, default_stage_configs
 from .segmodel import DEFAULT_HYPERPARAMETERS, SoftmaxModel, TrainProtocol
+from .tomo import RECON_FILTERS
 
 _PROTOCOL_KEYS = ("slice_stride", "val_fraction", "tiles_per_slice_per_epoch")
 _MODEL_KEYS = tuple(DEFAULT_HYPERPARAMETERS)
@@ -42,7 +45,6 @@ class ExperimentConfig:
     phantom: PhantomSpec = None
     acquisition: AcquisitionConfig = None
     doses: tuple = (1, 2, 3)
-    filter_config: FilterConfig = field(default_factory=FilterConfig)
     stages: dict = None
     protocol: dict = None
     model: dict = None
@@ -50,12 +52,14 @@ class ExperimentConfig:
     recon_filter: str = "ramlak"
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise SchemaError(f"seed must be an integer, got {self.seed!r}")
         if self.phantom is None:
             object.__setattr__(self, "phantom", default_spec(seed=self.seed))
         if self.acquisition is None:
             object.__setattr__(self, "acquisition", AcquisitionConfig(300, 0.6, 192))
         if self.stages is None:
-            object.__setattr__(self, "stages", default_stage_configs(self.filter_config))
+            object.__setattr__(self, "stages", default_stage_configs())
         object.__setattr__(self, "protocol", dict(self.protocol or {}))
         object.__setattr__(self, "model", dict(self.model or {}))
         object.__setattr__(self, "doses", tuple(int(d) for d in self.doses))
@@ -65,7 +69,7 @@ class ExperimentConfig:
                 or not set(self.doses) <= {1, 2, 3}:
             raise SchemaError(f"doses must be distinct values from {{1,2,3}}, "
                               f"got {list(self.doses)}")
-        if self.recon_filter not in ("ramlak", "hann"):
+        if self.recon_filter not in RECON_FILTERS:
             raise SchemaError(f"unknown reconstruction filter {self.recon_filter!r}")
         for key in self.protocol:
             if key not in _PROTOCOL_KEYS:
@@ -75,13 +79,16 @@ class ExperimentConfig:
                 raise SchemaError(f"unknown model key {key!r}")
         if set(self.stages) != {1, 2, 3}:
             raise SchemaError(f"stages must cover 1, 2 and 3, got {sorted(self.stages)}")
+        if len({cfg.filter_config for cfg in self.stages.values()}) != 1:
+            raise SchemaError("the three stages must share one filter config")
         # probe-construct so bad values fail here, not mid-experiment
-        self.protocol_for_stage(1)
+        TrainProtocol(**self.protocol)
         SoftmaxModel(**self.model)
 
-    def protocol_for_stage(self, stage: int) -> TrainProtocol:
-        return TrainProtocol(tile_size=self.stages[stage].tile_size,
-                             seed=self.seed + stage, **self.protocol)
+    @property
+    def filter_config(self) -> FilterConfig:
+        """The filter parameters every stage shares."""
+        return self.stages[1].filter_config
 
     def to_dict(self) -> dict:
         fc = self.filter_config
@@ -107,7 +114,6 @@ class ExperimentConfig:
                 str(s): {
                     "tile_size": cfg.tile_size,
                     "preprocess": list(cfg.preprocess),
-                    "mask_to_ventricle": cfg.mask_to_ventricle,
                 }
                 for s, cfg in sorted(self.stages.items())
             },
@@ -138,44 +144,40 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         fc = FilterConfig(**_take(top.get("filters", {}),
                                   ("unsharp_sigma", "unsharp_amount", "median_radius",
                                    "histeq_bins"), "filters"))
-        kw["filter_config"] = fc
-        if "stages" in top:
-            raw = top["stages"]
-            if not isinstance(raw, dict):
-                raise SchemaError("stages section must be an object")
-            stages = default_stage_configs(fc)
-            for key, body in raw.items():
-                if str(key) not in ("1", "2", "3"):
-                    raise SchemaError(f"unknown stage {key!r}")
-                body = _take(body, ("tile_size", "preprocess", "mask_to_ventricle"),
-                             f"stage {key}")
-                if "preprocess" in body:
-                    body["preprocess"] = tuple(body["preprocess"])
-                stages[int(key)] = StageConfig(stage=int(key), filter_config=fc, **body)
-            kw["stages"] = stages
+        raw = top.get("stages", {})
+        if not isinstance(raw, dict):
+            raise SchemaError("stages section must be an object")
+        stages = default_stage_configs(fc)
+        for key, body in raw.items():
+            if str(key) not in ("1", "2", "3"):
+                raise SchemaError(f"unknown stage {key!r}")
+            body = _take(body, ("tile_size", "preprocess"), f"stage {key}")
+            if "preprocess" in body:
+                body["preprocess"] = tuple(body["preprocess"])
+            stages[int(key)] = StageConfig(stage=int(key), filter_config=fc, **body)
+        kw["stages"] = stages
         if "eval" in top:
             ev = _take(top["eval"], ("include_background",), "eval")
             kw["include_background"] = bool(ev.get("include_background", False))
         if "reconstruction" in top:
             rec = _take(top["reconstruction"], ("filter",), "reconstruction")
-            kw["recon_filter"] = rec.get("filter", "ramlak")
+            if "filter" in rec:
+                kw["recon_filter"] = rec["filter"]
         return ExperimentConfig(**kw)
     except (TypeError, ValueError, KeyError) as err:
         raise SchemaError(f"malformed config: {type(err).__name__}: {err}") from err
 
 
-def load_experiment_config(path) -> ExperimentConfig:
+def read_config_document(path) -> dict:
+    """The parsed JSON of a config file, not yet validated."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise SchemaError(f"unreadable config {path}: {e}") from e
-    return config_from_dict(doc)
 
 
-def override(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    """Config with the given fields replaced (used for flag overrides)."""
-    changes = {k: v for k, v in changes.items() if v is not None}
-    return replace(cfg, **changes) if changes else cfg
+def load_experiment_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config_document(path))

@@ -272,9 +272,8 @@ def run_dose_ablation(cfg, jobs: int = 1, log=None):
         rows += (("D1", "D2"),)
 
     def train_fn(stacks):
-        protos = {s: cfg.protocol_for_stage(s) for s in (1, 2, 3)}
-        models, _ = train_all_stages(stacks, cfgs=cfg.stages, protos=protos, jobs=jobs,
-                                     **cfg.model)
+        models, _ = train_all_stages(stacks, cfg.stages, protocol=cfg.protocol,
+                                     seed=cfg.seed, jobs=jobs, **cfg.model)
         return models
 
     def eval_fn(models, gray, gt):

@@ -55,7 +55,6 @@ class StageConfig:
     stage: int
     tile_size: int = None
     preprocess: tuple = None
-    mask_to_ventricle: bool = None
     filter_config: FilterConfig = field(default_factory=FilterConfig)
 
     def __post_init__(self):
@@ -72,12 +71,11 @@ class StageConfig:
         for name in self.preprocess:
             if name not in _FILTER_NAMES:
                 raise ConfigError(f"unknown preprocessing filter {name!r}")
-        if self.mask_to_ventricle is None:
-            object.__setattr__(self, "mask_to_ventricle", self.stage != 1)
-        if self.stage in (2, 3) and not self.mask_to_ventricle:
-            raise ConfigError(f"stage {self.stage} requires mask_to_ventricle")
-        if self.stage == 1 and self.mask_to_ventricle:
-            raise ConfigError("stage 1 produces the mask and cannot consume one")
+
+    @property
+    def mask_to_ventricle(self) -> bool:
+        """Stage 1 produces the ventricle mask; stages 2 and 3 see only its inside."""
+        return self.stage != 1
 
     @property
     def class_subset(self) -> tuple:
@@ -322,11 +320,16 @@ def stage_training_stacks(cfg: StageConfig, cohort) -> list:
     return stacks
 
 
-def train_stage(cfg: StageConfig, cohort, proto: TrainProtocol = None,
+def train_stage(cfg: StageConfig, cohort, seed: int = 0, protocol: dict = None,
                 **model_kw) -> tuple:
-    """Train one stage's model; extra keywords configure the SoftmaxModel."""
-    if proto is None:
-        proto = TrainProtocol(tile_size=cfg.tile_size)
+    """Train one stage's model on a (gray, gt) cohort; returns (model, history).
+
+    The tiles are sampled by a ``TrainProtocol`` of the stage's tile size,
+    ``seed`` and the shared ``protocol`` keys (slice stride, validation
+    fraction, tiles per slice per epoch).  Extra keywords configure the
+    SoftmaxModel.
+    """
+    proto = TrainProtocol(tile_size=cfg.tile_size, seed=seed, **(protocol or {}))
     model = SoftmaxModel(class_subset=cfg.class_subset, **model_kw)
     stacks = stage_training_stacks(cfg, cohort)
     if not stacks:
@@ -334,10 +337,12 @@ def train_stage(cfg: StageConfig, cohort, proto: TrainProtocol = None,
     return train(model, stacks, proto)
 
 
-def train_all_stages(cohort, cfgs: dict = None, protos: dict = None, seed: int = 0,
+def train_all_stages(cohort, cfgs: dict = None, protocol: dict = None, seed: int = 0,
                      jobs: int = None, **model_kw) -> tuple:
     """Train the three stage models; returns ({stage: model}, {stage: history}).
 
+    Stage ``s`` trains by ``train_stage`` with the seed ``seed + s`` and the
+    shared ``protocol`` keys; extra keywords configure every SoftmaxModel.
     Each stage trains on the ground truth alone, so the stages run side by
     side: with ``jobs`` of 2 or more (None means every available CPU),
     this process trains stage 1, the longest, while one forked child
@@ -349,10 +354,7 @@ def train_all_stages(cohort, cfgs: dict = None, protos: dict = None, seed: int =
     cfgs = cfgs or default_stage_configs()
 
     def fit(stage):
-        proto = (protos or {}).get(stage)
-        if proto is None:
-            proto = TrainProtocol(tile_size=cfgs[stage].tile_size, seed=seed + stage)
-        return train_stage(cfgs[stage], cohort, proto, **model_kw)
+        return train_stage(cfgs[stage], cohort, seed + stage, protocol, **model_kw)
 
     fitted = dict(zip((1, 2, 3), fork_map(fit, (1, 2, 3), jobs)))
     return ({s: model for s, (model, _) in fitted.items()},

@@ -435,26 +435,17 @@ class _Adam:
         weights -= np.divide(a, b, out=a)
 
 
-def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
-          class_subset=None) -> tuple[SoftmaxModel, list[dict]]:
+def train(model: SoftmaxModel, stacks, proto: TrainProtocol) -> tuple[SoftmaxModel, list[dict]]:
     """Fit the model on (GrayVolume, LabelVolume) stacks; returns (model, history).
 
     History holds one record per epoch: the mean tile loss and the
     validation macro IoU over classes present in the validation labels.
-    Pixels whose label is outside ``class_subset`` are excluded from
-    sampling (masked stages rely on this).
+    Pixels whose label is outside the model's ``class_subset`` are excluded
+    from sampling (masked stages rely on this).
     """
     if not stacks:
         raise TrainingError("need at least one training stack")
-    if class_subset is None:
-        class_subset = model.class_subset
-    class_subset = tuple(int(c) for c in class_subset)
-    if not class_subset:
-        raise TrainingError("class_subset must not be empty")
-    if class_subset != model.class_subset:
-        raise ConfigError(
-            f"class_subset {class_subset} does not match model {model.class_subset}"
-        )
+    class_subset = model.class_subset
     for gray, lab in stacks:
         if gray.dims != lab.dims:
             raise ShapeError(f"gray dims {gray.dims} != label dims {lab.dims}")

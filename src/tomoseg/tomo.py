@@ -50,7 +50,8 @@ from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, read_with_si
     worker_count, write_with_sidecar
 from .errors import ConfigError, FormatError, ReconstructionError
 
-_FILTERS = ("ramlak", "hann")
+# the filter names fbp_reconstruct accepts
+RECON_FILTERS = ("ramlak", "hann")
 # CSR taps of all blocks in flight, before projection leaves out its zero steps
 _TAPS_PER_BLOCK = 1 << 18
 # least filtered values per filter product, far above the sizes that BLAS
@@ -307,8 +308,8 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak",
     """
     if s.n_angles < 2:
         raise ReconstructionError(f"need at least 2 angles to reconstruct, got {s.n_angles}")
-    if filter_name not in _FILTERS:
-        raise ConfigError(f"unknown filter '{filter_name}', expected one of {_FILTERS}")
+    if filter_name not in RECON_FILTERS:
+        raise ConfigError(f"unknown filter '{filter_name}', expected one of {RECON_FILTERS}")
     if len(out_dims) == 3:
         if out_dims[2] != s.n_slices:
             raise ConfigError(

@@ -77,9 +77,8 @@ def full_scale_cv():
     cohort = list(zip(recons["D1"], gts))
 
     def train_fn(pairs):
-        models, _ = train_all_stages(
-            pairs, cfgs=cfg.stages,
-            protos={s: cfg.protocol_for_stage(s) for s in (1, 2, 3)}, **cfg.model)
+        models, _ = train_all_stages(pairs, cfg.stages, protocol=cfg.protocol, seed=cfg.seed,
+                                     **cfg.model)
         return models
 
     def eval_fn(models, pair):

@@ -173,6 +173,61 @@ class TestDoseAblation:
         assert "D1+D2" in table
         assert table.rstrip("\n") in capsys.readouterr().out
 
+    @pytest.mark.parametrize("file_doc, flags, doc", [
+        (None, ["--seed", 5, "--cohort", 2, "--epochs", 4, "--lr", 0.02],
+         {"seed": 5, "cohort_size": 2, "model": {"epochs": 4, "learning_rate": 0.02}}),
+        ({"seed": 1, "cohort_size": 4, "model": {"epochs": 9, "batch_size": 64}},
+         ["--seed", 5, "--epochs", 4],
+         {"seed": 5, "cohort_size": 4, "model": {"epochs": 4, "batch_size": 64}}),
+    ], ids=["flags_only", "flags_over_file"])
+    def test_flags_mean_their_config_keys(self, tmp_path, monkeypatch, file_doc, flags, doc):
+        """Each flag hands the dose ablation the config that a document
+        holding its key gives, the phantom seed included."""
+        from tomoseg import cli
+
+        class Recorded(Exception):
+            pass
+
+        def record(cfg, **_):
+            raise Recorded(cfg.to_dict())
+
+        monkeypatch.setattr(cli, "run_dose_ablation", record)
+        configs = []
+        for name, argv in (("file", flags), ("doc", [])):
+            body = file_doc if name == "file" else doc
+            if body is not None:
+                (tmp_path / f"{name}.json").write_text(json.dumps(body))
+                argv = [*argv, "--config", tmp_path / f"{name}.json"]
+            with pytest.raises(Recorded) as got:
+                run("ablate-dose", "--out", tmp_path / "abl", *argv)
+            configs.append(got.value.args[0])
+        assert configs[0] == configs[1]
+        assert configs[0]["phantom"]["seed"] == doc["seed"]
+
+
+def test_parser_defaults_and_choices_follow_their_definitions(capsys):
+    import inspect
+
+    from tomoseg.cli import build_parser
+    from tomoseg.segmodel import DEFAULT_HYPERPARAMETERS, TrainProtocol
+    from tomoseg.tomo import RECON_FILTERS, fbp_reconstruct
+
+    parser = build_parser()
+    train = parser.parse_args(["train", "--stage", "1", "--gray", "g", "--labels", "l",
+                               "--out", "m"])
+    assert (train.stride, train.val_fraction, train.seed) == \
+        (TrainProtocol.slice_stride, TrainProtocol.val_fraction, TrainProtocol.seed)
+    assert {"epochs": train.epochs, "learning_rate": train.lr, "batch_size": train.batch,
+            "l2": train.l2} == dict(DEFAULT_HYPERPARAMETERS)
+    recon = ["reconstruct", "--input", "s", "--out", "v"]
+    assert parser.parse_args(recon).filter == \
+        inspect.signature(fbp_reconstruct).parameters["filter_name"].default
+    for name in RECON_FILTERS:
+        assert parser.parse_args([*recon, "--filter", name]).filter == name
+    with pytest.raises(SystemExit):
+        parser.parse_args([*recon, "--filter", "shepp"])
+    assert "shepp" in capsys.readouterr().err
+
 
 class TestErrorPaths:
     def test_missing_input_exits_3(self, tmp_path, capsys):
@@ -187,6 +242,14 @@ class TestErrorPaths:
         err = expect_error(run("ablate-dose", "--config", cfg, "--out", tmp_path),
                            capsys.readouterr().err, 2, "SchemaError")
         assert "bogus" in err["message"]
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"model": 3}], ids=["list", "model_number"])
+    def test_flags_over_a_non_object_config_exit_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        expect_error(run("ablate-dose", "--config", cfg, "--out", tmp_path, "--seed", 1,
+                         "--epochs", 3),
+                     capsys.readouterr().err, 2, "SchemaError")
 
     @pytest.mark.parametrize("jobs", [0, -3])
     @pytest.mark.parametrize("command", ["infer", "ablate-dose"])

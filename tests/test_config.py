@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from tomoseg.config import ExperimentConfig, config_from_dict, load_experiment_config, \
-    override
+from tomoseg.config import ExperimentConfig, config_from_dict, load_experiment_config
 from tomoseg.errors import SchemaError
-from tomoseg.segmodel import TrainProtocol
+from tomoseg.filters import FilterConfig
+from tomoseg.pipeline import StageConfig, default_stage_configs
 
 
 class TestDefaults:
@@ -27,14 +27,6 @@ class TestDefaults:
         assert cfg.stages[3].mask_to_ventricle is True
         assert cfg.stages[1].tile_size == 400
         assert cfg.stages[2].tile_size == 224
-
-    def test_protocol_for_stage_offsets_seed(self):
-        cfg = ExperimentConfig(seed=10, protocol={"slice_stride": 2})
-        proto = cfg.protocol_for_stage(2)
-        assert isinstance(proto, TrainProtocol)
-        assert proto.seed == 12
-        assert proto.slice_stride == 2
-        assert proto.tile_size == cfg.stages[2].tile_size
 
     def test_phantom_seed_tracks_config_seed(self):
         assert ExperimentConfig(seed=5).phantom.seed == 5
@@ -67,6 +59,18 @@ class TestValidation:
         with pytest.raises(SchemaError, match="stages"):
             ExperimentConfig(stages={1: cfg.stages[1]})
 
+    def test_stages_share_one_filter_config(self):
+        stages = default_stage_configs()
+        stages[2] = StageConfig(stage=2, filter_config=FilterConfig(unsharp_sigma=3.0))
+        with pytest.raises(SchemaError, match="filter"):
+            ExperimentConfig(stages=stages)
+
+    @pytest.mark.parametrize("seed", ["5", 5.0, None, True],
+                             ids=["text", "float", "none", "bool"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(SchemaError, match="seed"):
+            ExperimentConfig(seed=seed)
+
 
 class TestDocumentRoundTrip:
     def test_to_dict_from_dict_identity(self):
@@ -94,6 +98,15 @@ class TestDocumentRoundTrip:
         assert cfg.stages[1].tile_size == 400
         assert set(cfg.stages) == {1, 2, 3}
 
+    def test_filters_reach_every_stage(self):
+        filters = {"unsharp_sigma": 3.0, "unsharp_amount": 0.5, "median_radius": 1,
+                   "histeq_bins": 64}
+        cfg = config_from_dict({"filters": filters, "stages": {"2": {"tile_size": 64}}})
+        assert {s.filter_config for s in cfg.stages.values()} == {FilterConfig(**filters)}
+        assert cfg.filter_config == FilterConfig(**filters)
+        assert cfg.to_dict()["filters"] == filters
+        assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
     def test_stage_preprocess_list_becomes_tuple(self):
         cfg = config_from_dict({"stages": {"2": {"preprocess": ["median", "unsharp"]}}})
         assert cfg.stages[2].preprocess == ("median", "unsharp")
@@ -107,6 +120,7 @@ class TestDocumentRoundTrip:
         {"stages": {"1": {"tile_size": 32, "color": "red"}}},
         {"eval": {"metric": "dice"}},
         {"reconstruction": {"filter": "ramlak", "pad": 2}},
+        {"stages": {"2": {"mask_to_ventricle": True}}},
     ])
     def test_unknown_keys_rejected_everywhere(self, doc):
         with pytest.raises(SchemaError):
@@ -134,15 +148,3 @@ class TestFiles:
         with pytest.raises(SchemaError, match="unreadable"):
             load_experiment_config(path)
 
-
-class TestOverride:
-    def test_override_replaces_values(self):
-        cfg = override(ExperimentConfig(), seed=7, cohort_size=5)
-        assert cfg.seed == 7
-        assert cfg.cohort_size == 5
-
-    def test_none_values_are_skipped(self):
-        base = ExperimentConfig(seed=2)
-        cfg = override(base, seed=None, cohort_size=None)
-        assert cfg is base
-        assert override(base, seed=None, cohort_size=4).seed == 2

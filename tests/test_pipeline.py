@@ -63,10 +63,6 @@ class TestStageConfig:
         with pytest.raises(ConfigError):
             StageConfig(stage=4)
         with pytest.raises(ConfigError):
-            StageConfig(stage=2, mask_to_ventricle=False)
-        with pytest.raises(ConfigError):
-            StageConfig(stage=1, mask_to_ventricle=True)
-        with pytest.raises(ConfigError):
             StageConfig(stage=1, preprocess=("sharpen",))
         with pytest.raises(ConfigError):
             StageConfig(stage=1, tile_size=0)
@@ -355,6 +351,23 @@ class TestTrainAllStages:
         assert all(len(histories[s]) == 3 for s in (1, 2, 3))
         final, report = run_full(models, cohort[0][0])
         assert final.dims == cohort[0][0].dims
+
+    def test_stage_protocol_offsets_seed(self, monkeypatch):
+        """Stage s samples tiles with the seed ``seed + s``, its own tile size
+        and the shared protocol keys."""
+        protos = []
+
+        def record(model, stacks, proto):
+            protos.append(proto)
+            return model, []
+
+        monkeypatch.setattr(pipeline, "train", record)
+        cfgs = default_stage_configs()
+        cfgs[3] = StageConfig(stage=3, tile_size=64)
+        train_all_stages(TestTrainingStacks().make_cohort(), cfgs, protocol={"slice_stride": 2},
+                         seed=10, jobs=1)
+        assert [(p.seed, p.tile_size, p.slice_stride) for p in protos] == \
+            [(11, 400, 2), (12, 224, 2), (13, 64, 2)]
 
     @staticmethod
     def one_slice_cohort():

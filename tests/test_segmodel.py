@@ -603,8 +603,6 @@ class TestTrain:
         model = SoftmaxModel(class_subset=(0, 1), epochs=1)
         with pytest.raises(TrainingError):
             train(model, [], TrainProtocol(tile_size=20))
-        with pytest.raises(ConfigError):
-            train(model, [stack], TrainProtocol(tile_size=20), class_subset=(0, 1, 2))
         bad = (stack[0], labels(np.zeros((2, 20, 20), dtype=np.uint8)))
         with pytest.raises(ShapeError):
             train(model, [bad], TrainProtocol(tile_size=20))
