@@ -3,8 +3,10 @@
 Subcommands follow the workflow order: phantom -> project -> reconstruct
 -> train -> infer -> evaluate, plus ablate-dose for the dose experiment
 and export-slices for quick visual checks.  Exit codes: 0 success,
-2 config/schema violations, 3 missing files, 4 computation errors; every
-failure prints one JSON error line to stderr.
+2 config/schema violations, 3 files that cannot be read or written
+(missing, a directory, no permission), 4 computation errors, a dead
+forked worker among them; every failure prints one JSON error line to
+stderr.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import numpy as np
 
 from .config import config_from_dict, load_experiment_config, read_config_document
 from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, LabelVolume, ViewAxis, \
-    extract_slice, load_volume, save_volume, worker_count
+    extract_slice, load_volume, read_json, save_volume, worker_count
 from .errors import ConfigError, DataError, SchemaError, SpecError, TomosegError, \
     UsageError
 from .evaluate import evaluate_volumes, run_dose_ablation
@@ -41,14 +43,7 @@ def _write_json(path, doc) -> None:
 
 def cmd_phantom(args) -> int:
     if args.spec:
-        path = Path(args.spec)
-        if not path.exists():
-            raise FileNotFoundError(str(path))
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise SpecError(f"unreadable phantom spec {path}: {err}") from err
-        spec = spec_from_dict(doc)
+        spec = spec_from_dict(read_json(args.spec, SpecError, "phantom spec"))
     else:
         spec = default_spec()
     if args.seed is not None:
@@ -296,10 +291,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SchemaError, ConfigError, SpecError) as err:
         return _fail(2, err)
-    except FileNotFoundError as err:
-        return _fail(3, err)
-    except TomosegError as err:
+    except (ChildProcessError, TomosegError) as err:  # a dead forked worker is an OSError
         return _fail(4, err)
+    except OSError as err:
+        return _fail(3, err)
 
 
 def _fail(code: int, err: Exception) -> int:

@@ -8,12 +8,10 @@ three stages share the one filters section, and each stage trains with
 the seed ``seed + stage``.
 """
 
-import json
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
-from .core import AcquisitionConfig
+from .core import AcquisitionConfig, read_json
 from .errors import SchemaError
 from .filters import FilterConfig
 from .phantom import PhantomSpec, default_spec, spec_from_dict, spec_to_dict
@@ -170,13 +168,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def read_config_document(path) -> dict:
     """The parsed JSON of a config file, not yet validated."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"unreadable config {path}: {e}") from e
+    return read_json(path, SchemaError, "config")
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -13,7 +13,8 @@ Conventions used throughout the package:
   sidecar (``.vol.json``) holding dims, voxel size, dtype tag and, for label
   volumes, the class table.  Volume and sinogram pairs are written by
   ``write_with_sidecar`` and read by ``read_with_sidecar``, the one sidecar
-  reader; a malformed sidecar raises FormatError naming the file.
+  reader; a malformed sidecar raises FormatError naming the file.  Every
+  JSON file (sidecar, config, phantom spec, model) is parsed by ``read_json``.
 * All randomness in the package uses numpy's Philox (4x64) counter-based
   bit generator so results are reproducible across platforms.
 """
@@ -333,6 +334,18 @@ def write_with_sidecar(path, payload: np.ndarray, sidecar: dict) -> None:
         tmp_sidecar.unlink(missing_ok=True)
 
 
+def read_json(path, error: type, what: str):
+    """The parsed JSON document of the file ``path``.
+
+    A file that is not UTF-8 JSON raises ``error``, naming it as ``what``;
+    a missing or unreadable one raises the ``OSError`` of reading it.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise error(f"unreadable {what} {path}: {e}") from e
+
+
 def read_with_sidecar(path, keys) -> tuple[dict, bytes]:
     """Read a pair written by :func:`write_with_sidecar`: (sidecar object, payload bytes).
 
@@ -345,10 +358,7 @@ def read_with_sidecar(path, keys) -> tuple[dict, bytes]:
     for p in (path, sidecar_path):
         if not p.exists():
             raise FileNotFoundError(str(p))
-    try:
-        meta = json.loads(sidecar_path.read_text())
-    except ValueError as e:
-        raise FormatError(f"unreadable sidecar {sidecar_path}: {e}") from e
+    meta = read_json(sidecar_path, FormatError, "sidecar")
     if not isinstance(meta, dict):
         raise FormatError(f"sidecar {sidecar_path} is a JSON {type(meta).__name__}, "
                           "not an object")

@@ -23,6 +23,7 @@ Apart from its outputs, ``generate`` holds a few boolean masks.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,6 +121,15 @@ class CylinderZ:
         return disk & (uz >= lo) & (uz <= hi)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints; a bool, float or string among them raises SpecError
+    rather than being truncated or read."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
+        raise SpecError(f"{what} must be integers, got {list(values)}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     """Complete recipe for one phantom.
@@ -150,8 +160,9 @@ class PhantomSpec:
     window: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
-        object.__setattr__(self, "lacunae_count", tuple(int(v) for v in self.lacunae_count))
+        object.__setattr__(self, "dims", _integers(self.dims, "dims"))
+        object.__setattr__(self, "seed", _integers((self.seed,), "seed")[0])
+        object.__setattr__(self, "lacunae_count", _integers(self.lacunae_count, "lacunae_count"))
         object.__setattr__(self, "lacuna_radius_voxels",
                            tuple(float(v) for v in self.lacuna_radius_voxels))
         object.__setattr__(self, "attenuation", tuple(float(v) for v in self.attenuation))
@@ -255,7 +266,7 @@ def spec_from_dict(d: dict) -> PhantomSpec:
         return PhantomSpec(
             dims=tuple(merged["dims"]),
             voxel_size_um=float(merged["voxel_size_um"]),
-            seed=int(merged["seed"]),
+            seed=merged["seed"],
             atrium=Ellipsoid(tuple(atrium["center"]), tuple(atrium["semi_axes"])),
             ventricle=Ellipsoid(tuple(ventricle["center"]), tuple(ventricle["semi_axes"])),
             bulbus=CylinderZ(tuple(bulbus["center_xy"]), float(bulbus["radius"]),

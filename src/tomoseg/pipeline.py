@@ -100,12 +100,6 @@ def stage_gt(cfg: StageConfig, gt: LabelVolume) -> np.ndarray:
     return (gt.data == STAGE_TARGETS[cfg.stage]).astype(np.uint8)
 
 
-def ventricle_mask_from_gt(gt: LabelVolume) -> LabelVolume:
-    """Binary mask of the ventricle complex (ventricle + compacta + lacunary)."""
-    mask = np.isin(gt.data, VENTRICLE_COMPLEX).astype(np.uint8)
-    return LabelVolume(mask, gt.voxel_size_um, ("Background", "Ventricle"))
-
-
 def ventricle_mask_from_stage1(stage1: LabelVolume) -> LabelVolume:
     mask = (stage1.data == ClassId.VENTRICLE).astype(np.uint8)
     return LabelVolume(mask, stage1.voxel_size_um, ("Background", "Ventricle"))

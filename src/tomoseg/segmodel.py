@@ -37,14 +37,11 @@ per-row max and sum run column by column over the few classes, without
 Validation is gathered once per ``train`` call as well: the labelled
 pixels of the validation slices become one float64 (N, 9) matrix and one
 label vector.  Each epoch scores them with one affine map, an argmax over
-the logits and one confusion-matrix ``bincount``.  When the matrix is
-large, epoch e is scored on one helper thread while epoch e+1 steps;
-epoch e's score is read before epoch e+1's is submitted, so a failed
-score stops training one epoch later, and the thread ends with
-``train``.  In validation and inference alike a pixel's label is the
-argmax of its logits (``SoftmaxModel.predict_index``), ties going to the
-lower index: the softmax is monotone, so no exponential is computed to
-find the most probable class.
+the logits and one confusion-matrix ``bincount``, on the calling thread
+right after that epoch's steps.  In validation and inference alike a
+pixel's label is the argmax of its logits (``SoftmaxModel.predict_index``),
+ties going to the lower index: the softmax is monotone, so no exponential
+is computed to find the most probable class.
 
 The filters of the bank are the exact numpy forms in ``filters``: each
 map equals the ``scipy.ndimage`` filter the bank was first written with
@@ -53,7 +50,6 @@ so ``FEATURE_VERSION`` is unchanged, and training loads no scipy.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -61,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ViewAxis, rng_for_seed, view_stack
+from .core import ViewAxis, read_json, rng_for_seed, view_stack
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
 from .filters import CHUNK_VOXELS, _require_2d, _require_stack, correlate_padded, \
     gaussian_weights, median_stack, reflect_pad, slice_chunks, uniform_filter1d
@@ -86,11 +82,6 @@ _PREDICT_ROWS = 1 << 12
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-# Validation overlaps the next epoch's steps only over at least this many
-# pixels: a smaller set scores in less time than the thread hand-offs cost.
-# The cutoff lies between the measured validation sets of 11.5k pixels
-# (slower overlapped) and 53k pixels (faster); it was not measured itself.
-_OVERLAP_ROWS = 1 << 15
 # Training hyperparameters used wherever none are given: SoftmaxModel,
 # ``tomoseg train``, an experiment config without a model section and a
 # model file without a hyperparameters section.
@@ -463,57 +454,45 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol) -> tuple[SoftmaxMod
     tables = {}  # a tile that spans its slice always starts at (0, 0): one table per slice
     batch = np.empty((model.batch_size, N_FEATURES + 1))  # the design matrix of drawn steps
     batch[:, -1] = 1.0
-    weights = model.weights.copy()
+    trained = {"trained_epochs": model.epochs} if model.epochs else {}
+    fitted = replace(model, weights=model.weights.copy(), metadata={**model.metadata, **trained})
+    weights = fitted.weights  # Adam steps these in place: each epoch scores the current weights
     adam = _Adam(weights, model.learning_rate)
     sampler = rng_for_seed(proto.seed, 202)
-    overlap = np.size(val_y) >= _OVERLAP_ROWS
     history = []
-    with ThreadPoolExecutor(1) as validator:
-        for epoch in range(model.epochs):
-            losses = []
-            for s, j in train_pairs:
-                _, h, w = gts[s].shape
-                th, tw = min(proto.tile_size, h), min(proto.tile_size, w)
-                for _ in range(proto.tiles_per_slice_per_epoch):
-                    ti = int(sampler.integers(0, h - th + 1))
-                    tj = int(sampler.integers(0, w - tw + 1))
-                    if (th, tw) != (h, w) or not model.batch_size:
-                        # batch_size 0 feeds whole slices: their design matrices are not kept
-                        table = _tile_table(feature_rows[s], gts[s], j, ti, tj, th, tw,
-                                            model.batch_size)
-                    elif (s, j) in tables:
-                        table = tables[s, j]
-                    else:
-                        table = tables[s, j] = _tile_table(feature_rows[s], gts[s], j, 0, 0,
-                                                           h, w, model.batch_size)
-                    if table.y.size == 0:
-                        continue
-                    if table.cdf is None:
-                        x, y = table.x, table.y
-                    else:
-                        pick = _choice(sampler, table.cdf, model.batch_size)
-                        x = _design(feature_rows[s], table.rows[pick], out=batch)
-                        y = table.y[pick]
-                    loss, grad = softmax_loss_and_grad(weights, x, y, model.l2, design=True)
-                    adam.step(weights, grad)
-                    losses.append(loss)
-            fitted = replace(model, weights=weights.copy(),
-                             metadata={**model.metadata, "trained_epochs": epoch + 1})
-            history.append({
-                "epoch": epoch + 1,
-                "train_loss": float(np.mean(losses)) if losses else float("nan"),
-                "val_iou": None,
-            })
-            if not overlap:
-                history[-1]["val_iou"] = _validation_iou(fitted, val_x, val_y)
-                continue
-            if epoch:  # one score in flight at most: a failed one stops training here
-                history[-2]["val_iou"] = scoring.result()
-            scoring = validator.submit(_validation_iou, fitted, val_x, val_y)
-        if overlap and history:
-            history[-1]["val_iou"] = scoring.result()
-    if model.epochs == 0:
-        return replace(model, weights=weights.copy()), history
+    for epoch in range(model.epochs):
+        losses = []
+        for s, j in train_pairs:
+            _, h, w = gts[s].shape
+            th, tw = min(proto.tile_size, h), min(proto.tile_size, w)
+            for _ in range(proto.tiles_per_slice_per_epoch):
+                ti = int(sampler.integers(0, h - th + 1))
+                tj = int(sampler.integers(0, w - tw + 1))
+                if (th, tw) != (h, w) or not model.batch_size:
+                    # batch_size 0 feeds whole slices: their design matrices are not kept
+                    table = _tile_table(feature_rows[s], gts[s], j, ti, tj, th, tw,
+                                        model.batch_size)
+                elif (s, j) in tables:
+                    table = tables[s, j]
+                else:
+                    table = tables[s, j] = _tile_table(feature_rows[s], gts[s], j, 0, 0,
+                                                       h, w, model.batch_size)
+                if table.y.size == 0:
+                    continue
+                if table.cdf is None:
+                    x, y = table.x, table.y
+                else:
+                    pick = _choice(sampler, table.cdf, model.batch_size)
+                    x = _design(feature_rows[s], table.rows[pick], out=batch)
+                    y = table.y[pick]
+                loss, grad = softmax_loss_and_grad(weights, x, y, model.l2, design=True)
+                adam.step(weights, grad)
+                losses.append(loss)
+        history.append({
+            "epoch": epoch + 1,
+            "train_loss": float(np.mean(losses)) if losses else float("nan"),
+            "val_iou": _validation_iou(fitted, val_x, val_y),
+        })
     return fitted, history
 
 
@@ -597,13 +576,7 @@ def save_model(model: SoftmaxModel, path) -> None:
 
 
 def load_model(path) -> SoftmaxModel:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"unreadable model file {path}: {e}") from e
+    doc = read_json(path, FormatError, "model file")
     if not isinstance(doc, dict) or doc.get("format") != "softmax-featbank":
         raise FormatError(f"{path}: not a model file")
     if doc.get("feature_version") != FEATURE_VERSION:

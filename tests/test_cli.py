@@ -3,7 +3,7 @@
 A session fixture runs the whole chain once (phantom -> project ->
 reconstruct -> train x3 -> infer -> evaluate -> export-slices) and the
 tests pick over the produced files.  Error paths assert the exit code
-contract: 2 config, 3 missing file, 4 computation.
+contract: 2 config, 3 a file that cannot be read or written, 4 computation.
 """
 
 import contextlib
@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from tomoseg.cli import main
 from tomoseg.config import ExperimentConfig, config_from_dict
-from tomoseg.core import AcquisitionConfig, GrayVolume, LabelVolume, ViewAxis, extract_slice, \
-    load_volume, save_volume
+from tomoseg.core import AcquisitionConfig, AttenuationVolume, GrayVolume, LabelVolume, \
+    ViewAxis, extract_slice, load_volume, save_volume
 from tomoseg.errors import FormatError, SchemaError
 from tomoseg.pgm import label_to_8bit, read_pgm
 from tomoseg.phantom import default_spec, spec_to_dict
@@ -357,11 +357,14 @@ def test_train_keeps_the_stage_class_that_the_seeded_split_would_leave_out(tmp_p
     assert json.loads((tmp_path / "m2.json").read_text())["class_subset"] == [0, 1]
 
 
-@pytest.mark.parametrize("text", ["{\"dims\": [48, 48,", "[48, 48, 48]", "{\"dims\": \"abc\"}"],
-                         ids=["malformed_json", "not_an_object", "dims_not_numbers"])
+@pytest.mark.parametrize("text", ["{\"dims\": [48, 48,", "[48, 48, 48]", "{\"dims\": \"abc\"}",
+                                  "{\"seed\": 5.9}", "{\"dims\": [48.7, 48, 48]}",
+                                  b"\xff\xfe{"],
+                         ids=["malformed_json", "not_an_object", "dims_not_numbers",
+                              "seed_float", "dims_float", "not_utf8"])
 def test_bad_phantom_spec_exits_2(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
-    spec.write_text(text)
+    spec.write_bytes(text if isinstance(text, bytes) else text.encode())
     expect_error(run("phantom", "--spec", spec, "--out", tmp_path / "ph"),
                  capsys.readouterr().err, 2, "SpecError")
     assert not (tmp_path / "ph").exists()
@@ -519,6 +522,66 @@ def test_evaluate_repeated_class_names_exits_4(sidecar_pairs, tmp_path, capsys):
                         capsys.readouterr().err, 4, "FormatError")
     assert "repeats a name" in line["message"]
     assert not (tmp_path / "eval.json").exists()
+
+
+# each command line names the directory "d" where it reads or writes one file; the other
+# files are valid and lie beside it
+DIRECTORY_ARGUMENTS = {
+    "phantom_spec": ["phantom", "--spec", "d", "--out", "ph"],
+    "ablate_config": ["ablate-dose", "--config", "d", "--out", "out"],
+    "infer_models": ["infer", "--input", "gray.vol", "--models", "d", "m.json", "m.json",
+                     "--out", "seg.vol"],
+    "project_out": ["project", "--input", "atten.vol", "--out", "d", "--angles", 4,
+                    "--step", 45.0, "--bins", 12],
+    "evaluate_report": ["evaluate", "--pred", "gt.vol", "--gt", "gt.vol", "--report", "d"],
+    "export_out": ["export-slices", "--input", "gt.vol", "--axis", "xy", "--index", 0,
+                   "--out", "d"],
+}
+
+
+@pytest.mark.parametrize("argv", DIRECTORY_ARGUMENTS.values(), ids=DIRECTORY_ARGUMENTS.keys())
+def test_a_directory_in_place_of_a_file_exits_3(sidecar_pairs, tmp_path, capsys, monkeypatch,
+                                                argv):
+    monkeypatch.chdir(tmp_path)
+    for name in ("gt.vol", "gray.vol"):
+        for suffix in ("", ".json"):
+            shutil.copyfile(sidecar_pairs / (name + suffix), tmp_path / (name + suffix))
+    save_volume(AttenuationVolume(np.full((4, 8, 8), 0.5, dtype=np.float32)),
+                tmp_path / "atten.vol")
+    save_model(SoftmaxModel(class_subset=(0, 1)), tmp_path / "m.json")
+    (tmp_path / "d").mkdir()
+    expect_error(run(*argv), capsys.readouterr().err, 3, "IsADirectoryError")
+    assert (tmp_path / "d").is_dir() and not any((tmp_path / "d").iterdir())
+
+
+def test_a_dead_forked_worker_exits_4(tmp_path, capsys, monkeypatch):
+    from tomoseg import cli
+
+    def dead_worker(*_, **__):
+        raise ChildProcessError("forked worker 7 ended with wait status 9 after sending 0 bytes")
+
+    monkeypatch.setattr(cli, "run_dose_ablation", dead_worker)
+    line = expect_error(run("ablate-dose", "--out", tmp_path), capsys.readouterr().err, 4,
+                        "ChildProcessError")
+    assert "forked worker 7" in line["message"]
+
+
+@pytest.mark.parametrize("flag,code,error", [("--config", 2, "SchemaError"),
+                                             ("--models", 4, "FormatError")],
+                         ids=["config", "model"])
+def test_a_json_input_that_is_not_utf8_exits_with_its_reader_error(tmp_path, capsys, flag,
+                                                                     code, error):
+    save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
+    model, bad = tmp_path / "m.json", tmp_path / "bad.json"
+    model.write_text(json.dumps(_model_doc()))
+    bad.write_bytes(b"\xff\xfe{")
+    models = (bad, model, model) if flag == "--models" else (model,) * 3
+    config = ("--config", bad) if flag == "--config" else ()
+    line = expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", *models,
+                            *config, "--out", tmp_path / "seg.vol"),
+                        capsys.readouterr().err, code, error)
+    assert "unreadable" in line["message"] and "bad.json" in line["message"]
+    assert not (tmp_path / "seg.vol").exists()
 
 
 @pytest.mark.parametrize("index", [8, 999, -1])

@@ -144,7 +144,8 @@ class TestFiles:
 
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(SchemaError, match="unreadable"):
-            load_experiment_config(path)
+        for raw in (b"{not json", b"\xff\xfe{"):  # not JSON; not UTF-8
+            path.write_bytes(raw)
+            with pytest.raises(SchemaError, match="unreadable"):
+                load_experiment_config(path)
 

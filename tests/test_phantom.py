@@ -174,6 +174,19 @@ def test_spec_validation():
         replace(default_spec(48), attenuation=(0.1, 0.3, 0.5, 0.7, 1.9, 0.2))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", 5.9), ("seed", "5"), ("seed", True), ("dims", [48.7, 48, 48]),
+    ("dims", ["48", 48, 48]), ("lacunae_count", [4, 6.0]), ("lacunae_count", [True, 6]),
+], ids=["seed_float", "seed_text", "seed_bool", "dims_float", "dims_text",
+        "lacunae_float", "lacunae_bool"])
+def test_integer_fields_reject_other_types(key, value):
+    d = {**spec_to_dict(default_spec(48)), key: value}
+    with pytest.raises(SpecError, match=key):
+        spec_from_dict(d)
+    with pytest.raises(SpecError, match=key):
+        replace(default_spec(48), **{key: value})
+
+
 def test_spec_json_round_trip():
     spec = default_spec(48, seed=4)
     d = json.loads(json.dumps(spec_to_dict(spec)))

@@ -12,9 +12,9 @@ from tomoseg import pipeline
 from tomoseg.core import ClassId, GrayVolume, LabelVolume, rng_for_seed
 from tomoseg.errors import ConfigError, ShapeError, TrainingError
 from tomoseg.filters import fill_holes_3d
-from tomoseg.pipeline import EXCLUDED_LABEL, MASK_DILATION_VOXELS, StageConfig, \
-    canonical_report, default_stage_configs, ensemble, predict_view, run_full, run_stage, \
-    stage_gt, stage_training_stacks, train_all_stages, train_stage, ventricle_mask_from_gt, \
+from tomoseg.pipeline import EXCLUDED_LABEL, MASK_DILATION_VOXELS, VENTRICLE_COMPLEX, \
+    StageConfig, canonical_report, default_stage_configs, ensemble, predict_view, run_full, \
+    run_stage, stage_gt, stage_training_stacks, train_all_stages, train_stage, \
     ventricle_mask_from_stage1
 from tomoseg.segmodel import N_FEATURES, SoftmaxModel
 
@@ -82,9 +82,8 @@ class TestStageGroundTruth:
         assert com.tolist() == [[[0, 0, 0], [0, 1, 0]]]
 
     def test_ventricle_complex_mask(self):
-        gt = lab(np.arange(6).reshape(1, 2, 3))
-        mask = ventricle_mask_from_gt(gt)
-        assert mask.data.tolist() == [[[0, 0, 1], [0, 1, 1]]]
+        mask = np.isin(np.arange(6).reshape(1, 2, 3), VENTRICLE_COMPLEX)
+        assert mask.astype(int).tolist() == [[[0, 0, 1], [0, 1, 1]]]
 
     def test_mask_from_stage1_prediction(self):
         s1 = lab(np.array([[[0, 1, 2, 3]]]), ("Background", "Atrium", "Ventricle",
@@ -157,7 +156,7 @@ class TestRunStage:
             run_stage(StageConfig(stage=2), binary_threshold_model(), vol)
         with pytest.raises(ConfigError):
             run_stage(StageConfig(stage=1), stage1_threshold_model(), vol,
-                      ventricle_mask_from_gt(lab(np.full((20, 20, 20), VEN))))
+                      lab(np.ones((20, 20, 20)), ("Background", "Ventricle")))
 
     def test_mask_dims_checked(self):
         vol, _ = self.ball_volume()

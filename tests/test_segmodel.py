@@ -692,26 +692,8 @@ class TestValidationMatchesPerSliceReference:
         assert all(np.isnan(h["val_iou"]) for h in got[1])
 
 
-def overlapped(monkeypatch, on: bool):
-    """Let train() score each epoch on the helper thread (``on``) or inline, whatever
-    the size of the validation set."""
-    monkeypatch.setattr(segmodel, "_OVERLAP_ROWS", 0 if on else float("inf"))
-
-
-def record_validation_threads(monkeypatch) -> list:
-    threads = []
-    score = segmodel._validation_iou
-
-    def recorded(*args):
-        threads.append(threading.current_thread())
-        return score(*args)
-
-    monkeypatch.setattr(segmodel, "_validation_iou", recorded)
-    return threads
-
-
-class TestOverlappedValidation:
-    """Epoch e is scored on a helper thread while epoch e+1 steps."""
+class TestInlineValidation:
+    """Each epoch is scored on the calling thread right after its steps."""
 
     MODEL = SoftmaxModel(class_subset=(0, 1, 2, 3), learning_rate=0.05, epochs=6,
                          batch_size=256)
@@ -721,55 +703,34 @@ class TestOverlappedValidation:
         vol, lab = blocky_stack(4)
         return [(gray(vol), labels(lab))]
 
-    def test_histories_equal_inline_and_overlapped(self, monkeypatch):
-        threads = record_validation_threads(monkeypatch)
-        overlapped(monkeypatch, False)
-        inline = train(self.MODEL, self.stacks(), self.PROTO)
-        assert threads == [threading.main_thread()] * 6
-        overlapped(monkeypatch, True)
-        threads.clear()
-        got = train(self.MODEL, self.stacks(), self.PROTO)
-        assert len(threads) == 6 and threading.main_thread() not in threads
-        assert_same_training(got, inline)
-        assert [h["epoch"] for h in got[1]] == [1, 2, 3, 4, 5, 6]
+    def test_every_epoch_is_scored_on_the_main_thread(self, monkeypatch):
+        vol, lab = blocky_stack(4, nz=30, n=64)  # 9 validation slices: 36864 pixels
+        sizes, threads = [], []
+        score = segmodel._validation_iou
 
-    def test_small_validation_sets_stay_inline(self, monkeypatch):
-        threads = record_validation_threads(monkeypatch)
-        train(self.MODEL, self.stacks(), self.PROTO)  # a few hundred validation pixels
-        assert threads == [threading.main_thread()] * 6
+        def recorded(fitted, val_x, val_y):
+            sizes.append(len(val_y))
+            threads.append((threading.current_thread(), threading.active_count()))
+            return score(fitted, val_x, val_y)
 
-    def test_a_step_that_raises_mid_epoch_leaves_no_thread(self, monkeypatch):
-        overlapped(monkeypatch, True)
-        threads = record_validation_threads(monkeypatch)
-        steps = []
-
-        def failing(*args, **kwargs):
-            steps.append(1)
-            if len(steps) == 30:  # epoch 4 of 8 steps each
-                raise RuntimeError("step failed")
-            return softmax_loss_and_grad(*args, **kwargs)
-
-        monkeypatch.setattr(segmodel, "softmax_loss_and_grad", failing)
+        monkeypatch.setattr(segmodel, "_validation_iou", recorded)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="step failed"):
-            train(self.MODEL, self.stacks(), self.PROTO)
+        _, history = train(replace(self.MODEL, epochs=3), [(gray(vol), labels(lab))],
+                           self.PROTO)
+        assert sizes[0] >= 1 << 15
+        assert threads == [(threading.main_thread(), before)] * 3
         assert threading.active_count() == before
-        assert len(threads) == 3  # the three finished epochs were scored
+        assert [h["epoch"] for h in history] == [1, 2, 3]
 
     def test_a_failing_validation_raises_from_train(self, monkeypatch):
-        overlapped(monkeypatch, True)
-
         def failing(*_):
             raise ModelError("model weights are not finite")
 
         monkeypatch.setattr(segmodel, "_validation_iou", failing)
-        before = threading.active_count()
         with pytest.raises(ModelError):
             train(self.MODEL, self.stacks(), self.PROTO)
-        assert threading.active_count() == before
 
-    def test_a_failing_validation_stops_training_one_epoch_later(self, monkeypatch):
-        overlapped(monkeypatch, True)
+    def test_a_failing_validation_stops_training_in_its_epoch(self, monkeypatch):
         steps, scored = [], []
 
         def counted(*args, **kwargs):
@@ -778,18 +739,18 @@ class TestOverlappedValidation:
 
         score = segmodel._validation_iou
 
-        def failing_first(*args):
+        def failing_second(*args):
             scored.append(1)
-            if len(scored) == 1:
+            if len(scored) == 2:
                 raise ModelError("model weights are not finite")
             return score(*args)
 
         monkeypatch.setattr(segmodel, "softmax_loss_and_grad", counted)
-        monkeypatch.setattr(segmodel, "_validation_iou", failing_first)
+        monkeypatch.setattr(segmodel, "_validation_iou", failing_second)
         with pytest.raises(ModelError):
             train(self.MODEL, self.stacks(), self.PROTO)
-        assert len(steps) == 2 * 8  # epoch 1's score is read after epoch 2 steps
-        assert len(scored) == 1
+        assert len(steps) == 2 * 8  # epoch 2 of 8 steps each, and no step of epoch 3
+        assert len(scored) == 2
 
 
 def plain_split(n_pairs, proto):
@@ -1019,6 +980,9 @@ class TestModelIO:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         with pytest.raises(FormatError):
+            load_model(p)
+        p.write_bytes(b"\xff\xfe{")
+        with pytest.raises(FormatError, match="unreadable"):
             load_model(p)
         p.write_text('{"format": "something-else"}')
         with pytest.raises(FormatError):
