@@ -15,11 +15,12 @@ so the spongiosa communicates with the neighboring chambers; without
 them the interior would be sealed and any hole-filling post-process
 would flood it with the wall label.
 
-Generation holds no float64 array of the whole volume: an ellipsoid is
-tested one z-plane at a time, an ostium only inside the bounding box of
-its channel, and the noise is drawn and added one z-plane at a time (the
-generator fills in order, so the draws equal one volume-sized draw).
-Apart from its outputs, ``generate`` holds a few boolean masks.
+Every primitive is painted inside its own bounding box (``_box``): an
+ellipsoid is tested one z-plane of its box at a time, a cylinder, an
+ostium channel and a lacuna over their boxes, and the noise is drawn and
+added one z-plane at a time (the generator fills in order, so the draws
+equal one volume-sized draw).  So ``generate`` holds no mask or float64
+array of the whole volume beside its outputs.
 """
 
 import math
@@ -34,11 +35,14 @@ from .errors import SpecError
 _PLACEMENT_TRIES = 10000
 
 
-def _frac_grids(dims):
-    """Open grids of voxel-center positions as fractions of each extent."""
-    nx, ny, nz = dims
-    zz, yy, xx = np.ogrid[0:nz, 0:ny, 0:nx]
-    return (xx + 0.5) / nx, (yy + 0.5) / ny, (zz + 0.5) / nz
+def _box(lo, hi, shape):
+    """The voxels from ``floor(lo)`` to ``ceil(hi)`` on each axis, clamped to
+    the volume: ``lo`` and ``hi`` are (x, y, z) voxel-center coordinates and
+    ``shape`` is (nz, ny, nx).  Returns the box's slices and their open grids
+    ``(zz, yy, xx)``."""
+    box = tuple(slice(max(0, math.floor(l)), min(n - 1, math.ceil(h)) + 1)
+                for l, h, n in zip(lo[::-1], hi[::-1], shape))
+    return box, np.ogrid[box]
 
 
 @dataclass(frozen=True)
@@ -62,17 +66,19 @@ class Ellipsoid:
                     "does not fit inside the volume"
                 )
 
-    def mask(self, dims) -> np.ndarray:
-        """Voxels inside, tested plane by plane as ``(x + y) + z <= 1``."""
-        ux, uy, uz = _frac_grids(dims)
-        cx, cy, cz = self.center
-        sx, sy, sz = self.semi_axes
-        plane = (((ux - cx) / sx) ** 2 + ((uy - cy) / sy) ** 2)[0]  # (ny, nx)
-        depth = (((uz - cz) / sz) ** 2).ravel()  # (nz,)
-        out = np.empty((len(depth),) + plane.shape, dtype=bool)
-        for k, dz in enumerate(depth):
-            np.less_equal(plane + dz, 1.0, out=out[k])
-        return out
+    def paint(self, labels: np.ndarray, value: int) -> None:
+        """Set the voxels inside to ``value``, tested plane by plane as
+        ``(x + y) + z <= 1``."""
+        nz, ny, nx = labels.shape
+        (cx, cy, cz), (sx, sy, sz) = self.center, self.semi_axes
+        dims = np.array((nx, ny, nz), dtype=float)
+        c = np.asarray(self.center) * dims - 0.5
+        s = np.asarray(self.semi_axes) * dims
+        box, (zz, yy, xx) = _box(c - s, c + s, labels.shape)
+        plane = (((xx + 0.5) / nx - cx) / sx) ** 2 + (((yy + 0.5) / ny - cy) / sy) ** 2
+        depth = (((zz + 0.5) / nz - cz) / sz) ** 2
+        for sub, dz in zip(labels[box], depth.ravel()):
+            sub[plane[0] + dz <= 1.0] = value
 
     def shrunk(self, voxels: float, dims) -> "Ellipsoid":
         """Same center, semi-axes reduced by ``voxels`` grid steps per axis."""
@@ -112,13 +118,17 @@ class CylinderZ:
         cx, cy = self.center_xy
         return cx - rx >= 0 and cx + rx <= 1 and cy - ry >= 0 and cy + ry <= 1
 
-    def mask(self, dims) -> np.ndarray:
-        ux, uy, uz = _frac_grids(dims)
-        rx, ry = self._radius_fracs(dims)
-        cx, cy = self.center_xy
-        lo, hi = self.z_range
-        disk = ((ux - cx) / rx) ** 2 + ((uy - cy) / ry) ** 2 <= 1.0
-        return disk & (uz >= lo) & (uz <= hi)
+    def paint(self, labels: np.ndarray, value: int) -> None:
+        """Set the voxels inside to ``value``."""
+        nz, ny, nx = labels.shape
+        rx, ry = self._radius_fracs((nx, ny, nz))
+        (cx, cy), (zlo, zhi) = self.center_xy, self.z_range
+        box, (zz, yy, xx) = _box(((cx - rx) * nx - 0.5, (cy - ry) * ny - 0.5, zlo * nz - 0.5),
+                                 ((cx + rx) * nx - 0.5, (cy + ry) * ny - 0.5, zhi * nz - 0.5),
+                                 labels.shape)
+        uz = (zz + 0.5) / nz
+        disk = (((xx + 0.5) / nx - cx) / rx) ** 2 + (((yy + 0.5) / ny - cy) / ry) ** 2 <= 1.0
+        labels[box][disk & (uz >= zlo) & (uz <= zhi)] = value
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
@@ -283,14 +293,14 @@ def spec_from_dict(d: dict) -> PhantomSpec:
         raise SpecError(f"malformed phantom spec: {type(err).__name__}: {err}") from err
 
 
-def _carve_ostium(labels: np.ndarray, shell: np.ndarray, spec: PhantomSpec,
-                  target_frac) -> None:
+def _carve_ostium(labels: np.ndarray, spec: PhantomSpec, target_frac) -> None:
     """Open a channel through the shell toward ``target_frac``.
 
-    Shell voxels within ``ostium_radius_voxels`` of the segment from the
+    Compacta voxels within ``ostium_radius_voxels`` of the segment from the
     ventricle center to the target become Ventricle, connecting the
     spongiosa to the neighboring chamber the way the real wall opens at
-    its ostia.
+    its ostia.  Until the lacunae are placed, the Compacta voxels are the
+    shell.
     """
     r = spec.ostium_radius_voxels
     if r <= 0:
@@ -304,27 +314,20 @@ def _carve_ostium(labels: np.ndarray, shell: np.ndarray, spec: PhantomSpec,
         return
     # a voxel outside the segment's bounding box grown by r lies at least
     # r + 1 from the segment, so only the box needs testing
-    x0, y0, z0 = np.maximum(np.floor(np.minimum(a, b) - r), 0).astype(int)
-    x1, y1, z1 = np.minimum(np.ceil(np.maximum(a, b) + r), dims_arr - 1).astype(int)
-    zz, yy, xx = np.ogrid[z0:z1 + 1, y0:y1 + 1, x0:x1 + 1]
+    box, (zz, yy, xx) = _box(np.minimum(a, b) - r, np.maximum(a, b) + r, labels.shape)
     # projection parameter of each voxel center onto the segment, clamped
     t = ((xx - a[0]) * d[0] + (yy - a[1]) * d[1] + (zz - a[2]) * d[2]) / dd
     t = np.clip(t, 0.0, 1.0)
     dist2 = ((xx - a[0] - t * d[0]) ** 2 + (yy - a[1] - t * d[1]) ** 2
              + (zz - a[2] - t * d[2]) ** 2)
-    box = np.s_[z0:z1 + 1, y0:y1 + 1, x0:x1 + 1]
-    labels[box][shell[box] & (dist2 <= r * r)] = int(ClassId.VENTRICLE)
+    sub = labels[box]
+    sub[(sub == ClassId.COMPACTA) & (dist2 <= r * r)] = int(ClassId.VENTRICLE)
 
 
 def _paint_sphere(labels: np.ndarray, p, r: float, value: int) -> None:
-    nz, ny, nx = labels.shape
+    box, (zz, yy, xx) = _box(p - r, p + r, labels.shape)
     px, py, pz = p
-    x0, x1 = max(0, math.floor(px - r)), min(nx - 1, math.ceil(px + r))
-    y0, y1 = max(0, math.floor(py - r)), min(ny - 1, math.ceil(py + r))
-    z0, z1 = max(0, math.floor(pz - r)), min(nz - 1, math.ceil(pz + r))
-    zz, yy, xx = np.ogrid[z0:z1 + 1, y0:y1 + 1, x0:x1 + 1]
-    m = (xx - px) ** 2 + (yy - py) ** 2 + (zz - pz) ** 2 <= r * r
-    labels[z0:z1 + 1, y0:y1 + 1, x0:x1 + 1][m] = value
+    labels[box][(xx - px) ** 2 + (yy - py) ** 2 + (zz - pz) ** 2 <= r * r] = value
 
 
 def _place_lacunae(labels: np.ndarray, spec: PhantomSpec, rng: np.random.Generator) -> None:
@@ -365,18 +368,16 @@ def generate(spec: PhantomSpec) -> tuple[AttenuationVolume, LabelVolume]:
     """
     nx, ny, nz = spec.dims
     labels = np.zeros((nz, ny, nx), dtype=np.uint8)
-    labels[spec.atrium.mask(spec.dims)] = int(ClassId.ATRIUM)
-    labels[spec.bulbus.mask(spec.dims)] = int(ClassId.BULBUS)
-    outer = spec.ventricle.mask(spec.dims)
-    inner = spec.ventricle.shrunk(spec.compacta_shell_voxels, spec.dims).mask(spec.dims)
-    shell = outer & ~inner
-    labels[shell] = int(ClassId.COMPACTA)
-    labels[inner] = int(ClassId.VENTRICLE)
+    spec.atrium.paint(labels, int(ClassId.ATRIUM))
+    spec.bulbus.paint(labels, int(ClassId.BULBUS))
+    # the shell is what the inner ellipsoid leaves of the outer one
+    spec.ventricle.paint(labels, int(ClassId.COMPACTA))
+    spec.ventricle.shrunk(spec.compacta_shell_voxels, spec.dims).paint(
+        labels, int(ClassId.VENTRICLE))
     bx, by = spec.bulbus.center_xy
     zlo, zhi = spec.bulbus.z_range
-    _carve_ostium(labels, shell, spec, spec.atrium.center)
-    _carve_ostium(labels, shell, spec,
-                  (bx, by, min(max(spec.ventricle.center[2], zlo), zhi)))
+    _carve_ostium(labels, spec, spec.atrium.center)
+    _carve_ostium(labels, spec, (bx, by, min(max(spec.ventricle.center[2], zlo), zhi)))
     rng = rng_for_seed(spec.seed)
     _place_lacunae(labels, spec, rng)
     atten = np.asarray(spec.attenuation, dtype=np.float32)[labels]

@@ -190,6 +190,9 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
     from its first to its last one holding a mask voxel: the voxels of the
     others end as Background whatever their label.
     """
+    if model.class_subset != cfg.class_subset:
+        raise ConfigError(f"stage {cfg.stage} needs a model of classes {cfg.class_subset}, "
+                          f"got one of {model.class_subset}")
     names = cfg.output_names
     if cfg.mask_to_ventricle:
         if ventricle_mask is None:

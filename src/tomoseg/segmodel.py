@@ -50,6 +50,7 @@ so ``FEATURE_VERSION`` is unchanged, and training loads no scipy.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ViewAxis, read_json, rng_for_seed, view_stack
+from .core import N_CLASSES, ViewAxis, read_json, rng_for_seed, view_stack
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
 from .filters import CHUNK_VOXELS, _require_2d, _require_stack, correlate_padded, \
     gaussian_weights, median_stack, reflect_pad, slice_chunks, uniform_filter1d
@@ -191,7 +192,12 @@ class SoftmaxModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.class_subset = tuple(int(c) for c in self.class_subset)
+        subset = tuple(self.class_subset)
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral)
+               or not 0 <= c < N_CLASSES for c in subset):
+            raise ConfigError(f"class_subset must hold class ids 0..{N_CLASSES - 1}, "
+                              f"got {list(subset)}")
+        self.class_subset = tuple(int(c) for c in subset)
         if not self.class_subset:
             raise ConfigError("class_subset must not be empty")
         if len(set(self.class_subset)) != len(self.class_subset):
@@ -270,32 +276,24 @@ class TrainProtocol:
             raise ConfigError("tiles_per_slice_per_epoch must be >= 1")
 
 
-def softmax_loss_and_grad(weights: np.ndarray, x: np.ndarray, y: np.ndarray,
-                          l2: float = 0.0, *, design: bool = False) -> tuple[float, np.ndarray]:
+def softmax_loss_and_grad(weights: np.ndarray, xb: np.ndarray,
+                          y: np.ndarray, l2: float = 0.0) -> tuple[float, np.ndarray]:
     """Mean cross-entropy (+ L2 on non-bias weights) and its exact gradient.
 
-    x is (N, n_features), y holds class indices, weights is
-    (n_classes, n_features+1) with the bias in the last column.  With
-    ``design``, x is instead the (N, n_features+1) float64 design matrix
-    whose last column holds ones, the form ``train`` passes so that no
-    step copies its batch.  The per-row max and sum run column by column
+    xb is the (N, n_features+1) float64 design matrix whose last column
+    holds ones, the form ``train`` passes so that no step copies its batch;
+    y holds class indices, weights is (n_classes, n_features+1) with the
+    bias in the last column.  The per-row max and sum run column by column
     over the few classes instead of as ``axis=1`` reductions, which numpy
     pays for per row; the results are bit-identical to those reductions.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    x = np.asarray(x)
+    xb = np.asarray(xb, dtype=np.float64)
     y = np.asarray(y)
-    n = x.shape[0]
-    columns = weights.shape[1] - (0 if design else 1)
-    if x.ndim != 2 or x.shape[1] != columns:
-        raise ShapeError(f"expected {'a design' if design else 'a feature'} matrix of "
-                         f"{columns} columns, got shape {x.shape}")
-    if design:
-        xb = np.asarray(x, dtype=np.float64)
-    else:
-        xb = np.empty((n, columns + 1))
-        xb[:, :-1] = x
-        xb[:, -1] = 1.0
+    if xb.ndim != 2 or xb.shape[1] != weights.shape[1]:
+        raise ShapeError(f"expected a design matrix of {weights.shape[1]} columns, "
+                         f"got shape {xb.shape}")
+    n = xb.shape[0]
     logits = xb @ weights.T
     k = logits.shape[1]
     top = logits[:, 0].copy()
@@ -485,7 +483,7 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol) -> tuple[SoftmaxMod
                     pick = _choice(sampler, table.cdf, model.batch_size)
                     x = _design(feature_rows[s], table.rows[pick], out=batch)
                     y = table.y[pick]
-                loss, grad = softmax_loss_and_grad(weights, x, y, model.l2, design=True)
+                loss, grad = softmax_loss_and_grad(weights, x, y, model.l2)
                 adam.step(weights, grad)
                 losses.append(loss)
         history.append({

@@ -5,8 +5,9 @@ criterion.  The two expensive studies (the 64-voxel dose matrix behind
 criteria 2-3 and the full-scale 128-voxel cross-validation behind
 criterion 8) are module fixtures computed once; everything is seeded, so
 every number here is reproducible bit for bit.  Beside criterion 10, the
-stage models and histories of one small training run are checked against
-the digests in ``tests/golden.json``.
+stage models and histories of one small training run, and the 128-voxel
+default phantom with its sinogram and reconstructions, are checked
+against the digests in ``tests/golden.json``.
 """
 
 import hashlib
@@ -135,6 +136,7 @@ def test_criterion_04_gradient_check():
     t0 = time.perf_counter()
     rng = rng_for_seed(123)
     x = rng.normal(0.0, 1.0, size=(24, 9)).astype(np.float64)
+    x = np.concatenate([x, np.ones((24, 1))], axis=1)  # the design matrix: a bias column
     y = rng.integers(0, 3, size=24)
     w = rng.normal(0.0, 0.5, size=(3, 10))
     _, grad = softmax_loss_and_grad(w, x, y, l2=1e-3)
@@ -338,6 +340,23 @@ def assert_golden(key: str, digests: dict) -> None:
               for field, value in golden["platform"].items() if here.get(field) != value]
     assert not moved, (f"{key}: {moved} differ from tests/golden.json; platform fields "
                        f"that differ: {differ or 'none'}")
+
+
+def scan128_digests() -> dict:
+    """sha256 of the 128^3 default phantom, the sinogram of its central 32
+    slices at 300 x 0.6 deg x 192 bins and its ramlak FBP at D1-D3."""
+    atten, gt = generate(default_spec(n=128, seed=0))
+    slab = AttenuationVolume(atten.data[48:80], atten.voxel_size_um)
+    sino = forward_project(slab, AcquisitionConfig(300, 0.6, 192))
+    arrays = {"atten": atten.data, "labels": gt.data, "sino": sino.data}
+    for k in (1, 2, 3):
+        arrays[f"D{k}"] = fbp_reconstruct(subsample_dose(sino, DoseLevel(k)), (128, 128)).data
+    return {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for name, a in arrays.items()}
+
+
+def test_scan128_matches_golden_digests():
+    assert_golden("scan128", scan128_digests())
 
 
 @pytest.fixture(scope="module")

@@ -262,6 +262,14 @@ class TestErrorPaths:
         assert "jobs" in err["message"]
         assert not (tmp_path / "seg.vol").exists()
 
+    def test_a_model_of_the_wrong_stage_exits_2(self, chain, tmp_path, capsys):
+        line = expect_error(run("infer", "--input", chain / "recon0.vol", "--models",
+                                chain / "m2.json", chain / "m1.json", chain / "m3.json",
+                                "--out", tmp_path / "seg.vol"),
+                            capsys.readouterr().err, 2, "ConfigError")
+        assert "stage 1" in line["message"]
+        assert not (tmp_path / "seg.vol").exists()
+
     def test_wrong_volume_kind_exits_4(self, chain, tmp_path, capsys):
         expect_error(run("project", "--input", chain / "ph/gt_000.vol",
                          "--out", tmp_path / "s.sino",
@@ -392,6 +400,19 @@ def test_malformed_model_exits_4(tmp_path, capsys, doc):
     expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", model, model, model,
                      "--out", tmp_path / "seg.vol"),
                  capsys.readouterr().err, 4, "FormatError")
+    assert not (tmp_path / "seg.vol").exists()
+
+
+@pytest.mark.parametrize("ids", [[1, 1], [0, 300], [0, -1], [0, 1.7], [0, True], [0, "01"]],
+                         ids=["duplicate", "above_range", "negative", "float", "bool", "text"])
+def test_model_with_bad_class_ids_exits_2(tmp_path, capsys, ids):
+    save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({**_model_doc(), "class_subset": ids}))
+    line = expect_error(run("infer", "--input", tmp_path / "g.vol",
+                            "--models", model, model, model, "--out", tmp_path / "seg.vol"),
+                        capsys.readouterr().err, 2, "ConfigError")
+    assert "class_subset" in line["message"]
     assert not (tmp_path / "seg.vol").exists()
 
 

@@ -268,11 +268,16 @@ class TestFeatures:
                 stack_features(np.zeros(shape, dtype=np.uint16))
 
 
+def design(x):
+    """The float64 design matrix of a feature matrix: a column of ones appended."""
+    return np.concatenate([x, np.ones((len(x), 1))], axis=1, dtype=np.float64)
+
+
 class TestGradient:
     def test_matches_central_finite_differences(self):
         rng = rng_for_seed(0, 42)
         w = rng.normal(0.0, 0.5, size=(3, N_FEATURES + 1))
-        x = rng.uniform(0.0, 1.0, size=(5, N_FEATURES))
+        x = design(rng.uniform(0.0, 1.0, size=(5, N_FEATURES)))
         y = np.array([0, 1, 2, 0, 1])
         _, grad = softmax_loss_and_grad(w, x, y, l2=0.01)
         h = 1e-6
@@ -291,7 +296,7 @@ class TestGradient:
     def test_l2_adds_exactly_the_penalty_gradient(self):
         rng = rng_for_seed(1, 42)
         w = rng.normal(size=(4, N_FEATURES + 1))
-        x = rng.uniform(size=(8, N_FEATURES))
+        x = design(rng.uniform(size=(8, N_FEATURES)))
         y = rng.integers(0, 4, size=8)
         l0, g0 = softmax_loss_and_grad(w, x, y, l2=0.0)
         l1, g1 = softmax_loss_and_grad(w, x, y, l2=0.5)
@@ -313,20 +318,15 @@ class TestGradient:
                 x = x.astype(np.float32)  # the dtype train() passes
             y = rng.integers(0, k, size=n)
             want_loss, want_grad = reference_loss_and_grad(w, x, y, l2=1e-4)
-            design = np.concatenate([x, np.ones((n, 1))], axis=1, dtype=np.float64)
-            for given_x in (x, design):  # the design matrix train() passes gives the same bits
-                loss, grad = softmax_loss_and_grad(w, given_x, y, l2=1e-4,
-                                                   design=given_x is design)
-                assert loss == want_loss
-                assert np.array_equal(grad, want_grad)
+            loss, grad = softmax_loss_and_grad(w, design(x), y, l2=1e-4)
+            assert loss == want_loss
+            assert np.array_equal(grad, want_grad)
 
     def test_rejects_a_matrix_of_the_other_form(self):
         w = np.zeros((3, N_FEATURES + 1))
         y = np.zeros(4, dtype=np.int64)
-        with pytest.raises(ShapeError, match="feature matrix of 9 columns"):
-            softmax_loss_and_grad(w, np.ones((4, N_FEATURES + 1)), y)
         with pytest.raises(ShapeError, match="design matrix of 10 columns"):
-            softmax_loss_and_grad(w, np.ones((4, N_FEATURES)), y, design=True)
+            softmax_loss_and_grad(w, np.ones((4, N_FEATURES)), y)
 
 
 def generator_state(gen):
@@ -421,6 +421,11 @@ class TestSoftmaxModel:
             SoftmaxModel(class_subset=())
         with pytest.raises(ConfigError):
             SoftmaxModel(class_subset=(0, 0))
+        for ids in ((0, 6), (0, 300), (-1, 1), (0, 1.7), (0, True), (0, "01"), (0, None)):
+            with pytest.raises(ConfigError, match="class_subset"):
+                SoftmaxModel(class_subset=ids)
+        assert SoftmaxModel(class_subset=np.arange(6, dtype=np.uint8)).class_subset == \
+            (0, 1, 2, 3, 4, 5)
         with pytest.raises(ConfigError):
             SoftmaxModel(learning_rate=0.0)
         with pytest.raises(ConfigError):
