@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="report JSON output")
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--jobs", type=int,
-                   help="worker threads over slabs (default: every available CPU)")
+                   help="2 or more labels half of each view's slabs in one forked "
+                        "process on Linux (default: every available CPU)")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score a segmentation against ground truth")
@@ -268,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="the config's model.epochs")
     p.add_argument("--lr", type=float, help="the config's model.learning_rate")
     p.add_argument("--jobs", type=int,
-                   help="worker threads for projection, FBP and prediction; "
-                        "2 or more also trains stages 2 and 3 in one forked "
-                        "process on Linux (default: every available CPU)")
+                   help="worker threads for projection and FBP; 2 or more also "
+                        "trains stages 2 and 3 and labels half of each view's slabs "
+                        "in one forked process on Linux (default: every available CPU)")
     p.set_defaults(func=cmd_ablate_dose)
 
     p = sub.add_parser("export-slices", help="export one slice as 8-bit PGM")

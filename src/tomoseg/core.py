@@ -91,15 +91,16 @@ def fork_map(fn, items, jobs=None) -> list:
     process whose BLAS has started its threads was not checked, and a hung
     child would block the read forever) or a live second thread (fork
     copies only the calling thread, so a lock another thread holds would
-    stay held in the child) run the loop in-process.  The first failing
-    item's exception is raised, with its type and message, as the loop
-    raises it.  The child is reaped before this returns or raises, and
-    killed first when this process's own item raises or is interrupted.
+    stay held in the child) run the loop in-process, as do fewer than two
+    items; ``jobs`` below 1 raises ``ConfigError`` whatever the items.  The
+    first failing item's exception is raised, with its type and message, as
+    the loop raises it.  The child is reaped before this returns or raises,
+    and killed first when this process's own item raises or is interrupted.
     A child that ends without sending a whole result, or with a nonzero
     wait status, raises ``ChildProcessError`` naming its pid and status.
     """
     items = list(items)
-    if (len(items) < 2 or worker_count(jobs) < 2 or sys.platform != "linux"
+    if (worker_count(jobs) < 2 or len(items) < 2 or sys.platform != "linux"
             or threading.active_count() > 1):
         return [fn(item) for item in items]
     r, w = os.pipe()

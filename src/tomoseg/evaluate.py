@@ -258,9 +258,10 @@ def run_dose_ablation(cfg, jobs: int = 1, log=None):
     stability claim that mixed-dose training generalizes across doses.
 
     Returns (DoseMatrix, recons, gts).  Training rows are the single
-    doses plus D1+D2 when both are configured.  Projection, FBP and
-    prediction run on ``jobs`` threads; with ``jobs`` of 2 or more, stage
-    training forks one child on Linux (``train_all_stages``).
+    doses plus D1+D2 when both are configured.  Projection and FBP run on
+    ``jobs`` threads; with ``jobs`` of 2 or more, stage training and each
+    predicted view fork one child on Linux (``train_all_stages``,
+    ``predict_view``).
     """
     from .pipeline import run_full, train_all_stages
 

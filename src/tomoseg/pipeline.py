@@ -11,21 +11,23 @@ them by per-voxel mode with the XY view breaking ties, and fills
 enclosed background cavities.  A view is predicted slab by slab: its
 slice stack is cut into contiguous runs of slices of a fixed voxel
 budget, and each slab takes one feature-bank call and one argmax over the
-model's logits on a shared pool of worker threads.  A fixed rule table
+model's logits.  With two or more jobs on Linux, one forked child labels
+the second half of a view's slabs while this process labels the first
+(``core.fork_map``, as for training).  A fixed rule table
 then merges the three stage outputs into the final six-class volume:
 Atrium beats everything, Bulbus beats the binary classes, Compacta beats
 Lacunary, Lacunary beats Ventricle, and stage-1 Background always stays
 Background.
 """
 
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, fork_map, \
-    view_stack, worker_count
+    view_stack
 from .errors import ConfigError, ShapeError, TrainingError
 from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_stack, mode_fuse, \
     unsharp_stack
@@ -33,10 +35,11 @@ from .segmodel import N_FEATURES, SoftmaxModel, TrainProtocol, stack_features, t
 
 MASK_DILATION_VOXELS = 8
 EXCLUDED_LABEL = 2  # training-only sentinel outside the binary stages' mask
-# Voxels per slab of the view predictor, to the nearest whole slice.  Every
-# worker thread holds one slab's feature bank and its float64 temporaries,
-# about 70 bytes a voxel, so this bounds what inference adds to the peak
-# memory; the logits are taken a block of rows at a time.
+# Voxels per slab of the view predictor, to the nearest whole slice.  A
+# process labelling slabs (this one, and the forked child at two or more
+# jobs) holds one slab's feature bank and its float64 temporaries, about 70
+# bytes a voxel, so this bounds what inference adds to its peak memory; the
+# logits are taken a block of rows at a time.
 _VOXELS_PER_SLAB = 1 << 14
 
 STAGE1_NAMES = ("Background", "Atrium", "Ventricle", "Bulbus")
@@ -149,11 +152,13 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     labelled Background.  They are walked in contiguous slabs of the whole
     number of slices nearest ``_VOXELS_PER_SLAB`` voxels (at least one), so a
     slab of 9k-voxel slices holds two.  Each slab takes one call per stage filter,
-    one feature-bank call and one ``predict_index`` call (the argmax of the
-    logits), and its labels are written straight into the output.  ``jobs``
-    worker threads share the slabs.  The bank takes a slab in one chunk:
-    the slab size already bounds its memory, and fewer, longer numpy calls
-    wait less on the other thread for the GIL.
+    one feature-bank call over the whole slab and one ``predict_index`` call
+    (the argmax of the logits), and its labels are written straight into the
+    output.  With ``jobs`` of 2 or more, this process labels the first half
+    of the slabs while one forked child labels the second half and sends
+    back only their labels (``core.fork_map``, which runs both halves here
+    for one slab, one job, a platform other than Linux or a live second
+    thread).  The labels are the same either way.
     """
     stack = view_stack(vol.data, axis)
     n, a, b = stack.shape
@@ -162,15 +167,23 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     labels = np.zeros(vol.data.shape, dtype=np.uint8)
     out = view_stack(labels, axis)
     classes = np.asarray(model.class_subset, dtype=np.uint8)
+    here = os.getpid()
 
-    def slab(first: int) -> None:
-        last = min(first + per_slab, stop)
-        imgs = _apply_filters(stack[first:last], cfg.preprocess, cfg.filter_config)
-        feats = stack_features(imgs, chunk_voxels=imgs.size).reshape(-1, N_FEATURES)
-        out[first:last] = classes[model.predict_index(feats)].reshape(imgs.shape)
+    def label(run: slice):
+        for first in range(run.start, run.stop, per_slab):
+            last = min(first + per_slab, run.stop)
+            imgs = _apply_filters(stack[first:last], cfg.preprocess, cfg.filter_config)
+            feats = stack_features(imgs, chunk_voxels=imgs.size).reshape(-1, N_FEATURES)
+            out[first:last] = classes[model.predict_index(feats)].reshape(imgs.shape)
+        # a forked child writes into its own copy of ``labels``, so it sends its run
+        return out[run] if os.getpid() != here else None
 
-    with ThreadPoolExecutor(max_workers=worker_count(jobs)) as pool:
-        list(pool.map(slab, range(start, stop, per_slab)))
+    firsts = range(start, stop, per_slab)
+    cut = firsts[(len(firsts) + 1) // 2] if len(firsts) > 1 else stop
+    runs = [run for run in (slice(start, cut), slice(cut, stop)) if run.start < run.stop]
+    for run, sent in zip(runs, fork_map(label, runs, jobs)):
+        if sent is not None:
+            out[run] = sent
     return LabelVolume(labels, vol.voxel_size_um, cfg.output_names)
 
 
@@ -188,11 +201,16 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
     ``MASK_DILATION_VOXELS``), zero the voxels outside the mask, and force
     them to Background in the output.  So each view labels only the slices
     from its first to its last one holding a mask voxel: the voxels of the
-    others end as Background whatever their label.
+    others end as Background whatever their label.  A model of other
+    classes, or one whose ``metadata["stage"]`` names another stage, raises
+    ``ConfigError``.
     """
     if model.class_subset != cfg.class_subset:
         raise ConfigError(f"stage {cfg.stage} needs a model of classes {cfg.class_subset}, "
                           f"got one of {model.class_subset}")
+    trained_for = model.metadata.get("stage", cfg.stage)  # CLI-trained models name it
+    if trained_for != cfg.stage:
+        raise ConfigError(f"stage {cfg.stage} got a model trained for stage {trained_for!r}")
     names = cfg.output_names
     if cfg.mask_to_ventricle:
         if ventricle_mask is None:

@@ -170,7 +170,9 @@ def _bilinear_taps(x: np.ndarray, y: np.ndarray, nx: int, ny: int,
     # some corner (floor(x) + {0, 1}, floor(y) + {0, 1}) lies in the slice
     keep = (x >= -1) & (x < nx) & (y >= -1) & (y < ny)
     along_x = _axis_corners(x, nx)
-    along_y = [(w, index * nx) for w, index in _axis_corners(y, ny)]
+    along_y = _axis_corners(y, ny)
+    for _, index in along_y:
+        index *= nx
     for c, (dx, dy) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
         (wx, ix), (wy, iy) = along_x[dx], along_y[dy]
         # wx and wy are 0 off the slice and no factor is negative, so this is
@@ -190,16 +192,16 @@ def _axis_corners(u: np.ndarray, n: int):
     """For corners floor(u) + 0 and + 1 along an axis of n voxels: (weight, clipped index).
 
     The weight is 1 - frac(u) or frac(u), zeroed where the corner lies
-    outside 0..n-1; ``u`` is overwritten with frac(u).
+    outside 0..n-1.  The upper corner's weight is ``u`` itself, overwritten
+    in place; every other array returned is new and the caller's to change.
     """
     lower = np.floor(u)
     np.subtract(u, lower, out=u)
     lower = lower.astype(np.int32)
     corners = []
     for w, index in ((1 - u, lower), (u, lower + 1)):
-        clipped = np.clip(index, 0, n - 1)
-        w *= clipped == index
-        corners.append((w, clipped))
+        w *= index.view(np.uint32) < n  # a negative index reads as 2^31 or more
+        corners.append((w, np.clip(index, 0, n - 1, out=index)))
     return corners
 
 
@@ -347,33 +349,21 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak",
 
     def worker(rows):
         indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
-        pos_buf, frac_buf = np.empty((2, rows, n_angles), dtype=np.float32)
-        lower_buf = np.empty((rows, n_angles), dtype=np.int32)
-        inside_buf = np.empty((rows, n_angles), dtype=bool)
         # row i: the lower tap of every angle, then the upper one
         cols = np.empty((rows, 2, n_angles), dtype=np.int32)
         weights = np.empty((rows, 2, n_angles), dtype=np.float32)
 
         def block(lo, hi):
             m = hi - lo
-            pos, frac, lower, inside = pos_buf[:m], frac_buf[:m], lower_buf[:m], inside_buf[:m]
-            # detector position x cos + y sin + center of each (pixel, angle)
+            # detector position x cos + y sin + center of each (pixel, angle), in
+            # the upper weights' place: _axis_corners turns it into that weight
+            pos = weights[:m, 1]
             np.multiply(grid_x[lo:hi], cos_t, out=pos)
-            np.add(pos, np.multiply(grid_y[lo:hi], sin_t, out=frac), out=pos)
+            np.add(pos, np.multiply(grid_y[lo:hi], sin_t, out=weights[:m, 0]), out=pos)
             np.add(pos, center, out=pos)
-            np.floor(pos, out=frac)
-            lower[...] = frac
-            np.subtract(pos, frac, out=frac)
-            np.subtract(1, frac, out=weights[:m, 0])
-            weights[:m, 1] = frac
-            for j in (0, 1):
-                if j:
-                    lower += 1
-                tap = cols[:m, j]
-                np.clip(lower, 0, n_bins - 1, out=tap)
-                np.equal(tap, lower, out=inside)  # the tap lies on the detector
-                weights[:m, j] *= inside
-                tap += row0
+            for j, (w, tap) in enumerate(_axis_corners(pos, n_bins)):
+                weights[:m, j] = w
+                np.add(tap, row0, out=cols[:m, j])
             mat = csr_array((weights[:m].ravel(), cols[:m].ravel(), indptr[:m + 1]),
                             shape=(m, filtered.shape[0]))
             recon[:, lo:hi] = (mat @ filtered).T

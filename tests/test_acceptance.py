@@ -10,6 +10,7 @@ default phantom with its sinogram and reconstructions, are checked
 against the digests in ``tests/golden.json``.
 """
 
+import ctypes
 import hashlib
 import itertools
 import json
@@ -319,10 +320,26 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
 
 
 def platform_fields() -> dict:
-    """The numpy version and the BLAS it was built with: the bits of the FBP
-    filter product and of the logits depend on the BLAS kernels."""
+    """The numpy version, the BLAS it was built with, the OpenBLAS kernel
+    picked for this CPU and numpy's highest enabled x86-64 SIMD level: the
+    bits of the FBP filter product and of the logits depend on the BLAS
+    kernels, and float64 ``exp`` and ``log`` on numpy's SIMD dispatch.  A
+    field this numpy cannot tell reads "unknown"."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+    from numpy._core._multiarray_umath import __cpu_features__
+    levels = sorted(name for name, on in __cpu_features__.items()
+                    if on and name.startswith("X86_V"))
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "openblas_core": core, "numpy_simd": levels[-1] if levels else "unknown"}
 
 
 def assert_golden(key: str, digests: dict) -> None:

@@ -270,6 +270,15 @@ class TestErrorPaths:
         assert "stage 1" in line["message"]
         assert not (tmp_path / "seg.vol").exists()
 
+    def test_swapped_binary_stage_models_exit_2(self, chain, tmp_path, capsys):
+        # stages 2 and 3 share classes (0, 1): only the models' stage metadata tells them apart
+        line = expect_error(run("infer", "--input", chain / "recon0.vol", "--models",
+                                chain / "m1.json", chain / "m3.json", chain / "m2.json",
+                                "--out", tmp_path / "seg.vol"),
+                            capsys.readouterr().err, 2, "ConfigError")
+        assert line["message"] == "stage 2 got a model trained for stage 3"
+        assert not (tmp_path / "seg.vol").exists()
+
     def test_wrong_volume_kind_exits_4(self, chain, tmp_path, capsys):
         expect_error(run("project", "--input", chain / "ph/gt_000.vol",
                          "--out", tmp_path / "s.sino",

@@ -321,6 +321,9 @@ def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
 def test_worker_count_rejects_fewer_than_one(jobs):
     with pytest.raises(ConfigError, match="jobs"):
         worker_count(jobs)
+    for items in ([], [1], [1, 2]):  # fork_map checks jobs whatever its items
+        with pytest.raises(ConfigError, match="jobs"):
+            fork_map(_pid_and, items, jobs)
 
 
 def _pid_and(item):

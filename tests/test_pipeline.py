@@ -332,10 +332,16 @@ class TestRunFull:
         assert np.array_equal(f1.data, f2.data)
         assert canonical_report(r1) == canonical_report(r2)
 
-    def test_parallel_jobs_match_serial(self):
+    def test_parallel_jobs_match_serial(self, monkeypatch):
+        # three 20x20 slices a slab, so that every view of every stage forks
+        monkeypatch.setattr(pipeline, "_VOXELS_PER_SLAB", 3 * 20 * 20)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         models, vol = self.toy_models(), self.toy_volume()
         f1, _ = run_full(models, vol, jobs=1)
+        assert not forks
         f4, _ = run_full(models, vol, jobs=4)
+        assert len(forks) == 9  # one child for each view of each stage
         assert np.array_equal(f1.data, f4.data)
 
 

@@ -1,6 +1,7 @@
 """Feature bank, softmax gradient, training protocol, and prediction tests."""
 
 import json
+import os
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -862,6 +863,26 @@ class TestTrainMatchesPerTileReference:
 STAGE1 = StageConfig(stage=1)
 
 
+def count_forks(monkeypatch, in_child=lambda: None) -> list:
+    """A list that grows by one a fork; ``in_child`` runs first in every forked child."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if not pid:
+            in_child()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestPredictVolume:
     """The slab-wise view predictor against per-slice prediction."""
 
@@ -902,9 +923,14 @@ class TestPredictVolume:
             return stack_features(stack, **kw)
 
         monkeypatch.setattr(pipeline, "stack_features", counted)
-        got = predict_view(cfg, model, vol, axis, jobs=2).data
-        assert sorted(slabs) == sorted([per_slab, per_slab, n - 2 * per_slab])
+        got = predict_view(cfg, model, vol, axis, jobs=1).data
+        assert slabs == [per_slab, per_slab, n - 2 * per_slab]
         assert n - 2 * per_slab not in (0, per_slab)
+        # a forked child labels the last slab, and counts it in its own copy of ``slabs``
+        forks = count_forks(monkeypatch)
+        assert np.array_equal(predict_view(cfg, model, vol, axis, jobs=2).data, got)
+        assert len(forks) == 1 and slabs[3:] == [per_slab, per_slab]
+        assert_no_child_left()
 
         def prepared(img):
             if "unsharp" in cfg.preprocess:
@@ -917,12 +943,16 @@ class TestPredictVolume:
         assert np.array_equal(got, manual)
         assert 0 < got.mean() < 1
 
-    def test_picked_slices_match_full_prediction(self):
+    def test_picked_slices_match_full_prediction(self, monkeypatch):
         rng = rng_for_seed(18, 42)
         vol = gray(rng.integers(0, 65536, size=(6, 9, 11)).astype(np.uint16))
         model = threshold_model()
         full = predict_view(STAGE1, model, vol, ViewAxis.XZ).data
+        monkeypatch.setattr(pipeline, "_VOXELS_PER_SLAB", 1)  # five picked slabs: 3 here, 2 forked
+        forks = count_forks(monkeypatch)
         part = predict_view(STAGE1, model, vol, ViewAxis.XZ, jobs=2, slices=slice(2, 7)).data
+        assert len(forks) == 1
+        assert_no_child_left()
         full_xz, part_xz = view_stack(full, ViewAxis.XZ), view_stack(part, ViewAxis.XZ)
         assert np.array_equal(part_xz[2:7], full_xz[2:7])
         assert not part_xz[:2].any() and not part_xz[7:].any()
@@ -938,12 +968,29 @@ class TestPredictVolume:
         assert np.array_equal(outs[0], outs[2])
         assert (outs[0][:, :, :6] == 0).all() and (outs[0][:, :, 6:] == 1).all()
 
-    def test_threaded_prediction_matches_serial(self):
+    def test_parallel_prediction_matches_serial(self, monkeypatch):
         rng = rng_for_seed(13, 42)
         vol = gray(rng.integers(0, 65536, size=(8, 8, 8)).astype(np.uint16))
+        monkeypatch.setattr(pipeline, "_VOXELS_PER_SLAB", 2 * 8 * 8)  # four slabs
+        forks = count_forks(monkeypatch)
         a = predict_view(STAGE1, threshold_model(), vol, ViewAxis.YZ, jobs=1)
         b = predict_view(STAGE1, threshold_model(), vol, ViewAxis.YZ, jobs=3)
         assert np.array_equal(a.data, b.data)
+        assert len(forks) == 1
+
+    def test_a_model_error_in_the_child_reaches_the_caller(self, monkeypatch):
+        model = threshold_model()
+
+        def spoil():  # only the child's copy of the weights
+            model.weights[0, 0] = np.nan
+
+        monkeypatch.setattr(pipeline, "_VOXELS_PER_SLAB", 1)  # six slabs of one slice
+        forks = count_forks(monkeypatch, spoil)
+        vol = gray(rng_for_seed(20, 42).integers(0, 65536, size=(6, 4, 5)).astype(np.uint16))
+        with pytest.raises(ModelError, match="^model weights are not finite$"):
+            predict_view(STAGE1, model, vol, ViewAxis.XY, jobs=2)
+        assert len(forks) == 1 and np.isfinite(model.weights).all()
+        assert_no_child_left()
 
     def test_symmetric_phantom_views_agree(self):
         n = 24
