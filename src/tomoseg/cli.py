@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import config_from_dict, load_experiment_config, read_config_document
 from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, LabelVolume, ViewAxis, \
-    extract_slice, load_volume, read_json, save_volume, worker_count
+    extract_slice, load_volume, read_json, save_volume, worker_count, write_json
 from .errors import ConfigError, DataError, SchemaError, SpecError, TomosegError, \
     UsageError
 from .evaluate import evaluate_volumes, run_dose_ablation
@@ -37,10 +37,6 @@ def _expect(vol, kind, path):
     return vol
 
 
-def _write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
 def cmd_phantom(args) -> int:
     if args.spec:
         spec = spec_from_dict(read_json(args.spec, SpecError, "phantom spec"))
@@ -56,15 +52,14 @@ def cmd_phantom(args) -> int:
         save_volume(atten, apath)
         save_volume(gt, gpath)
         files.append({"attenuation": apath.name, "ground_truth": gpath.name})
-    _write_json(out / "manifest.json", {"spec": spec_to_dict(spec), "samples": files})
+    write_json(out / "manifest.json", {"spec": spec_to_dict(spec), "samples": files})
     print(f"wrote {args.cohort} phantom(s) to {out}")
     return 0
 
 
 def cmd_project(args) -> int:
     vol = _expect(load_volume(args.input), AttenuationVolume, args.input)
-    cfg = AcquisitionConfig(args.angles, args.step, args.bins,
-                            tuple(args.window))
+    cfg = AcquisitionConfig(args.angles, args.step, args.bins)
     save_sinogram(forward_project(vol, cfg), args.out)
     print(f"wrote sinogram {args.out} ({cfg.n_projections} angles x {cfg.detector_bins} bins)")
     return 0
@@ -114,7 +109,7 @@ def cmd_infer(args) -> int:
                                               "input": str(args.input)})
     save_volume(final, args.out)
     if args.report:
-        _write_json(args.report, canonical_report(report))
+        write_json(args.report, canonical_report(report))
     timing = " ".join(f"{k}={v:.2f}s" for k, v in report["timings"].items())
     print(f"wrote segmentation {args.out} ({timing})")
     return 0
@@ -151,8 +146,7 @@ def cmd_ablate_dose(args) -> int:
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     matrix, _, _ = run_dose_ablation(cfg, jobs=args.jobs, log=print)
-    _write_json(out / "dose_matrix.json",
-                {"config": cfg.to_dict(), "matrix": matrix.to_dict()})
+    write_json(out / "dose_matrix.json", {"config": cfg.to_dict(), "matrix": matrix.to_dict()})
     table = matrix.format_table()
     (out / "dose_matrix.txt").write_text(table + "\n")
     print(table)
@@ -206,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=int, required=True, help="projection count")
     p.add_argument("--step", type=float, required=True, help="angular step (deg)")
     p.add_argument("--bins", type=int, required=True, help="detector bins")
-    p.add_argument("--window", type=float, nargs=2, default=(0.0, 1.0),
-                   metavar=("LO", "HI"), help="absorption window")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("reconstruct", help="filtered back-projection")

@@ -327,12 +327,18 @@ def write_with_sidecar(path, payload: np.ndarray, sidecar: dict) -> None:
     tmp_sidecar = sidecar_path.with_name(sidecar_path.name + ".tmp")
     try:
         tmp_payload.write_bytes(payload.tobytes())
-        tmp_sidecar.write_text(json.dumps(sidecar, sort_keys=True, indent=1) + "\n")
+        write_json(tmp_sidecar, sidecar)
         os.replace(tmp_payload, path)
         os.replace(tmp_sidecar, sidecar_path)
     finally:
         tmp_payload.unlink(missing_ok=True)
         tmp_sidecar.unlink(missing_ok=True)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as the package's JSON text: keys sorted, indent 1,
+    one final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def read_json(path, error: type, what: str):

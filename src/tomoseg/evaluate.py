@@ -7,14 +7,12 @@ dominates the volume and would mask errors on the small classes; a flag
 restores it.  Fold spreads are sample standard deviations (n-1).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import LabelVolume
+from .core import LabelVolume, write_json
 from .errors import ConfigError, DataError, MetricError, ShapeError
 
 TRAIN_ROWS = (("D1",), ("D2",), ("D3",), ("D1", "D2"))
@@ -205,7 +203,7 @@ class RunReport:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n")
+        write_json(path, self.to_dict())
 
 
 def evaluate_volumes(pred: LabelVolume, gt: LabelVolume,

@@ -20,7 +20,6 @@ Lacunary, Lacunary beats Ventricle, and stage-1 Background always stays
 Background.
 """
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -167,7 +166,6 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     labels = np.zeros(vol.data.shape, dtype=np.uint8)
     out = view_stack(labels, axis)
     classes = np.asarray(model.class_subset, dtype=np.uint8)
-    here = os.getpid()
 
     def label(run: slice):
         for first in range(run.start, run.stop, per_slab):
@@ -175,15 +173,13 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
             imgs = _apply_filters(stack[first:last], cfg.preprocess, cfg.filter_config)
             feats = stack_features(imgs, chunk_voxels=imgs.size).reshape(-1, N_FEATURES)
             out[first:last] = classes[model.predict_index(feats)].reshape(imgs.shape)
-        # a forked child writes into its own copy of ``labels``, so it sends its run
-        return out[run] if os.getpid() != here else None
+        return out[run]  # a forked child writes into its own copy of ``labels``
 
     firsts = range(start, stop, per_slab)
     cut = firsts[(len(firsts) + 1) // 2] if len(firsts) > 1 else stop
     runs = [run for run in (slice(start, cut), slice(cut, stop)) if run.start < run.stop]
     for run, sent in zip(runs, fork_map(label, runs, jobs)):
-        if sent is not None:
-            out[run] = sent
+        out[run] = sent
     return LabelVolume(labels, vol.voxel_size_um, cfg.output_names)
 
 
@@ -191,6 +187,17 @@ def _occupied(mask: np.ndarray, axis: ViewAxis) -> slice:
     """The run of ``axis`` slices from the first to the last that holds a mask voxel."""
     held = np.flatnonzero(view_stack(mask, axis).any(axis=(1, 2)))
     return slice(int(held[0]), int(held[-1]) + 1)
+
+
+def _check_model(cfg: StageConfig, model) -> None:
+    """Raise ``ConfigError`` for a model of other classes than the stage's, or
+    one whose ``metadata["stage"]`` names another stage."""
+    if model.class_subset != cfg.class_subset:
+        raise ConfigError(f"stage {cfg.stage} needs a model of classes {cfg.class_subset}, "
+                          f"got one of {model.class_subset}")
+    trained_for = model.metadata.get("stage", cfg.stage)  # CLI-trained models name it
+    if trained_for != cfg.stage:
+        raise ConfigError(f"stage {cfg.stage} got a model trained for stage {trained_for!r}")
 
 
 def run_stage(cfg: StageConfig, model, vol: GrayVolume,
@@ -203,14 +210,9 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
     from its first to its last one holding a mask voxel: the voxels of the
     others end as Background whatever their label.  A model of other
     classes, or one whose ``metadata["stage"]`` names another stage, raises
-    ``ConfigError``.
+    ``ConfigError`` (``_check_model``).
     """
-    if model.class_subset != cfg.class_subset:
-        raise ConfigError(f"stage {cfg.stage} needs a model of classes {cfg.class_subset}, "
-                          f"got one of {model.class_subset}")
-    trained_for = model.metadata.get("stage", cfg.stage)  # CLI-trained models name it
-    if trained_for != cfg.stage:
-        raise ConfigError(f"stage {cfg.stage} got a model trained for stage {trained_for!r}")
+    _check_model(cfg, model)
     names = cfg.output_names
     if cfg.mask_to_ventricle:
         if ventricle_mask is None:
@@ -273,9 +275,12 @@ def run_full(models: dict, vol: GrayVolume, cfgs: dict = None, jobs: int = 1,
 
     Returns the final six-class volume and a report dict with label
     histograms and per-stage timings.  Strip the timings (see
-    ``canonical_report``) before comparing reports across runs.
+    ``canonical_report``) before comparing reports across runs.  All three
+    models are checked against their stages before stage 1 runs.
     """
     cfgs = cfgs or default_stage_configs()
+    for stage in (1, 2, 3):
+        _check_model(cfgs[stage], models[stage])
     timings = {}
 
     def timed(key, fn):

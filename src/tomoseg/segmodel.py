@@ -49,16 +49,14 @@ map equals the ``scipy.ndimage`` filter the bank was first written with
 so ``FEATURE_VERSION`` is unchanged, and training loads no scipy.
 """
 
-import json
 import numbers
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import N_CLASSES, ViewAxis, read_json, rng_for_seed, view_stack
+from .core import N_CLASSES, ViewAxis, read_json, rng_for_seed, view_stack, write_json
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
 from .filters import CHUNK_VOXELS, _require_2d, _require_stack, correlate_padded, \
     gaussian_weights, median_stack, reflect_pad, slice_chunks, uniform_filter1d
@@ -188,7 +186,6 @@ class SoftmaxModel:
     batch_size: int = DEFAULT_HYPERPARAMETERS["batch_size"]
     l2: float = DEFAULT_HYPERPARAMETERS["l2"]
     weights: np.ndarray = None
-    feature_version: str = FEATURE_VERSION
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -211,8 +208,6 @@ class SoftmaxModel:
             raise ConfigError(f"batch_size must be non-negative, got {self.batch_size}")
         if not (np.isfinite(self.l2) and self.l2 >= 0):
             raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
-        if self.feature_version != FEATURE_VERSION:
-            raise FormatError(f"unsupported feature version {self.feature_version!r}")
         if self.weights is None:
             self.weights = np.zeros((len(self.class_subset), N_FEATURES + 1))
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -558,7 +553,7 @@ def predict_slice(model: SoftmaxModel, img: np.ndarray) -> np.ndarray:
 def save_model(model: SoftmaxModel, path) -> None:
     doc = {
         "format": "softmax-featbank",
-        "feature_version": model.feature_version,
+        "feature_version": FEATURE_VERSION,
         "n_classes": model.n_classes,
         "class_subset": list(model.class_subset),
         "weights": model.weights.tolist(),
@@ -570,7 +565,7 @@ def save_model(model: SoftmaxModel, path) -> None:
         },
         "metadata": model.metadata,
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> SoftmaxModel:

@@ -346,8 +346,11 @@ def test_train_stage_without_its_class_exits_4_before_the_feature_bank(tmp_path,
     (["project", "--input", "a.vol", "--out", "s.sino", "--angles", "x", "--step", "1",
       "--bins", "8"], "usage: tomoseg project"),
     (["project", "--input", "a.vol", "--out", "s.sino"], "usage: tomoseg project"),
+    (["project", "--input", "a.vol", "--out", "s.sino", "--angles", "4", "--step", "1",
+      "--bins", "8", "--window", "0", "1"], "usage: tomoseg"),
     (["tomograph"], "usage: tomoseg"),
-], ids=["bad_int", "bad_int_required_flag", "missing_required_flags", "unknown_subcommand"])
+], ids=["bad_int", "bad_int_required_flag", "missing_required_flags", "project_takes_no_window",
+        "unknown_subcommand"])
 def test_rejected_arguments_exit_2_with_usage_and_a_json_line(capsys, argv, usage):
     with pytest.raises(SystemExit) as exc:
         main(argv)

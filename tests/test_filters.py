@@ -1,6 +1,5 @@
 """Filter primitives against directly computed oracles."""
 
-import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -18,8 +17,6 @@ from tomoseg.filters import (
     FilterConfig,
     correlate1d,
     fill_holes_3d,
-    gaussian_blur,
-    gaussian_kernel_1d,
     gaussian_weights,
     hist_equalize,
     hole_voxels,
@@ -33,10 +30,10 @@ from tomoseg.filters import (
 
 
 def reference_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Direct 2D convolution with the truncated Gaussian, symmetric padding."""
-    radius = int(math.floor(3.0 * sigma))
+    """Direct 2D convolution with scipy's Gaussian at truncate 3, symmetric padding."""
+    radius = int(3.0 * sigma + 0.5)
     x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k1 = np.exp(-0.5 * (x / sigma) ** 2)
+    k1 = np.exp(-0.5 / (sigma * sigma) * x ** 2)
     k1 /= k1.sum()
     k2 = np.outer(k1, k1)
     padded = np.pad(img.astype(np.float64), radius, mode="symmetric")
@@ -89,14 +86,12 @@ def test_correlate1d_matches_scipy(stack, radius, symmetric, axis, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.tuples(st.integers(1, 30), st.integers(1, 30)).flatmap(
-           lambda shape: arrays(np.float64, shape, elements=st.floats(-1e6, 1e6))),
-       st.sampled_from([0.5, 1.0, 2.0, 3.5]))
-def test_gaussian_blur_matches_scipy(img, sigma):
-    k = gaussian_kernel_1d(sigma)
-    expected = ndi.correlate1d(ndi.correlate1d(img, k, axis=0, mode="reflect"), k, axis=1,
-                               mode="reflect")
-    assert_same_bits(gaussian_blur(img, sigma), expected)
+@given(u16_stacks, st.floats(0.3, 6.0), st.floats(0.0, 3.0))
+def test_unsharp_matches_scipy(stack, sigma, amount):
+    f = stack.astype(np.float64)
+    blur = ndi.gaussian_filter(f, (0, sigma, sigma), mode="reflect", truncate=3.0)
+    expected = np.rint(np.clip(f + amount * (f - blur), 0, 65535)).astype(np.uint16)
+    assert np.array_equal(unsharp_stack(stack, sigma, amount), expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -133,7 +128,6 @@ def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
         monkeypatch.setitem(sys.modules, name, None)  # "import scipy..." now raises
     stack = np.arange(2 * 26 * 27, dtype=np.uint16).reshape(2, 26, 27)
     stack_features(stack)
-    gaussian_blur(stack[0], 2.0)
     unsharp_stack(stack)
     unsharp_mask(stack[0])
     median_stack(stack)
@@ -214,11 +208,11 @@ def test_unsharp_spike_response():
 
 
 def test_unsharp_kernel_truncation():
-    # radius floor(3*sigma): sigma=1.5 keeps 9 taps
-    assert gaussian_kernel_1d(1.0).size == 7
-    assert gaussian_kernel_1d(1.5).size == 9
-    assert gaussian_kernel_1d(2.0).size == 13
-    assert gaussian_kernel_1d(1.0).sum() == pytest.approx(1.0)
+    # scipy's radius int(3*sigma + 0.5): sigma=1.5 keeps 11 taps
+    assert gaussian_weights(1.0).size == 7
+    assert gaussian_weights(1.5).size == 11
+    assert gaussian_weights(2.0).size == 13
+    assert gaussian_weights(1.0).sum() == pytest.approx(1.0)
 
 
 def test_median_constant_unchanged():

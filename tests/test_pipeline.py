@@ -344,6 +344,17 @@ class TestRunFull:
         assert len(forks) == 9  # one child for each view of each stage
         assert np.array_equal(f1.data, f4.data)
 
+    def test_swapped_stage_models_raise_before_any_stage_runs(self, monkeypatch):
+        models = self.toy_models()
+        for stage, model in models.items():
+            model.metadata["stage"] = stage
+        calls, predict = [], pipeline.predict_view
+        monkeypatch.setattr(pipeline, "predict_view",
+                            lambda *a, **k: calls.append(1) or predict(*a, **k))
+        with pytest.raises(ConfigError, match="stage 2 got a model trained for stage 3"):
+            run_full({1: models[1], 2: models[3], 3: models[2]}, self.toy_volume())
+        assert not calls
+
 
 class TestTrainAllStages:
     def test_smoke_on_synthetic_cohort(self):
