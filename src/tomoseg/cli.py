@@ -91,7 +91,6 @@ def cmd_train(args) -> int:
                                   "val_fraction": args.val_fraction},
                                  learning_rate=args.lr, epochs=args.epochs,
                                  batch_size=args.batch, l2=args.l2)
-    model.metadata["stage"] = args.stage
     model.metadata["history"] = history
     save_model(model, args.out)
     last = history[-1] if history else {"train_loss": float("nan"), "val_iou": float("nan")}
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default="ramlak", choices=RECON_FILTERS)
     p.add_argument("--size", type=int, nargs=2, metavar=("NX", "NY"),
                    help="slice size (default: detector bins squared)")
-    p.add_argument("--window", type=float, nargs=2, default=(0.0, 1.0),
+    p.add_argument("--window", type=float, nargs=2, default=AcquisitionConfig.absorption_window,
                    metavar=("LO", "HI"), help="normalization window")
     p.set_defaults(func=cmd_reconstruct)
 

@@ -15,17 +15,21 @@ Conventions used throughout the package:
   ``write_with_sidecar`` and read by ``read_with_sidecar``, the one sidecar
   reader; a malformed sidecar raises FormatError naming the file.  Every
   JSON file (sidecar, config, phantom spec, model) is parsed by ``read_json``.
+* A JSON section that holds one dataclass's settings is named by that
+  dataclass's fields alone: ``json_fields`` writes it and ``from_json_fields``
+  reads it, rejecting unknown keys by ``checked_keys``.
 * All randomness in the package uses numpy's Philox (4x64) counter-based
   bit generator so results are reproducible across platforms.
 """
 
 import enum
 import json
+import numbers
 import os
 import pickle
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +68,39 @@ class ViewAxis(enum.Enum):
 def rng_for_seed(seed, *stream) -> np.random.Generator:
     """Philox generator for ``seed``; extra ints select independent streams."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream))))
+
+
+def integers(values, what: str, error: type) -> tuple[int, ...]:
+    """``values`` as ints; a bool, float or string among them raises ``error``
+    rather than being truncated or read."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
+        raise error(f"{what} must be integers, got {list(values)}")
+    return tuple(int(v) for v in values)
+
+
+def checked_keys(doc, keys, what: str, error: type) -> dict:
+    """A copy of the JSON object ``doc``; a document that is not an object, or
+    one with a key outside ``keys``, raises ``error``."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be an object, got {type(doc).__name__}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(doc)
+
+
+def json_fields(obj) -> dict:
+    """The fields of the dataclass ``obj`` as JSON values: nested dataclasses
+    as objects, tuples as lists."""
+    return asdict(obj, dict_factory=lambda items: {
+        key: list(value) if isinstance(value, tuple) else value for key, value in items})
+
+
+def from_json_fields(cls, doc, what: str, error: type):
+    """``cls(**doc)`` for a JSON object whose keys are fields of the dataclass
+    ``cls``; omitted fields take their defaults.  Another key raises ``error``."""
+    return cls(**checked_keys(doc, [f.name for f in fields(cls)], what, error))
 
 
 def worker_count(jobs=None) -> int:
@@ -249,6 +286,9 @@ class AcquisitionConfig:
     absorption_window: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
+        integers((self.n_projections, self.detector_bins), "n_projections and detector_bins",
+                 ConfigError)
+        object.__setattr__(self, "absorption_window", tuple(self.absorption_window))
         if self.n_projections < 1:
             raise ConfigError(f"n_projections must be >= 1, got {self.n_projections}")
         if not self.angular_step_deg > 0:

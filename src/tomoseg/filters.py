@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import LabelVolume
+from .core import LabelVolume, integers
 from .errors import ConfigError, ShapeError
 
 # Voxels per chunk of slices: a filter holds a few float64 (or 25 u16)
@@ -45,6 +45,8 @@ class FilterConfig:
     histeq_bins: int = 256
 
     def __post_init__(self):
+        integers((self.median_radius, self.histeq_bins), "median_radius and histeq_bins",
+                 ConfigError)
         if not self.unsharp_sigma > 0:
             raise ConfigError(f"unsharp sigma must be positive, got {self.unsharp_sigma}")
         if self.unsharp_amount < 0:

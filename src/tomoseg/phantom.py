@@ -24,12 +24,12 @@ array of the whole volume beside its outputs.
 """
 
 import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import AttenuationVolume, ClassId, LabelVolume, rng_for_seed
+from .core import AttenuationVolume, ClassId, LabelVolume, checked_keys, from_json_fields, \
+    integers, json_fields, rng_for_seed
 from .errors import SpecError
 
 _PLACEMENT_TRIES = 10000
@@ -131,15 +131,6 @@ class CylinderZ:
         labels[box][disk & (uz >= zlo) & (uz <= zhi)] = value
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as ints; a bool, float or string among them raises SpecError
-    rather than being truncated or read."""
-    values = tuple(values)
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in values):
-        raise SpecError(f"{what} must be integers, got {list(values)}")
-    return tuple(int(v) for v in values)
-
-
 @dataclass(frozen=True)
 class PhantomSpec:
     """Complete recipe for one phantom.
@@ -170,9 +161,13 @@ class PhantomSpec:
     window: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", _integers(self.dims, "dims"))
-        object.__setattr__(self, "seed", _integers((self.seed,), "seed")[0])
-        object.__setattr__(self, "lacunae_count", _integers(self.lacunae_count, "lacunae_count"))
+        object.__setattr__(self, "dims", integers(self.dims, "dims", SpecError))
+        object.__setattr__(self, "seed", integers((self.seed,), "seed", SpecError)[0])
+        object.__setattr__(self, "lacunae_count",
+                           integers(self.lacunae_count, "lacunae_count", SpecError))
+        for name in ("voxel_size_um", "compacta_shell_voxels", "ostium_radius_voxels",
+                     "noise_sigma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "lacuna_radius_voxels",
                            tuple(float(v) for v in self.lacuna_radius_voxels))
         object.__setattr__(self, "attenuation", tuple(float(v) for v in self.attenuation))
@@ -236,60 +231,24 @@ def default_spec(n: int = 128, seed: int = 0) -> PhantomSpec:
 
 
 def spec_to_dict(spec: PhantomSpec) -> dict:
-    return {
-        "dims": list(spec.dims),
-        "voxel_size_um": spec.voxel_size_um,
-        "seed": spec.seed,
-        "atrium": {"center": list(spec.atrium.center), "semi_axes": list(spec.atrium.semi_axes)},
-        "ventricle": {"center": list(spec.ventricle.center),
-                      "semi_axes": list(spec.ventricle.semi_axes)},
-        "bulbus": {"center_xy": list(spec.bulbus.center_xy), "radius": spec.bulbus.radius,
-                   "z_range": list(spec.bulbus.z_range)},
-        "compacta_shell_voxels": spec.compacta_shell_voxels,
-        "ostium_radius_voxels": spec.ostium_radius_voxels,
-        "lacunae_count": list(spec.lacunae_count),
-        "lacuna_radius_voxels": list(spec.lacuna_radius_voxels),
-        "attenuation": list(spec.attenuation),
-        "noise_sigma": spec.noise_sigma,
-        "window": list(spec.window),
-    }
+    """The spec's fields as JSON values, the shapes as objects of their fields."""
+    return json_fields(spec)
 
 
-def _take(d: dict, keys, what: str) -> dict:
-    unknown = set(d) - set(keys)
-    if unknown:
-        raise SpecError(f"unknown {what} keys: {sorted(unknown)}")
-    return d
+_SHAPES = {"atrium": Ellipsoid, "ventricle": Ellipsoid, "bulbus": CylinderZ}
 
 
 def spec_from_dict(d: dict) -> PhantomSpec:
-    """Build a PhantomSpec from parsed JSON; unknown keys are rejected."""
-    if not isinstance(d, dict):
-        raise SpecError("phantom spec must be a JSON object")
-    defaults = spec_to_dict(PhantomSpec())
-    _take(d, defaults.keys(), "phantom spec")
-    merged = {**defaults, **d}
+    """Build a PhantomSpec from parsed JSON: keys are its fields (a shape's
+    keys are that shape's fields), unknown ones are rejected and omitted
+    ones take the field defaults."""
+    kw = checked_keys(d, {f.name for f in fields(PhantomSpec)}, "phantom spec", SpecError)
     try:
-        atrium = _take(dict(merged["atrium"]), ("center", "semi_axes"), "ellipsoid")
-        ventricle = _take(dict(merged["ventricle"]), ("center", "semi_axes"), "ellipsoid")
-        bulbus = _take(dict(merged["bulbus"]), ("center_xy", "radius", "z_range"), "cylinder")
-        return PhantomSpec(
-            dims=tuple(merged["dims"]),
-            voxel_size_um=float(merged["voxel_size_um"]),
-            seed=merged["seed"],
-            atrium=Ellipsoid(tuple(atrium["center"]), tuple(atrium["semi_axes"])),
-            ventricle=Ellipsoid(tuple(ventricle["center"]), tuple(ventricle["semi_axes"])),
-            bulbus=CylinderZ(tuple(bulbus["center_xy"]), float(bulbus["radius"]),
-                             tuple(bulbus["z_range"])),
-            compacta_shell_voxels=float(merged["compacta_shell_voxels"]),
-            ostium_radius_voxels=float(merged["ostium_radius_voxels"]),
-            lacunae_count=tuple(merged["lacunae_count"]),
-            lacuna_radius_voxels=tuple(merged["lacuna_radius_voxels"]),
-            attenuation=tuple(merged["attenuation"]),
-            noise_sigma=float(merged["noise_sigma"]),
-            window=tuple(merged["window"]),
-        )
-    except (TypeError, ValueError, KeyError) as err:
+        for key, shape in _SHAPES.items():
+            if key in kw:
+                kw[key] = from_json_fields(shape, kw[key], key, SpecError)
+        return PhantomSpec(**kw)
+    except (TypeError, ValueError) as err:
         raise SpecError(f"malformed phantom spec: {type(err).__name__}: {err}") from err
 
 

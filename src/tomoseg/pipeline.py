@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, fork_map, \
-    view_stack
+    integers, view_stack
 from .errors import ConfigError, ShapeError, TrainingError
 from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_stack, mode_fuse, \
     unsharp_stack
@@ -64,6 +64,7 @@ class StageConfig:
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
         if self.tile_size is None:
             object.__setattr__(self, "tile_size", 400 if self.stage == 1 else 224)
+        integers((self.tile_size,), "tile_size", ConfigError)
         if self.tile_size < 1:
             raise ConfigError(f"tile_size must be >= 1, got {self.tile_size}")
         if self.preprocess is None:
@@ -195,7 +196,7 @@ def _check_model(cfg: StageConfig, model) -> None:
     if model.class_subset != cfg.class_subset:
         raise ConfigError(f"stage {cfg.stage} needs a model of classes {cfg.class_subset}, "
                           f"got one of {model.class_subset}")
-    trained_for = model.metadata.get("stage", cfg.stage)  # CLI-trained models name it
+    trained_for = model.metadata.get("stage", cfg.stage)  # train_stage's models name it
     if trained_for != cfg.stage:
         raise ConfigError(f"stage {cfg.stage} got a model trained for stage {trained_for!r}")
 
@@ -347,10 +348,12 @@ def train_stage(cfg: StageConfig, cohort, seed: int = 0, protocol: dict = None,
     The tiles are sampled by a ``TrainProtocol`` of the stage's tile size,
     ``seed`` and the shared ``protocol`` keys (slice stride, validation
     fraction, tiles per slice per epoch).  Extra keywords configure the
-    SoftmaxModel.
+    SoftmaxModel.  The model's ``metadata["stage"]`` names the stage, so
+    ``run_full`` refuses it at another stage.
     """
     proto = TrainProtocol(tile_size=cfg.tile_size, seed=seed, **(protocol or {}))
-    model = SoftmaxModel(class_subset=cfg.class_subset, **model_kw)
+    model = SoftmaxModel(class_subset=cfg.class_subset, metadata={"stage": cfg.stage},
+                         **model_kw)
     stacks = stage_training_stacks(cfg, cohort)
     if not stacks:
         raise TrainingError(f"no training stack contains the stage {cfg.stage} mask")

@@ -56,7 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import N_CLASSES, ViewAxis, read_json, rng_for_seed, view_stack, write_json
+from .core import N_CLASSES, ViewAxis, integers, read_json, rng_for_seed, view_stack, \
+    write_json
 from .errors import ConfigError, FormatError, ModelError, ShapeError, TrainingError
 from .filters import CHUNK_VOXELS, _require_2d, _require_stack, correlate_padded, \
     gaussian_weights, median_stack, reflect_pad, slice_chunks, uniform_filter1d
@@ -199,6 +200,7 @@ class SoftmaxModel:
             raise ConfigError("class_subset must not be empty")
         if len(set(self.class_subset)) != len(self.class_subset):
             raise ConfigError(f"class_subset has duplicates: {self.class_subset}")
+        integers((self.epochs, self.batch_size), "epochs and batch_size", ConfigError)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
@@ -261,6 +263,8 @@ class TrainProtocol:
     seed: int = 0
 
     def __post_init__(self):
+        integers((self.tile_size, self.slice_stride, self.tiles_per_slice_per_epoch, self.seed),
+                 "tile_size, slice_stride, tiles_per_slice_per_epoch and seed", ConfigError)
         if self.tile_size < 1:
             raise ConfigError(f"tile_size must be >= 1, got {self.tile_size}")
         if self.slice_stride < 1:
@@ -557,12 +561,7 @@ def save_model(model: SoftmaxModel, path) -> None:
         "n_classes": model.n_classes,
         "class_subset": list(model.class_subset),
         "weights": model.weights.tolist(),
-        "hyperparameters": {
-            "learning_rate": model.learning_rate,
-            "epochs": model.epochs,
-            "batch_size": model.batch_size,
-            "l2": model.l2,
-        },
+        "hyperparameters": {key: getattr(model, key) for key in DEFAULT_HYPERPARAMETERS},
         "metadata": model.metadata,
     }
     write_json(path, doc)
@@ -578,12 +577,10 @@ def load_model(path) -> SoftmaxModel:
         hp = {**DEFAULT_HYPERPARAMETERS, **doc.get("hyperparameters", {})}
         model = SoftmaxModel(
             class_subset=tuple(doc["class_subset"]),
-            learning_rate=float(hp["learning_rate"]),
-            epochs=int(hp["epochs"]),
-            batch_size=int(hp["batch_size"]),
-            l2=float(hp["l2"]),
             weights=np.asarray(doc["weights"], dtype=np.float64),
             metadata=dict(doc.get("metadata", {})),
+            # each hyperparameter is cast to the type of its default
+            **{key: type(value)(hp[key]) for key, value in DEFAULT_HYPERPARAMETERS.items()},
         )
         n_classes = int(doc["n_classes"])
     except KeyError as e:

@@ -393,32 +393,28 @@ def normalize_to_u16(vol: AttenuationVolume, window: tuple[float, float]) -> Gra
 
 # --- sinogram I/O ----------------------------------------------------------
 
+# The keys of a .sino sidecar, the SinogramStack attributes of the same names:
+# the three extents of the data's shape, then three floats.
+_SINO_KEYS = ("n_slices", "n_angles", "n_bins", "angle_step_deg", "arc_deg", "voxel_size_um")
+
+
 def save_sinogram(s: SinogramStack, path) -> None:
     """Raw little-endian float32 payload plus a JSON sidecar."""
-    sidecar = {
-        "n_slices": s.n_slices,
-        "n_angles": s.n_angles,
-        "n_bins": s.n_bins,
-        "angle_step_deg": s.angle_step_deg,
-        "arc_deg": s.arc_deg,
-        "voxel_size_um": s.voxel_size_um,
-    }
-    write_with_sidecar(path, np.ascontiguousarray(s.data, dtype="<f4"), sidecar)
+    write_with_sidecar(path, np.ascontiguousarray(s.data, dtype="<f4"),
+                       {key: getattr(s, key) for key in _SINO_KEYS})
 
 
 def load_sinogram(path) -> SinogramStack:
     """Read a stack written by :func:`save_sinogram`; every error names ``path``."""
-    meta, raw = read_with_sidecar(path, ("n_slices", "n_angles", "n_bins", "angle_step_deg",
-                                         "arc_deg", "voxel_size_um"))
+    meta, raw = read_with_sidecar(path, _SINO_KEYS)
     try:
-        n_slices, n_angles, n_bins = (int(meta[k]) for k in ("n_slices", "n_angles", "n_bins"))
-        step = float(meta["angle_step_deg"])
-        if abs(n_angles * step - float(meta["arc_deg"])) > 1e-6:
+        shape = tuple(int(meta[key]) for key in _SINO_KEYS[:3])
+        step, arc, voxel = (float(meta[key]) for key in _SINO_KEYS[3:])
+        if abs(shape[1] * step - arc) > 1e-6:
             raise FormatError("arc_deg inconsistent with n_angles*angle_step_deg")
-        expected = n_slices * n_angles * n_bins * 4
+        expected = 4 * math.prod(shape)
         if len(raw) != expected:
             raise FormatError(f"payload is {len(raw)} bytes, expected {expected}")
-        data = np.frombuffer(raw, dtype="<f4").reshape(n_slices, n_angles, n_bins)
-        return SinogramStack(data, step, float(meta["voxel_size_um"]))
+        return SinogramStack(np.frombuffer(raw, dtype="<f4").reshape(shape), step, voxel)
     except (FormatError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{path}: {e}") from e

@@ -222,6 +222,7 @@ def test_parser_defaults_and_choices_follow_their_definitions(capsys):
     recon = ["reconstruct", "--input", "s", "--out", "v"]
     assert parser.parse_args(recon).filter == \
         inspect.signature(fbp_reconstruct).parameters["filter_name"].default
+    assert parser.parse_args(recon).window == AcquisitionConfig.absorption_window
     for name in RECON_FILTERS:
         assert parser.parse_args([*recon, "--filter", name]).filter == name
     with pytest.raises(SystemExit):
@@ -242,6 +243,13 @@ class TestErrorPaths:
         err = expect_error(run("ablate-dose", "--config", cfg, "--out", tmp_path),
                            capsys.readouterr().err, 2, "SchemaError")
         assert "bogus" in err["message"]
+
+    def test_a_fractional_cohort_size_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"cohort_size": 2.5}))
+        err = expect_error(run("ablate-dose", "--config", cfg, "--out", tmp_path),
+                           capsys.readouterr().err, 2, "SchemaError")
+        assert "cohort_size" in err["message"]
 
     @pytest.mark.parametrize("doc", [[1, 2], {"model": 3}], ids=["list", "model_number"])
     def test_flags_over_a_non_object_config_exit_2(self, tmp_path, capsys, doc):
@@ -439,8 +447,26 @@ def test_model_with_bad_class_ids_exits_2(tmp_path, capsys, ids):
     {"filters": {"median_radius": "a"}},
     {"acquisition": {"n_projections": "a"}},
     {"model": {"epochs": "x"}},
+    # an integer or boolean key holding another JSON type
+    {"doses": [1.7]},
+    {"doses": ["2"]},
+    {"cohort_size": 2.5},
+    {"cohort_size": True},
+    {"eval": {"include_background": "no"}},
+    {"eval": {"include_background": 1}},
+    {"acquisition": {"n_projections": 300.0, "angular_step_deg": 0.6, "detector_bins": 192}},
+    {"acquisition": {"n_projections": 300, "angular_step_deg": 0.6, "detector_bins": 192.5}},
+    {"stages": {"1": {"tile_size": 64.0}}},
+    {"filters": {"median_radius": 2.0}},
+    {"filters": {"histeq_bins": 256.5}},
+    {"protocol": {"slice_stride": 1.5}},
+    {"model": {"epochs": 10.0}},
+    {"model": {"batch_size": True}},
 ], ids=["doses_text", "doses_number", "cohort_text", "seed_text", "tile_text",
-        "preprocess_number", "stride_text", "median_text", "projections_text", "epochs_text"])
+        "preprocess_number", "stride_text", "median_text", "projections_text", "epochs_text",
+        "doses_float", "doses_text_item", "cohort_float", "cohort_bool", "background_text",
+        "background_int", "projections_float", "bins_float", "tile_float", "median_float",
+        "histeq_float", "stride_float", "epochs_float", "batch_bool"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, doc):
     with pytest.raises(SchemaError):
         config_from_dict(doc)

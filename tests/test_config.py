@@ -1,6 +1,8 @@
 """Experiment config schema: defaults, round trips, rejection of junk."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +131,14 @@ class TestDocumentRoundTrip:
     def test_non_object_section_rejected(self):
         with pytest.raises(SchemaError):
             config_from_dict({"acquisition": [1, 2, 3]})
+
+
+def test_readme_config_block_is_accepted_and_round_trips():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Experiment config", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg = config_from_dict(json.loads(block))
+    assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestFiles:

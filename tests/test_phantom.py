@@ -1,5 +1,6 @@
 """Phantom generation: determinism, geometry invariants, cohort jitter."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -17,6 +18,7 @@ from tomoseg.phantom import (
     CylinderZ,
     Ellipsoid,
     PhantomSpec,
+    _jittered,
     default_spec,
     generate,
     spec_from_dict,
@@ -188,12 +190,15 @@ def test_integer_fields_reject_other_types(key, value):
 
 
 def test_spec_json_round_trip():
+    # default specs and jittered cohort samples: plain JSON values, read back equal
+    for n, seed, i in itertools.product((48, 64, 96, 128), range(3), range(3)):
+        spec = default_spec(n, seed) if i == 0 else _jittered(default_spec(n, seed), i)
+        d = spec_to_dict(spec)
+        assert d == json.loads(json.dumps(d))
+        assert spec_from_dict(d) == spec
     spec = default_spec(48, seed=4)
-    d = json.loads(json.dumps(spec_to_dict(spec)))
-    back = spec_from_dict(d)
-    assert back == spec
     att1, _ = generate(spec)
-    att2, _ = generate(back)
+    att2, _ = generate(spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))))
     assert np.array_equal(att1.data, att2.data)
 
 

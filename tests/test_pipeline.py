@@ -368,6 +368,13 @@ class TestTrainAllStages:
         final, report = run_full(models, cohort[0][0])
         assert final.dims == cohort[0][0].dims
 
+    def test_api_trained_models_name_their_stage(self):
+        cohort = TestTrainingStacks().make_cohort() * 2
+        models, _ = train_all_stages(cohort, seed=1, jobs=1, epochs=1, batch_size=256)
+        assert {s: m.metadata["stage"] for s, m in models.items()} == {1: 1, 2: 2, 3: 3}
+        with pytest.raises(ConfigError, match="stage 2 got a model trained for stage 3"):
+            run_full({1: models[1], 2: models[3], 3: models[2]}, cohort[0][0])
+
     def test_stage_protocol_offsets_seed(self, monkeypatch):
         """Stage s samples tiles with the seed ``seed + s``, its own tile size
         and the shared protocol keys."""
