@@ -326,10 +326,6 @@ def view_stack(data: np.ndarray, axis: ViewAxis) -> np.ndarray:
     return data.transpose(_VIEW_ORDER[axis])
 
 
-def slice_count(vol: Volume, axis: ViewAxis) -> int:
-    return view_stack(vol.data, axis).shape[0]
-
-
 def extract_slice(vol: Volume, axis: ViewAxis, index: int) -> np.ndarray:
     """2D cross-section of ``vol`` through plane ``axis`` at ``index``.
 
@@ -337,10 +333,11 @@ def extract_slice(vol: Volume, axis: ViewAxis, index: int) -> np.ndarray:
     first letter is a and along its second letter is b; e.g. an XZ slice at
     y=i satisfies slice[x, z] == volume[x, i, z].
     """
-    n = slice_count(vol, axis)
-    if not 0 <= index < n:
-        raise IndexError(f"slice index {index} out of range for {axis.value} view with {n} slices")
-    return np.ascontiguousarray(view_stack(vol.data, axis)[index])
+    stack = view_stack(vol.data, axis)
+    if not 0 <= index < len(stack):
+        raise IndexError(f"slice index {index} out of range for {axis.value} view "
+                         f"with {len(stack)} slices")
+    return np.ascontiguousarray(stack[index])
 
 
 def restack(slices, axis: ViewAxis) -> np.ndarray:

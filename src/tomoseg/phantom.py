@@ -139,6 +139,10 @@ class PhantomSpec:
     must be pairwise distinct and lie inside ``window``, the absorption
     range that later maps onto the 16-bit grayscale.  Gaussian noise of
     ``noise_sigma`` is added voxelwise and clamped to the window.
+
+    ``ostium_radius_voxels``, ``lacunae_count`` and ``lacuna_radius_voxels``,
+    when omitted, scale with the shortest extent n (``_scaled_sizes``): at
+    n = 128 they are 6, (20, 28) and (3, 5.5) voxels.
     """
 
     dims: tuple[int, int, int] = (128, 128, 128)
@@ -148,9 +152,9 @@ class PhantomSpec:
     ventricle: Ellipsoid = Ellipsoid((0.42, 0.50, 0.50), (0.26, 0.28, 0.30))
     bulbus: CylinderZ = CylinderZ((0.70, 0.30), 0.10, (0.48, 0.88))
     compacta_shell_voxels: float = 3.0
-    ostium_radius_voxels: float = 6.0
-    lacunae_count: tuple[int, int] = (20, 28)
-    lacuna_radius_voxels: tuple[float, float] = (3.0, 5.5)
+    ostium_radius_voxels: float = None
+    lacunae_count: tuple[int, int] = None
+    lacuna_radius_voxels: tuple[float, float] = None
     # one mean per class in ClassId order; bulbus is the brightest and
     # compacta sits between spongiosa and bulbus so every stage-1 class
     # keeps its own intensity niche after reconstruction blur; all means
@@ -162,6 +166,11 @@ class PhantomSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", integers(self.dims, "dims", SpecError))
+        if len(self.dims) != 3 or any(n < 8 for n in self.dims):
+            raise SpecError(f"dims must be 3 extents of at least 8 voxels, got {self.dims}")
+        for name, value in _scaled_sizes(min(self.dims)).items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         object.__setattr__(self, "seed", integers((self.seed,), "seed", SpecError)[0])
         object.__setattr__(self, "lacunae_count",
                            integers(self.lacunae_count, "lacunae_count", SpecError))
@@ -172,8 +181,6 @@ class PhantomSpec:
                            tuple(float(v) for v in self.lacuna_radius_voxels))
         object.__setattr__(self, "attenuation", tuple(float(v) for v in self.attenuation))
         object.__setattr__(self, "window", tuple(float(v) for v in self.window))
-        if len(self.dims) != 3 or any(n < 8 for n in self.dims):
-            raise SpecError(f"dims must be 3 extents of at least 8 voxels, got {self.dims}")
         if not self.voxel_size_um > 0:
             raise SpecError(f"voxel_size_um must be positive, got {self.voxel_size_um}")
         if self.compacta_shell_voxels < 1:
@@ -213,21 +220,20 @@ class PhantomSpec:
             raise SpecError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
 
 
-def default_spec(n: int = 128, seed: int = 0) -> PhantomSpec:
-    """Default cubic phantom at resolution n.
-
-    Lacuna radii and counts scale down with n so the cavities stay
-    placeable (non-overlapping) inside the shrinking ventricle interior
-    at desk resolutions; floors keep them resolvable and present.
-    """
+def _scaled_sizes(n: int) -> dict:
+    """The ostium radius and the lacuna counts and radii of a phantom whose
+    shortest extent is n.  They scale down with n so the cavities stay
+    placeable (non-overlapping) inside the shrinking ventricle interior at
+    desk resolutions; floors keep them resolvable and present."""
     scale = n / 128.0
-    return PhantomSpec(
-        dims=(n, n, n),
-        seed=seed,
-        ostium_radius_voxels=max(2.5, 6.0 * scale),
-        lacunae_count=(max(4, round(20 * scale ** 1.5)), max(6, round(28 * scale ** 1.5))),
-        lacuna_radius_voxels=(max(1.5, 3.0 * scale), max(2.75, 5.5 * scale)),
-    )
+    return {"ostium_radius_voxels": max(2.5, 6.0 * scale),
+            "lacunae_count": (max(4, round(20 * scale ** 1.5)), max(6, round(28 * scale ** 1.5))),
+            "lacuna_radius_voxels": (max(1.5, 3.0 * scale), max(2.75, 5.5 * scale))}
+
+
+def default_spec(n: int = 128, seed: int = 0) -> PhantomSpec:
+    """Default cubic phantom at resolution n."""
+    return PhantomSpec(dims=(n, n, n), seed=seed)
 
 
 def spec_to_dict(spec: PhantomSpec) -> dict:

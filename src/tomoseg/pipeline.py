@@ -6,18 +6,20 @@ and 3 are binary specialists for the lacunary spaces and the compacta
 that see only the ventricle image part: the stage-1 ventricle mask is
 cropped to its bounding box (dilated for context), everything outside
 the mask is zeroed, and out-of-mask voxels are forced to Background in
-the output.  Each stage predicts on all three orthogonal views, fuses
-them by per-voxel mode with the XY view breaking ties, and fills
-enclosed background cavities.  A view is predicted slab by slab: its
-slice stack is cut into contiguous runs of slices of a fixed voxel
-budget, and each slab takes one feature-bank call and one argmax over the
-model's logits.  With two or more jobs on Linux, one forked child labels
-the second half of a view's slabs while this process labels the first
-(``core.fork_map``, as for training).  A fixed rule table
-then merges the three stage outputs into the final six-class volume:
-Atrium beats everything, Bulbus beats the binary classes, Compacta beats
-Lacunary, Lacunary beats Ventricle, and stage-1 Background always stays
-Background.
+the output.  Each stage predicts on all three orthogonal views and fuses
+them by per-voxel mode with the XY view breaking ties.  Stage 1 then
+fills enclosed Background cavities.  The binary stages fill nothing: their
+label 0 means "not the target class", not Background, so a closed
+compacta shell encloses Ventricle lumen, not a cavity.  A view is
+predicted slab by slab: its slice stack is cut into contiguous runs of
+slices of a fixed voxel budget, and each slab takes one feature-bank call
+and one argmax over the model's logits.  With two or more jobs on Linux,
+one forked child labels the second half of a view's slabs while this
+process labels the first (``core.fork_map``, as for training).  A fixed
+rule table then merges the three stage outputs into the final six-class
+volume: Atrium beats everything, Bulbus beats the binary classes,
+Compacta beats Lacunary, Lacunary beats Ventricle, and stage-1
+Background always stays Background.
 """
 
 import time
@@ -203,15 +205,17 @@ def _check_model(cfg: StageConfig, model) -> None:
 
 def run_stage(cfg: StageConfig, model, vol: GrayVolume,
               ventricle_mask: LabelVolume = None, jobs: int = 1) -> LabelVolume:
-    """Tri-view inference for one stage: predict per view, fuse, fill holes.
+    """Tri-view inference for one stage: predict per view, fuse, and for
+    stage 1 fill holes.
 
     Masked stages crop to the mask's bounding box (dilated by
     ``MASK_DILATION_VOXELS``), zero the voxels outside the mask, and force
     them to Background in the output.  So each view labels only the slices
     from its first to its last one holding a mask voxel: the voxels of the
-    others end as Background whatever their label.  A model of other
-    classes, or one whose ``metadata["stage"]`` names another stage, raises
-    ``ConfigError`` (``_check_model``).
+    others end as Background whatever their label.  They fill no holes
+    (see the module docstring).  A model of other classes, or one whose
+    ``metadata["stage"]`` names another stage, raises ``ConfigError``
+    (``_check_model``).
     """
     _check_model(cfg, model)
     names = cfg.output_names
@@ -237,10 +241,8 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
     fused = mode_fuse(*views)
     if not cfg.mask_to_ventricle:
         return fill_holes_3d(fused)
-    inside = mask[box]
-    filled = fill_holes_3d(LabelVolume(np.where(inside, fused.data, 0), vol.voxel_size_um, names))
     full = np.zeros(vol.data.shape, dtype=np.uint8)
-    full[box] = np.where(inside, filled.data, 0)
+    full[box] = np.where(mask[box], fused.data, 0)
     return LabelVolume(full, vol.voxel_size_um, names)
 
 

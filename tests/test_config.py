@@ -9,6 +9,7 @@ import pytest
 from tomoseg.config import ExperimentConfig, config_from_dict, load_experiment_config
 from tomoseg.errors import SchemaError
 from tomoseg.filters import FilterConfig
+from tomoseg.phantom import default_spec, split_cohort
 from tomoseg.pipeline import StageConfig, default_stage_configs
 
 
@@ -108,6 +109,16 @@ class TestDocumentRoundTrip:
         assert cfg.filter_config == FilterConfig(**filters)
         assert cfg.to_dict()["filters"] == filters
         assert config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("n", [48, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phantom_dims_alone_scale_the_cavities(self, n, seed):
+        cfg = config_from_dict({"seed": seed, "phantom": {"dims": [n, n, n], "seed": seed}})
+        assert cfg.phantom == default_spec(n, seed)
+        for (atten, labels), (want_atten, want_labels) in zip(
+                split_cohort(cfg.phantom, 3), split_cohort(default_spec(n, seed), 3)):
+            assert atten.data.tobytes() == want_atten.data.tobytes()
+            assert labels.data.tobytes() == want_labels.data.tobytes()
 
     def test_stage_preprocess_list_becomes_tuple(self):
         cfg = config_from_dict({"stages": {"2": {"preprocess": ["median", "unsharp"]}}})

@@ -20,7 +20,7 @@ from tomoseg.core import (
     load_volume,
     restack,
     save_volume,
-    slice_count,
+    view_stack,
     worker_count,
 )
 from tomoseg.errors import ConfigError, FormatError
@@ -83,13 +83,6 @@ def test_volume_data_is_locked_in_the_type_dtype(cls, tmp_path):
     assert type(load_volume(tmp_path / "v.vol")) is cls
 
 
-def test_slice_counts():
-    vol = _gray(3, 4, 5)
-    assert slice_count(vol, ViewAxis.XY) == 5
-    assert slice_count(vol, ViewAxis.XZ) == 4
-    assert slice_count(vol, ViewAxis.YZ) == 3
-
-
 def test_xz_view_shape_example():
     # 3x4x5 volume: the XZ view yields 4 slices of shape (3, 5)
     vol = _gray(3, 4, 5)
@@ -132,7 +125,7 @@ def test_extract_slice_index_out_of_range():
 @pytest.mark.parametrize("axis", list(ViewAxis))
 def test_restack_inverts_extract(axis):
     vol = _gray(6, 5, 4, seed=7)
-    n = slice_count(vol, axis)
+    n = view_stack(vol.data, axis).shape[0]
     rebuilt = restack([extract_slice(vol, axis, i) for i in range(n)], axis)
     assert rebuilt.dtype == vol.data.dtype
     assert np.array_equal(rebuilt, vol.data)

@@ -228,6 +228,21 @@ class TestRunStage:
         again = fill_holes_3d(out)
         assert np.array_equal(again.data, out.data)
 
+    def test_masked_stage_leaves_enclosed_lumen_unfilled(self):
+        # stage 3 sees a closed bright shell around a dim lumen, both inside
+        # the mask: label 0 there means "not Compacta", so the lumen stays 0
+        n = 21
+        zz, yy, xx = np.ogrid[:n, :n, :n]
+        c = (n - 1) / 2.0
+        r2 = (xx - c) ** 2 + (yy - c) ** 2 + (zz - c) ** 2
+        shell, lumen = (r2 <= 8.0 ** 2) & (r2 > 4.0 ** 2), r2 <= 4.0 ** 2
+        vol = gray(np.where(shell, 60000, 10000))
+        mask = lab((r2 <= 8.0 ** 2).astype(np.uint8), ("Background", "Ventricle"))
+        out = run_stage(StageConfig(stage=3, preprocess=()), binary_threshold_model(),
+                        vol, mask)
+        assert np.array_equal(out.data != 0, shell)
+        assert not out.data[lumen].any()
+
 
 class TestTrainingStacks:
     def make_cohort(self):
@@ -331,6 +346,13 @@ class TestRunFull:
         f2, r2 = run_full(models, vol)
         assert np.array_equal(f1.data, f2.data)
         assert canonical_report(r1) == canonical_report(r2)
+
+    def test_only_stage1_fills_holes(self, monkeypatch):
+        calls, fill = [], pipeline.fill_holes_3d
+        monkeypatch.setattr(pipeline, "fill_holes_3d",
+                            lambda labels: calls.append(labels.class_names) or fill(labels))
+        run_full(self.toy_models(), self.toy_volume())
+        assert calls == [pipeline.STAGE1_NAMES]
 
     def test_parallel_jobs_match_serial(self, monkeypatch):
         # three 20x20 slices a slab, so that every view of every stage forks
