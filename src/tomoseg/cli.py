@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_dict, load_experiment_config, read_config_document
+from .config import config_from_dict
 from .core import AcquisitionConfig, AttenuationVolume, GrayVolume, LabelVolume, ViewAxis, \
     extract_slice, load_volume, read_json, save_volume, worker_count, write_json
 from .errors import ConfigError, DataError, SchemaError, SpecError, TomosegError, \
@@ -80,9 +80,7 @@ def cmd_train(args) -> int:
     if len(args.gray) != len(args.labels):
         raise ConfigError(f"{len(args.gray)} gray volumes vs {len(args.labels)} "
                           "label volumes")
-    cfg = StageConfig(stage=args.stage, tile_size=args.tile,
-                      preprocess=tuple(args.preprocess) if args.preprocess is not None
-                      else None)
+    cfg = StageConfig(stage=args.stage, tile_size=args.tile, preprocess=args.preprocess)
     cohort = [(_expect(load_volume(g), GrayVolume, g),
                _expect(load_volume(l), LabelVolume, l))
               for g, l in zip(args.gray, args.labels)]
@@ -102,8 +100,7 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     vol = _expect(load_volume(args.input), GrayVolume, args.input)
     models = {i + 1: load_model(p) for i, p in enumerate(args.models)}
-    stages = load_experiment_config(args.config).stages if args.config else None
-    final, report = run_full(models, vol, stages, jobs=args.jobs,
+    final, report = run_full(models, vol, jobs=args.jobs,
                              config_snapshot={"models": [str(p) for p in args.models],
                                               "input": str(args.input)})
     save_volume(final, args.out)
@@ -135,7 +132,7 @@ def _with_keys(section, **values):
 
 
 def cmd_ablate_dose(args) -> int:
-    doc = read_config_document(args.config) if args.config else {}
+    doc = read_json(args.config, SchemaError, "config") if args.config else {}
     if isinstance(doc, dict):
         # a flag sets its key in the document, so it means what the key means in a file
         doc = _with_keys(doc, seed=args.seed, cohort_size=args.cohort,
@@ -239,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("STAGE1", "STAGE2", "STAGE3"))
     p.add_argument("--out", required=True, help="segmentation output (.vol)")
     p.add_argument("--report", help="report JSON output")
-    p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--jobs", type=int,
                    help="2 or more labels half of each view's slabs in one forked "
                         "process on Linux (default: every available CPU)")

@@ -12,8 +12,7 @@ section, and each stage trains with the seed ``seed + stage``.
 
 from dataclasses import dataclass
 
-from .core import AcquisitionConfig, checked_keys, from_json_fields, integers, json_fields, \
-    read_json
+from .core import AcquisitionConfig, checked_keys, from_json_fields, integers, json_fields
 from .errors import ConfigError, SchemaError
 from .filters import FilterConfig
 from .phantom import PhantomSpec, default_spec, spec_from_dict, spec_to_dict
@@ -42,6 +41,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         integers((self.seed, self.cohort_size), "seed and cohort_size", SchemaError)
+        if not isinstance(self.out_dir, str):
+            raise SchemaError(f"out_dir must be a string, got {self.out_dir!r}")
         if not isinstance(self.include_background, bool):
             raise SchemaError(f"include_background must be true or false, "
                               f"got {self.include_background!r}")
@@ -130,12 +131,3 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         return ExperimentConfig(**kw)
     except (ConfigError, TypeError, ValueError, KeyError) as err:
         raise SchemaError(f"malformed config: {type(err).__name__}: {err}") from err
-
-
-def read_config_document(path) -> dict:
-    """The parsed JSON of a config file, not yet validated."""
-    return read_json(path, SchemaError, "config")
-
-
-def load_experiment_config(path) -> ExperimentConfig:
-    return config_from_dict(read_config_document(path))

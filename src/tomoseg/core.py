@@ -24,6 +24,7 @@ Conventions used throughout the package:
 
 import enum
 import json
+import math
 import numbers
 import os
 import pickle
@@ -289,6 +290,11 @@ class AcquisitionConfig:
         integers((self.n_projections, self.detector_bins), "n_projections and detector_bins",
                  ConfigError)
         object.__setattr__(self, "absorption_window", tuple(self.absorption_window))
+        if len(self.absorption_window) != 2 or any(
+                isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+                for v in self.absorption_window):
+            raise ConfigError(f"absorption window must be two finite numbers, "
+                              f"got {list(self.absorption_window)}")
         if self.n_projections < 1:
             raise ConfigError(f"n_projections must be >= 1, got {self.n_projections}")
         if not self.angular_step_deg > 0:

@@ -276,7 +276,7 @@ def run_dose_ablation(cfg, jobs: int = 1, log=None):
         return models
 
     def eval_fn(models, gray, gt):
-        final, _ = run_full(models, gray, cfg.stages, jobs)
+        final, _ = run_full(models, gray, jobs)
         return weighted_iou(final, gt, cfg.include_background)
 
     matrix = dose_matrix(recons, gts, train_fn, eval_fn, rows, cols)

@@ -23,13 +23,13 @@ Background always stays Background.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import CLASS_NAMES, ClassId, GrayVolume, LabelVolume, ViewAxis, fork_map, \
-    integers, view_stack
-from .errors import ConfigError, ShapeError, TrainingError
+    from_json_fields, integers, json_fields, view_stack
+from .errors import ConfigError, FormatError, ShapeError, TrainingError
 from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_stack, mode_fuse, \
     unsharp_stack
 from .segmodel import N_FEATURES, SoftmaxModel, TrainProtocol, stack_features, train
@@ -72,6 +72,8 @@ class StageConfig:
         if self.preprocess is None:
             object.__setattr__(self, "preprocess",
                                ("unsharp",) if self.stage == 2 else ())
+        if not isinstance(self.preprocess, (list, tuple)):
+            raise ConfigError(f"preprocess must be a list of filter names, got {self.preprocess!r}")
         object.__setattr__(self, "preprocess", tuple(self.preprocess))
         for name in self.preprocess:
             if name not in _FILTER_NAMES:
@@ -110,9 +112,10 @@ def ventricle_mask_from_stage1(stage1: LabelVolume) -> LabelVolume:
     return LabelVolume(mask, stage1.voxel_size_um, ("Background", "Ventricle"))
 
 
-def _apply_filters(stack: np.ndarray, names, fc: FilterConfig) -> np.ndarray:
+def _apply_filters(stack: np.ndarray, cfg: StageConfig) -> np.ndarray:
     """The stage's 2D filters on every slice of an (n, a, b) stack."""
-    for name in names:
+    fc = cfg.filter_config
+    for name in cfg.preprocess:
         if name == "unsharp":
             stack = unsharp_stack(stack, fc.unsharp_sigma, fc.unsharp_amount)
         elif name == "median":
@@ -136,13 +139,12 @@ def _crop_to_mask(data: np.ndarray, mask: np.ndarray) -> tuple:
     return sub, box
 
 
-def preprocess_volume(vol: GrayVolume, names, fc: FilterConfig) -> GrayVolume:
+def preprocess_volume(vol: GrayVolume, cfg: StageConfig) -> GrayVolume:
     """Apply the stage's 2D filters to every axial slice."""
-    if not names:
+    if not cfg.preprocess:
         return vol
     data = np.empty_like(vol.data)
-    view_stack(data, ViewAxis.XY)[...] = _apply_filters(view_stack(vol.data, ViewAxis.XY),
-                                                        names, fc)
+    view_stack(data, ViewAxis.XY)[...] = _apply_filters(view_stack(vol.data, ViewAxis.XY), cfg)
     return GrayVolume(data, vol.voxel_size_um)
 
 
@@ -173,7 +175,7 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     def label(run: slice):
         for first in range(run.start, run.stop, per_slab):
             last = min(first + per_slab, run.stop)
-            imgs = _apply_filters(stack[first:last], cfg.preprocess, cfg.filter_config)
+            imgs = _apply_filters(stack[first:last], cfg)
             feats = stack_features(imgs, chunk_voxels=imgs.size).reshape(-1, N_FEATURES)
             out[first:last] = classes[model.predict_index(feats)].reshape(imgs.shape)
         return out[run]  # a forked child writes into its own copy of ``labels``
@@ -192,15 +194,33 @@ def _occupied(mask: np.ndarray, axis: ViewAxis) -> slice:
     return slice(int(held[0]), int(held[-1]) + 1)
 
 
+def recorded_config(cfg: StageConfig, model) -> StageConfig:
+    """``cfg`` with the preprocessing that ``model`` records: the filter names
+    in ``metadata["preprocess"]`` and the ``FilterConfig`` fields in
+    ``metadata["filters"]``, as ``train_stage`` writes them.  What the model
+    does not record keeps ``cfg``'s value.  A malformed record raises
+    ``FormatError`` naming the stage."""
+    try:
+        fc = model.metadata.get("filters", json_fields(cfg.filter_config))
+        return replace(cfg, preprocess=model.metadata.get("preprocess", cfg.preprocess),
+                       filter_config=from_json_fields(FilterConfig, fc, "filters", ConfigError))
+    except (ConfigError, TypeError) as err:
+        raise FormatError(f"stage {cfg.stage} model records malformed preprocessing: "
+                          f"{err}") from err
+
+
 def _check_model(cfg: StageConfig, model) -> None:
-    """Raise ``ConfigError`` for a model of other classes than the stage's, or
-    one whose ``metadata["stage"]`` names another stage."""
+    """Raise ``ConfigError`` for a model of other classes than the stage's, one
+    whose ``metadata["stage"]`` names another stage, or one that records other
+    preprocessing than ``cfg``'s (``recorded_config``)."""
     if model.class_subset != cfg.class_subset:
         raise ConfigError(f"stage {cfg.stage} needs a model of classes {cfg.class_subset}, "
                           f"got one of {model.class_subset}")
     trained_for = model.metadata.get("stage", cfg.stage)  # train_stage's models name it
     if trained_for != cfg.stage:
         raise ConfigError(f"stage {cfg.stage} got a model trained for stage {trained_for!r}")
+    if (recorded := recorded_config(cfg, model)) != cfg:
+        raise ConfigError(f"stage {cfg.stage} runs {cfg}, its model was trained for {recorded}")
 
 
 def run_stage(cfg: StageConfig, model, vol: GrayVolume,
@@ -213,9 +233,9 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
     them to Background in the output.  So each view labels only the slices
     from its first to its last one holding a mask voxel: the voxels of the
     others end as Background whatever their label.  They fill no holes
-    (see the module docstring).  A model of other classes, or one whose
-    ``metadata["stage"]`` names another stage, raises ``ConfigError``
-    (``_check_model``).
+    (see the module docstring).  A model of other classes, one whose
+    ``metadata["stage"]`` names another stage, or one that records other
+    preprocessing than ``cfg``'s raises ``ConfigError`` (``_check_model``).
     """
     _check_model(cfg, model)
     names = cfg.output_names
@@ -272,16 +292,18 @@ def _histogram(vol: LabelVolume) -> dict:
     return {vol.class_names[i]: int(counts[i]) for i in range(len(vol.class_names))}
 
 
-def run_full(models: dict, vol: GrayVolume, cfgs: dict = None, jobs: int = 1,
+def run_full(models: dict, vol: GrayVolume, jobs: int = 1,
              config_snapshot: dict = None) -> tuple:
     """Stage 1 -> ventricle mask -> stages 2 and 3 -> ensemble.
 
-    Returns the final six-class volume and a report dict with label
-    histograms and per-stage timings.  Strip the timings (see
+    Each stage preprocesses its slices as its model records
+    (``recorded_config``); a model that records nothing gets the stage
+    default.  Returns the final six-class volume and a report dict with
+    label histograms and per-stage timings.  Strip the timings (see
     ``canonical_report``) before comparing reports across runs.  All three
-    models are checked against their stages before stage 1 runs.
+    models are read and checked against their stages before stage 1 runs.
     """
-    cfgs = cfgs or default_stage_configs()
+    cfgs = {stage: recorded_config(StageConfig(stage), models[stage]) for stage in (1, 2, 3)}
     for stage in (1, 2, 3):
         _check_model(cfgs[stage], models[stage])
     timings = {}
@@ -326,20 +348,16 @@ def stage_training_stacks(cfg: StageConfig, cohort) -> list:
     for gray, gt in cohort:
         if gray.dims != gt.dims:
             raise ShapeError(f"gray dims {gray.dims} != gt dims {gt.dims}")
-        target = stage_gt(cfg, gt)
+        target, names = stage_gt(cfg, gt), cfg.output_names
         if cfg.mask_to_ventricle:
             mask = np.isin(gt.data, VENTRICLE_COMPLEX)
             if not mask.any():
                 continue
             sub, box = _crop_to_mask(gray.data, mask)
-            labels = np.where(mask[box], target[box], np.uint8(EXCLUDED_LABEL))
-            vol = preprocess_volume(GrayVolume(sub, gray.voxel_size_um),
-                                    cfg.preprocess, cfg.filter_config)
-            stacks.append((vol, LabelVolume(labels, gt.voxel_size_um,
-                                            cfg.output_names + ("Excluded",))))
-        else:
-            vol = preprocess_volume(gray, cfg.preprocess, cfg.filter_config)
-            stacks.append((vol, LabelVolume(target, gt.voxel_size_um, cfg.output_names)))
+            gray = GrayVolume(sub, gray.voxel_size_um)
+            target = np.where(mask[box], target[box], np.uint8(EXCLUDED_LABEL))
+            names += ("Excluded",)
+        stacks.append((preprocess_volume(gray, cfg), LabelVolume(target, gt.voxel_size_um, names)))
     return stacks
 
 
@@ -350,12 +368,14 @@ def train_stage(cfg: StageConfig, cohort, seed: int = 0, protocol: dict = None,
     The tiles are sampled by a ``TrainProtocol`` of the stage's tile size,
     ``seed`` and the shared ``protocol`` keys (slice stride, validation
     fraction, tiles per slice per epoch).  Extra keywords configure the
-    SoftmaxModel.  The model's ``metadata["stage"]`` names the stage, so
-    ``run_full`` refuses it at another stage.
+    SoftmaxModel.  The model's metadata records the ``stage``, so ``run_full``
+    refuses it at another stage, and the ``preprocess`` filter names and the
+    ``filters`` fields, so ``run_full`` preprocesses its slices as here.
     """
     proto = TrainProtocol(tile_size=cfg.tile_size, seed=seed, **(protocol or {}))
-    model = SoftmaxModel(class_subset=cfg.class_subset, metadata={"stage": cfg.stage},
-                         **model_kw)
+    model = SoftmaxModel(class_subset=cfg.class_subset, metadata={
+        "stage": cfg.stage, "preprocess": list(cfg.preprocess),
+        "filters": json_fields(cfg.filter_config)}, **model_kw)
     stacks = stage_training_stacks(cfg, cohort)
     if not stacks:
         raise TrainingError(f"no training stack contains the stage {cfg.stage} mask")

@@ -84,7 +84,7 @@ def full_scale_cv():
         return models
 
     def eval_fn(models, pair):
-        pred, _ = run_full(models, pair[0], cfg.stages, jobs=JOBS)
+        pred, _ = run_full(models, pair[0], jobs=JOBS)
         return weighted_iou(pred, pair[1])
 
     scores = kfold_cv(cohort, 3, train_fn, eval_fn)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +26,14 @@ from hypothesis import strategies as st
 from tomoseg.cli import main
 from tomoseg.config import ExperimentConfig, config_from_dict
 from tomoseg.core import AcquisitionConfig, AttenuationVolume, GrayVolume, LabelVolume, \
-    ViewAxis, extract_slice, load_volume, save_volume
+    ViewAxis, extract_slice, json_fields, load_volume, save_volume
 from tomoseg.errors import FormatError, SchemaError
+from tomoseg.filters import FilterConfig
 from tomoseg.pgm import label_to_8bit, read_pgm
 from tomoseg.phantom import default_spec, spec_to_dict
-from tomoseg.segmodel import SoftmaxModel, save_model
+from tomoseg.pipeline import StageConfig, default_stage_configs, ensemble, run_full, run_stage, \
+    ventricle_mask_from_stage1
+from tomoseg.segmodel import SoftmaxModel, load_model, save_model
 from tomoseg.tomo import SinogramStack, load_sinogram, save_sinogram
 
 TRAIN_FLAGS = ["--epochs", "6", "--lr", "0.05", "--batch", "512",
@@ -103,6 +107,8 @@ class TestChainArtifacts:
             doc = json.loads((chain / f"m{stage}.json").read_text())
             assert doc["metadata"]["stage"] == stage
             assert len(doc["metadata"]["history"]) == 6
+            assert doc["metadata"]["preprocess"] == list(StageConfig(stage).preprocess)
+            assert doc["metadata"]["filters"] == json_fields(FilterConfig())
 
     def test_segmentation_and_report(self, chain):
         seg = load_volume(chain / "seg.vol")
@@ -145,6 +151,87 @@ class TestChainArtifacts:
                    "--labels", chain / "ph/gt_000.vol", "--out", out,
                    *TRAIN_FLAGS) == 0
         assert out.read_bytes() == (chain / "m1.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def plain_stage2(chain, tmp_path_factory):
+    """A stage-2 model trained on the chain's sample by ``train --preprocess`` with
+    no filter names, so its slices skip the unsharp mask.  At 20 epochs it labels
+    Lacunary voxels, which the chain's 6 do not."""
+    path = tmp_path_factory.mktemp("plain") / "m2.json"
+    assert run("train", "--stage", 2, "--gray", chain / "recon0.vol",
+               "--labels", chain / "ph/gt_000.vol", "--out", path, *TRAIN_FLAGS,
+               "--epochs", 20, "--preprocess") == 0
+    return path
+
+
+def staged(models: dict, vol, cfgs: dict):
+    """The final volume of ``run_stage`` per stage under ``cfgs``, then ``ensemble``."""
+    stage1 = run_stage(cfgs[1], models[1], vol)
+    mask = ventricle_mask_from_stage1(stage1)
+    return ensemble(stage1, run_stage(cfgs[2], models[2], vol, mask),
+                    run_stage(cfgs[3], models[3], vol, mask))
+
+
+class TestRecordedPreprocessing:
+    """A model records the preprocessing it was trained with, and ``infer``
+    preprocesses each stage's slices as its model records."""
+
+    def test_infer_preprocesses_as_each_model_was_trained(self, chain, plain_stage2, tmp_path):
+        paths = (chain / "m1.json", plain_stage2, chain / "m3.json")
+        assert json.loads(plain_stage2.read_text())["metadata"]["preprocess"] == []
+        assert run("infer", "--input", chain / "recon1.vol", "--models", *paths,
+                   "--out", tmp_path / "seg.vol", "--jobs", 1) == 0
+        models = {stage: load_model(path) for stage, path in zip((1, 2, 3), paths)}
+        vol = load_volume(chain / "recon1.vol")
+        plain = staged(models, vol, {1: StageConfig(1), 2: StageConfig(2, preprocess=()),
+                                     3: StageConfig(3)})
+        assert np.array_equal(load_volume(tmp_path / "seg.vol").data, plain.data)
+        assert np.array_equal(run_full(models, vol)[0].data, plain.data)
+        # stage 2's default unsharp mask would give another segmentation here
+        bare = {stage: replace(model, metadata={}) for stage, model in models.items()}
+        assert not np.array_equal(staged(bare, vol, default_stage_configs()).data, plain.data)
+
+    def test_models_recording_nothing_get_the_stage_defaults(self, chain, plain_stage2,
+                                                             tmp_path):
+        for name, paths in (("chain", (chain / "m1.json", chain / "m2.json", chain / "m3.json")),
+                            ("plain", (chain / "m1.json", plain_stage2, chain / "m3.json"))):
+            stripped = []
+            for stage, path in zip((1, 2, 3), paths):
+                doc = json.loads(path.read_text())
+                del doc["metadata"]["preprocess"], doc["metadata"]["filters"]
+                stripped.append(tmp_path / f"{name}{stage}.json")
+                stripped[-1].write_text(json.dumps(doc))
+            assert run("infer", "--input", chain / "recon1.vol", "--models", *stripped,
+                       "--out", tmp_path / f"{name}.vol", "--jobs", 2) == 0
+        # the chain's models, trained with the defaults, infer as they did with their record
+        for suffix in ("", ".json"):
+            assert (tmp_path / f"chain.vol{suffix}").read_bytes() == \
+                (chain / f"seg.vol{suffix}").read_bytes()
+        models = {stage: replace(load_model(path), metadata={})
+                  for stage, path in zip((1, 2, 3), (chain / "m1.json", plain_stage2,
+                                                     chain / "m3.json"))}
+        want = staged(models, load_volume(chain / "recon1.vol"), default_stage_configs())
+        assert np.array_equal(load_volume(tmp_path / "plain.vol").data, want.data)
+
+    @pytest.mark.parametrize("key,value", [
+        ("preprocess", ["bogus"]),
+        ("preprocess", 5),
+        ("filters", {"x": 1}),
+        ("filters", {"unsharp_sigma": -1}),
+        ("filters", [1]),
+    ], ids=["unknown_filter", "preprocess_number", "unknown_filters_key", "negative_sigma",
+            "filters_list"])
+    def test_a_malformed_record_exits_4(self, chain, tmp_path, capsys, key, value):
+        doc = json.loads((chain / "m2.json").read_text())
+        doc["metadata"][key] = value
+        (tmp_path / "m2.json").write_text(json.dumps(doc))
+        line = expect_error(run("infer", "--input", chain / "recon1.vol", "--models",
+                                chain / "m1.json", tmp_path / "m2.json", chain / "m3.json",
+                                "--out", tmp_path / "seg.vol"),
+                            capsys.readouterr().err, 4, "FormatError")
+        assert line["message"].startswith("stage 2 model records malformed preprocessing")
+        assert not (tmp_path / "seg.vol").exists()
 
 
 class TestDoseAblation:
@@ -357,8 +444,10 @@ def test_train_stage_without_its_class_exits_4_before_the_feature_bank(tmp_path,
     (["project", "--input", "a.vol", "--out", "s.sino", "--angles", "4", "--step", "1",
       "--bins", "8", "--window", "0", "1"], "usage: tomoseg"),
     (["tomograph"], "usage: tomoseg"),
+    (["infer", "--input", "g.vol", "--models", "a", "b", "c", "--out", "s.vol",
+      "--config", "exp.json"], "usage: tomoseg"),
 ], ids=["bad_int", "bad_int_required_flag", "missing_required_flags", "project_takes_no_window",
-        "unknown_subcommand"])
+        "unknown_subcommand", "infer_takes_no_config"])
 def test_rejected_arguments_exit_2_with_usage_and_a_json_line(capsys, argv, usage):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -462,23 +551,28 @@ def test_model_with_bad_class_ids_exits_2(tmp_path, capsys, ids):
     {"protocol": {"slice_stride": 1.5}},
     {"model": {"epochs": 10.0}},
     {"model": {"batch_size": True}},
+    # values a run uses late: out_dir in Path(), the window after the whole cohort's FBP
+    {"out_dir": 5},
+    {"acquisition": {"n_projections": 300, "angular_step_deg": 0.6, "detector_bins": 192,
+                     "absorption_window": ["a", "b"]}},
+    # an infinite window maps every voxel to 0
+    {"acquisition": {"n_projections": 300, "angular_step_deg": 0.6, "detector_bins": 192,
+                     "absorption_window": [0, float("inf")]}},
 ], ids=["doses_text", "doses_number", "cohort_text", "seed_text", "tile_text",
         "preprocess_number", "stride_text", "median_text", "projections_text", "epochs_text",
         "doses_float", "doses_text_item", "cohort_float", "cohort_bool", "background_text",
         "background_int", "projections_float", "bins_float", "tile_float", "median_float",
-        "histeq_float", "stride_float", "epochs_float", "batch_bool"])
-def test_malformed_config_value_exits_2(tmp_path, capsys, doc):
+        "histeq_float", "stride_float", "epochs_float", "batch_bool", "out_dir_number",
+        "window_text", "window_infinite"])
+def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, doc):
     with pytest.raises(SchemaError):
         config_from_dict(doc)
-    save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
-    model = tmp_path / "m.json"
-    model.write_text(json.dumps(_model_doc()))
-    config = tmp_path / "exp.json"
-    config.write_text(json.dumps(doc))
-    expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", model, model, model,
-                     "--config", config, "--out", tmp_path / "seg.vol"),
-                 capsys.readouterr().err, 2, "SchemaError")
-    assert not (tmp_path / "seg.vol").exists()
+    monkeypatch.chdir(tmp_path)
+    Path("exp.json").write_text(json.dumps(doc))
+    # without --out the config's out_dir names the output directory
+    expect_error(run("ablate-dose", "--config", "exp.json"), capsys.readouterr().err, 2,
+                 "SchemaError")
+    assert os.listdir() == ["exp.json"]
 
 
 @pytest.fixture(scope="module")
@@ -628,19 +722,19 @@ def test_a_dead_forked_worker_exits_4(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("flag,code,error", [("--config", 2, "SchemaError"),
                                              ("--models", 4, "FormatError")],
                          ids=["config", "model"])
-def test_a_json_input_that_is_not_utf8_exits_with_its_reader_error(tmp_path, capsys, flag,
-                                                                     code, error):
-    save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
-    model, bad = tmp_path / "m.json", tmp_path / "bad.json"
-    model.write_text(json.dumps(_model_doc()))
-    bad.write_bytes(b"\xff\xfe{")
-    models = (bad, model, model) if flag == "--models" else (model,) * 3
-    config = ("--config", bad) if flag == "--config" else ()
-    line = expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", *models,
-                            *config, "--out", tmp_path / "seg.vol"),
-                        capsys.readouterr().err, code, error)
+def test_a_json_input_that_is_not_utf8_exits_with_its_reader_error(tmp_path, capsys,
+                                                                     monkeypatch, flag, code,
+                                                                     error):
+    monkeypatch.chdir(tmp_path)
+    save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), "g.vol")
+    Path("m.json").write_text(json.dumps(_model_doc()))
+    Path("bad.json").write_bytes(b"\xff\xfe{")
+    argv = {"--config": ["ablate-dose", "--config", "bad.json"],
+            "--models": ["infer", "--input", "g.vol", "--models", "bad.json", "m.json",
+                         "m.json", "--out", "seg.vol"]}[flag]
+    line = expect_error(run(*argv), capsys.readouterr().err, code, error)
     assert "unreadable" in line["message"] and "bad.json" in line["message"]
-    assert not (tmp_path / "seg.vol").exists()
+    assert sorted(os.listdir()) == ["bad.json", "g.vol", "g.vol.json", "m.json"]
 
 
 @pytest.mark.parametrize("index", [8, 999, -1])

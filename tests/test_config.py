@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tomoseg.config import ExperimentConfig, config_from_dict, load_experiment_config
+from tomoseg.config import ExperimentConfig, config_from_dict
+from tomoseg.core import read_json
 from tomoseg.errors import SchemaError
 from tomoseg.filters import FilterConfig
 from tomoseg.phantom import default_spec, split_cohort
@@ -152,21 +153,26 @@ def test_readme_config_block_is_accepted_and_round_trips():
     assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
+def load_config(path) -> ExperimentConfig:
+    """A config file read as ``ablate-dose --config`` reads it."""
+    return config_from_dict(read_json(path, SchemaError, "config"))
+
+
 class TestFiles:
     def test_load_round_trip(self, tmp_path):
         doc = ExperimentConfig(seed=4, cohort_size=2).to_dict()
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
-        assert load_experiment_config(path).to_dict() == doc
+        assert load_config(path).to_dict() == doc
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_experiment_config(tmp_path / "nope.json")
+            load_config(tmp_path / "nope.json")
 
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "bad.json"
         for raw in (b"{not json", b"\xff\xfe{"):  # not JSON; not UTF-8
             path.write_bytes(raw)
             with pytest.raises(SchemaError, match="unreadable"):
-                load_experiment_config(path)
+                load_config(path)
 

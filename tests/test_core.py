@@ -172,6 +172,11 @@ def test_acquisition_config_validation():
     with pytest.raises(ConfigError):
         AcquisitionConfig(n_projections=10, angular_step_deg=1.0, detector_bins=256,
                           absorption_window=(1.0, 1.0))
+    for window in (("a", "b"), (False, True), (0.0, float("inf")), (0.0, 0.5, 1.0)):
+        with pytest.raises(ConfigError, match="two finite numbers"):
+            AcquisitionConfig(n_projections=10, angular_step_deg=1.0, detector_bins=256,
+                              absorption_window=window)
+    assert AcquisitionConfig(10, 1.0, 256, (0, 1)).absorption_window == (0, 1)
 
 
 @pytest.mark.parametrize("make", [

@@ -131,8 +131,8 @@ def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
     unsharp_stack(stack)
     unsharp_mask(stack[0])
     median_stack(stack)
-    preprocess_volume(GrayVolume(stack, 5.0), ("unsharp", "median", "histeq"),
-                      StageConfig(stage=2).filter_config)
+    preprocess_volume(GrayVolume(stack, 5.0),
+                      StageConfig(stage=2, preprocess=("unsharp", "median", "histeq")))
     cube = np.full((5, 5, 5), 2, dtype=np.uint8)
     cube[2, 2, 2] = 0
     assert (fill_holes_3d(_vol(cube)).data == 2).all()

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from tomoseg import pipeline
-from tomoseg.core import ClassId, GrayVolume, LabelVolume, rng_for_seed
-from tomoseg.errors import ConfigError, ShapeError, TrainingError
-from tomoseg.filters import fill_holes_3d
+from tomoseg.core import ClassId, GrayVolume, LabelVolume, json_fields, rng_for_seed
+from tomoseg.errors import ConfigError, FormatError, ShapeError, TrainingError
+from tomoseg.filters import FilterConfig, fill_holes_3d
 from tomoseg.pipeline import EXCLUDED_LABEL, MASK_DILATION_VOXELS, VENTRICLE_COMPLEX, \
     StageConfig, canonical_report, default_stage_configs, ensemble, predict_view, run_full, \
     run_stage, stage_gt, stage_training_stacks, train_all_stages, train_stage, \
@@ -66,6 +66,8 @@ class TestStageConfig:
             StageConfig(stage=1, preprocess=("sharpen",))
         with pytest.raises(ConfigError):
             StageConfig(stage=1, tile_size=0)
+        with pytest.raises(ConfigError, match="list of filter names"):
+            StageConfig(stage=2, preprocess={"unsharp": 1})
 
 
 class TestStageGroundTruth:
@@ -243,6 +245,22 @@ class TestRunStage:
         assert np.array_equal(out.data != 0, shell)
         assert not out.data[lumen].any()
 
+    def test_a_model_recording_other_preprocessing_is_refused(self):
+        vol, ball = self.ball_volume()
+        mask = lab(ball.astype(np.uint8), ("Background", "Ventricle"))
+        model = binary_threshold_model()
+        model.metadata.update(stage=2, preprocess=[], filters=json_fields(FilterConfig()))
+        run_stage(StageConfig(stage=2, preprocess=()), model, vol, mask)  # as recorded
+        for cfg in (StageConfig(stage=2),
+                    StageConfig(stage=2, preprocess=(),
+                                filter_config=FilterConfig(unsharp_sigma=3.0))):
+            with pytest.raises(ConfigError, match="its model was trained for"):
+                run_stage(cfg, model, vol, mask)
+        # what a model does not record, it does not constrain
+        del model.metadata["filters"]
+        run_stage(StageConfig(stage=2, preprocess=(),
+                              filter_config=FilterConfig(unsharp_sigma=3.0)), model, vol, mask)
+
 
 class TestTrainingStacks:
     def make_cohort(self):
@@ -347,6 +365,31 @@ class TestRunFull:
         assert np.array_equal(f1.data, f2.data)
         assert canonical_report(r1) == canonical_report(r2)
 
+    def test_each_stage_preprocesses_as_its_model_records(self):
+        models, vol = self.toy_models(), self.toy_volume()
+        models[2].metadata["preprocess"] = ["median"]
+        models[3].metadata.update(preprocess=["unsharp"],
+                                  filters=json_fields(FilterConfig(unsharp_sigma=1.0)))
+        cfgs = {1: StageConfig(stage=1), 2: StageConfig(stage=2, preprocess=("median",)),
+                3: StageConfig(stage=3, preprocess=("unsharp",),
+                               filter_config=FilterConfig(unsharp_sigma=1.0))}
+        s1 = run_stage(cfgs[1], models[1], vol)
+        mask = ventricle_mask_from_stage1(s1)
+        want = ensemble(s1, run_stage(cfgs[2], models[2], vol, mask),
+                        run_stage(cfgs[3], models[3], vol, mask))
+        assert np.array_equal(run_full(models, vol)[0].data, want.data)
+
+    @pytest.mark.parametrize("key,value", [("preprocess", ["bogus"]), ("filters", {"x": 1})])
+    def test_a_malformed_record_raises_before_any_stage_runs(self, monkeypatch, key, value):
+        models = self.toy_models()
+        models[3].metadata[key] = value
+        calls, predict = [], pipeline.predict_view
+        monkeypatch.setattr(pipeline, "predict_view",
+                            lambda *a, **k: calls.append(1) or predict(*a, **k))
+        with pytest.raises(FormatError, match="stage 3"):
+            run_full(models, self.toy_volume())
+        assert not calls
+
     def test_only_stage1_fills_holes(self, monkeypatch):
         calls, fill = [], pipeline.fill_holes_3d
         monkeypatch.setattr(pipeline, "fill_holes_3d",
@@ -394,6 +437,9 @@ class TestTrainAllStages:
         cohort = TestTrainingStacks().make_cohort() * 2
         models, _ = train_all_stages(cohort, seed=1, jobs=1, epochs=1, batch_size=256)
         assert {s: m.metadata["stage"] for s, m in models.items()} == {1: 1, 2: 2, 3: 3}
+        assert {s: m.metadata["preprocess"] for s, m in models.items()} == \
+            {1: [], 2: ["unsharp"], 3: []}
+        assert all(m.metadata["filters"] == json_fields(FilterConfig()) for m in models.values())
         with pytest.raises(ConfigError, match="stage 2 got a model trained for stage 3"):
             run_full({1: models[1], 2: models[3], 3: models[2]}, cohort[0][0])
 
