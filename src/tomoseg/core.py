@@ -80,14 +80,26 @@ def integers(values, what: str, error: type) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
+def _finite(value) -> bool:
+    """Whether every number in the JSON value ``value``, at any depth, is finite."""
+    if isinstance(value, (dict, list, tuple)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def checked_keys(doc, keys, what: str, error: type) -> dict:
-    """A copy of the JSON object ``doc``; a document that is not an object, or
-    one with a key outside ``keys``, raises ``error``."""
+    """A copy of the JSON object ``doc``; a document that is not an object, one
+    with a key outside ``keys``, or one holding a number that is not finite
+    (``NaN``, ``Infinity`` or an overflowing ``1e400``, which ``json`` reads
+    as floats) at any depth raises ``error``."""
     if not isinstance(doc, dict):
         raise error(f"{what} must be an object, got {type(doc).__name__}")
     unknown = set(doc) - set(keys)
     if unknown:
         raise error(f"unknown {what} keys: {sorted(unknown)}")
+    non_finite = sorted(key for key, value in doc.items() if not _finite(value))
+    if non_finite:
+        raise error(f"{what} keys hold a number that is not finite: {non_finite}")
     return dict(doc)
 
 

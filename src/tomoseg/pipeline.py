@@ -23,6 +23,7 @@ Background always stays Background.
 """
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,13 +44,25 @@ EXCLUDED_LABEL = 2  # training-only sentinel outside the binary stages' mask
 # logits are taken a block of rows at a time.
 _VOXELS_PER_SLAB = 1 << 14
 
-STAGE1_NAMES = ("Background", "Atrium", "Ventricle", "Bulbus")
-STAGE_TARGETS = {2: ClassId.LACUNARY, 3: ClassId.COMPACTA}
 VENTRICLE_COMPLEX = (int(ClassId.VENTRICLE), int(ClassId.COMPACTA), int(ClassId.LACUNARY))
-_FILTER_NAMES = ("unsharp", "median", "histeq")
 
-# stage-1 ground truth folds the ventricle interior classes into Ventricle
-_STAGE1_LUT = np.array([0, 1, 2, 3, 2, 2], dtype=np.uint8)
+# Each stage: the stage label of each of the six classes (by class id), the
+# stage's label names, and its default tile size and filters.  Stage 1 folds
+# Compacta and Lacunary into Ventricle; stages 2 and 3 each keep one class of
+# the ventricle interior against everything else.
+_Stage = namedtuple("_Stage", "labels names tile_size preprocess")
+_STAGES = {
+    1: _Stage((0, 1, 2, 3, 2, 2), ("Background", "Atrium", "Ventricle", "Bulbus"), 400, ()),
+    2: _Stage((0, 0, 0, 0, 0, 1), ("Background", "Lacunary"), 224, ("unsharp",)),
+    3: _Stage((0, 0, 0, 0, 1, 0), ("Background", "Compacta"), 224, ()),
+}
+
+# Each stage filter of an (n, a, b) stack, by the name ``preprocess`` gives it.
+_FILTERS = {
+    "unsharp": lambda stack, fc: unsharp_stack(stack, fc.unsharp_sigma, fc.unsharp_amount),
+    "median": lambda stack, fc: median_stack(stack, fc.median_radius),
+    "histeq": lambda stack, fc: np.stack([hist_equalize(img, fc.histeq_bins) for img in stack]),
+}
 
 
 @dataclass(frozen=True)
@@ -62,21 +75,20 @@ class StageConfig:
     filter_config: FilterConfig = field(default_factory=FilterConfig)
 
     def __post_init__(self):
-        if self.stage not in (1, 2, 3):
+        if self.stage not in _STAGES:
             raise ConfigError(f"stage must be 1, 2 or 3, got {self.stage}")
         if self.tile_size is None:
-            object.__setattr__(self, "tile_size", 400 if self.stage == 1 else 224)
+            object.__setattr__(self, "tile_size", _STAGES[self.stage].tile_size)
         integers((self.tile_size,), "tile_size", ConfigError)
         if self.tile_size < 1:
             raise ConfigError(f"tile_size must be >= 1, got {self.tile_size}")
         if self.preprocess is None:
-            object.__setattr__(self, "preprocess",
-                               ("unsharp",) if self.stage == 2 else ())
+            object.__setattr__(self, "preprocess", _STAGES[self.stage].preprocess)
         if not isinstance(self.preprocess, (list, tuple)):
             raise ConfigError(f"preprocess must be a list of filter names, got {self.preprocess!r}")
         object.__setattr__(self, "preprocess", tuple(self.preprocess))
         for name in self.preprocess:
-            if name not in _FILTER_NAMES:
+            if name not in _FILTERS:
                 raise ConfigError(f"unknown preprocessing filter {name!r}")
 
     @property
@@ -86,13 +98,11 @@ class StageConfig:
 
     @property
     def class_subset(self) -> tuple:
-        return (0, 1, 2, 3) if self.stage == 1 else (0, 1)
+        return tuple(range(len(self.output_names)))
 
     @property
     def output_names(self) -> tuple:
-        if self.stage == 1:
-            return STAGE1_NAMES
-        return ("Background", CLASS_NAMES[STAGE_TARGETS[self.stage]])
+        return _STAGES[self.stage].names
 
 
 def default_stage_configs(filter_config: FilterConfig = FilterConfig()) -> dict:
@@ -102,9 +112,7 @@ def default_stage_configs(filter_config: FilterConfig = FilterConfig()) -> dict:
 
 def stage_gt(cfg: StageConfig, gt: LabelVolume) -> np.ndarray:
     """Remap six-class ground truth to the stage's label space."""
-    if cfg.stage == 1:
-        return _STAGE1_LUT[gt.data]
-    return (gt.data == STAGE_TARGETS[cfg.stage]).astype(np.uint8)
+    return np.asarray(_STAGES[cfg.stage].labels, dtype=np.uint8)[gt.data]
 
 
 def ventricle_mask_from_stage1(stage1: LabelVolume) -> LabelVolume:
@@ -114,14 +122,8 @@ def ventricle_mask_from_stage1(stage1: LabelVolume) -> LabelVolume:
 
 def _apply_filters(stack: np.ndarray, cfg: StageConfig) -> np.ndarray:
     """The stage's 2D filters on every slice of an (n, a, b) stack."""
-    fc = cfg.filter_config
     for name in cfg.preprocess:
-        if name == "unsharp":
-            stack = unsharp_stack(stack, fc.unsharp_sigma, fc.unsharp_amount)
-        elif name == "median":
-            stack = median_stack(stack, fc.median_radius)
-        elif name == "histeq":
-            stack = np.stack([hist_equalize(img, fc.histeq_bins) for img in stack])
+        stack = _FILTERS[name](stack, cfg.filter_config)
     return stack
 
 
@@ -137,15 +139,6 @@ def _crop_to_mask(data: np.ndarray, mask: np.ndarray) -> tuple:
     sub = data[box].copy()
     sub[~mask[box]] = 0
     return sub, box
-
-
-def preprocess_volume(vol: GrayVolume, cfg: StageConfig) -> GrayVolume:
-    """Apply the stage's 2D filters to every axial slice."""
-    if not cfg.preprocess:
-        return vol
-    data = np.empty_like(vol.data)
-    view_stack(data, ViewAxis.XY)[...] = _apply_filters(view_stack(vol.data, ViewAxis.XY), cfg)
-    return GrayVolume(data, vol.voxel_size_um)
 
 
 def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: ViewAxis,
@@ -277,13 +270,10 @@ def ensemble(stage1: LabelVolume, lacunary: LabelVolume,
     if not (stage1.dims == lacunary.dims == compacta.dims):
         raise ShapeError(
             f"dims mismatch: {stage1.dims} vs {lacunary.dims} vs {compacta.dims}")
-    s1 = stage1.data
-    lac = lacunary.data != 0
-    comp = compacta.data != 0
-    inner = np.where(comp, np.uint8(ClassId.COMPACTA),
-                     np.where(lac, np.uint8(ClassId.LACUNARY),
-                              np.uint8(ClassId.VENTRICLE)))
-    out = np.where(s1 == ClassId.VENTRICLE, inner, s1).astype(np.uint8)
+    out = stage1.data.copy()
+    ventricle = out == ClassId.VENTRICLE
+    out[ventricle & (lacunary.data != 0)] = ClassId.LACUNARY
+    out[ventricle & (compacta.data != 0)] = ClassId.COMPACTA
     return LabelVolume(out, stage1.voxel_size_um, CLASS_NAMES)
 
 
@@ -342,7 +332,9 @@ def stage_training_stacks(cfg: StageConfig, cohort) -> list:
 
     Masked stages crop to the ground-truth ventricle complex, zero the
     gray values outside it, and mark out-of-mask labels with a sentinel
-    the trainer skips.  Preprocessing matches inference.
+    the trainer skips.  The gray volumes are not filtered: ``train_stage``
+    has the trainer filter the slices it samples, as inference filters each
+    slab (``_apply_filters``).
     """
     stacks = []
     for gray, gt in cohort:
@@ -357,7 +349,7 @@ def stage_training_stacks(cfg: StageConfig, cohort) -> list:
             gray = GrayVolume(sub, gray.voxel_size_um)
             target = np.where(mask[box], target[box], np.uint8(EXCLUDED_LABEL))
             names += ("Excluded",)
-        stacks.append((preprocess_volume(gray, cfg), LabelVolume(target, gt.voxel_size_um, names)))
+        stacks.append((gray, LabelVolume(target, gt.voxel_size_um, names)))
     return stacks
 
 
@@ -367,10 +359,12 @@ def train_stage(cfg: StageConfig, cohort, seed: int = 0, protocol: dict = None,
 
     The tiles are sampled by a ``TrainProtocol`` of the stage's tile size,
     ``seed`` and the shared ``protocol`` keys (slice stride, validation
-    fraction, tiles per slice per epoch).  Extra keywords configure the
-    SoftmaxModel.  The model's metadata records the ``stage``, so ``run_full``
-    refuses it at another stage, and the ``preprocess`` filter names and the
-    ``filters`` fields, so ``run_full`` preprocesses its slices as here.
+    fraction, tiles per slice per epoch).  The trainer runs the stage's
+    filters (``_apply_filters``) on the slices it samples, just before their
+    feature bank.  Extra keywords configure the SoftmaxModel.  The model's
+    metadata records the ``stage``, so ``run_full`` refuses it at another
+    stage, and the ``preprocess`` filter names and the ``filters`` fields,
+    so ``run_full`` preprocesses its slices as here.
     """
     proto = TrainProtocol(tile_size=cfg.tile_size, seed=seed, **(protocol or {}))
     model = SoftmaxModel(class_subset=cfg.class_subset, metadata={
@@ -379,7 +373,7 @@ def train_stage(cfg: StageConfig, cohort, seed: int = 0, protocol: dict = None,
     stacks = stage_training_stacks(cfg, cohort)
     if not stacks:
         raise TrainingError(f"no training stack contains the stage {cfg.stage} mask")
-    return train(model, stacks, proto)
+    return train(model, stacks, proto, lambda stack: _apply_filters(stack, cfg))
 
 
 def train_all_stages(cohort, cfgs: dict = None, protocol: dict = None, seed: int = 0,

@@ -423,8 +423,12 @@ class _Adam:
         weights -= np.divide(a, b, out=a)
 
 
-def train(model: SoftmaxModel, stacks, proto: TrainProtocol) -> tuple[SoftmaxModel, list[dict]]:
+def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
+          filters=lambda slices: slices) -> tuple[SoftmaxModel, list[dict]]:
     """Fit the model on (GrayVolume, LabelVolume) stacks; returns (model, history).
+
+    ``filters`` maps each stack's sampled XY slices, an (n, a, b) u16 array,
+    to the slices the feature bank sees (by default, the slices as they are).
 
     History holds one record per epoch: the mean tile loss and the
     validation macro IoU over classes present in the validation labels.
@@ -445,7 +449,8 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol) -> tuple[SoftmaxMod
     gts = [id_to_idx[view_stack(lab.data, ViewAxis.XY)[::stride]] for _, lab in stacks]
     train_pairs, val_pairs = _split(gts, proto, class_subset)
 
-    feats = [stack_features(view_stack(gray.data, ViewAxis.XY)[::stride]) for gray, _ in stacks]
+    feats = [stack_features(filters(view_stack(gray.data, ViewAxis.XY)[::stride]))
+             for gray, _ in stacks]
     val_x, val_y = _validation_set(feats, gts, val_pairs)
     feature_rows = [f.reshape(-1, N_FEATURES) for f in feats]
     tables = {}  # a tile that spans its slice always starts at (0, 0): one table per slice

@@ -306,7 +306,7 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak",
     voxel size so small that the filter scale overflows) raises
     ``ReconstructionError``.  The blocks of pixels run on ``jobs`` threads
     (None: every CPU this process may use); the result does not depend on
-    ``jobs``.
+    ``jobs``.  An output size below 1 raises ``ConfigError``.
     """
     if s.n_angles < 2:
         raise ReconstructionError(f"need at least 2 angles to reconstruct, got {s.n_angles}")
@@ -319,6 +319,8 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak",
             )
         out_dims = out_dims[:2]
     out_nx, out_ny = (int(v) for v in out_dims)
+    if min(out_nx, out_ny) < 1:
+        raise ConfigError(f"output size must be at least 1x1, got {out_nx}x{out_ny}")
     n_slices, n_angles, n_bins = s.data.shape
     scale = np.pi / (2.0 * n_angles) / s.voxel_size_um
     # (angle * bin, slice): one row per detector sample, one column per slice
@@ -377,10 +379,14 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak",
 
 
 def normalize_to_u16(vol: AttenuationVolume, window: tuple[float, float]) -> GrayVolume:
-    """Map the fixed absorption window affinely onto 0..65535, clamping outside."""
+    """Map the fixed absorption window affinely onto 0..65535, clamping outside.
+
+    The window must satisfy lo < hi with a finite width ``hi - lo``, else
+    ``ConfigError``: an infinite bound would map every voxel to 0 or to NaN.
+    """
     lo, hi = (float(v) for v in window)
-    if not lo < hi:
-        raise ConfigError(f"window must satisfy lo < hi, got {window}")
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ConfigError(f"window must be two finite numbers lo < hi, got {window}")
     scale = 65535.0 / (hi - lo)
     out = np.empty(vol.data.shape, dtype=np.uint16)
     for plane, gray in zip(vol.data, out):  # one float64 z-plane at a time

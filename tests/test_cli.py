@@ -220,8 +220,11 @@ class TestRecordedPreprocessing:
         ("filters", {"x": 1}),
         ("filters", {"unsharp_sigma": -1}),
         ("filters", [1]),
+        # json writes these as Infinity and NaN, and reads them back as floats
+        ("filters", {"unsharp_sigma": float("inf")}),
+        ("filters", {"unsharp_amount": float("nan")}),
     ], ids=["unknown_filter", "preprocess_number", "unknown_filters_key", "negative_sigma",
-            "filters_list"])
+            "filters_list", "infinite_sigma", "nan_amount"])
     def test_a_malformed_record_exits_4(self, chain, tmp_path, capsys, key, value):
         doc = json.loads((chain / "m2.json").read_text())
         doc["metadata"][key] = value
@@ -476,9 +479,13 @@ def test_train_keeps_the_stage_class_that_the_seeded_split_would_leave_out(tmp_p
 
 @pytest.mark.parametrize("text", ["{\"dims\": [48, 48,", "[48, 48, 48]", "{\"dims\": \"abc\"}",
                                   "{\"seed\": 5.9}", "{\"dims\": [48.7, 48, 48]}",
-                                  b"\xff\xfe{"],
+                                  b"\xff\xfe{",
+                                  # json reads NaN, Infinity and 1e400 as floats
+                                  "{\"compacta_shell_voxels\": NaN}", "{\"noise_sigma\": NaN}",
+                                  "{\"noise_sigma\": 1e400}"],
                          ids=["malformed_json", "not_an_object", "dims_not_numbers",
-                              "seed_float", "dims_float", "not_utf8"])
+                              "seed_float", "dims_float", "not_utf8", "shell_nan", "noise_nan",
+                              "noise_overflow"])
 def test_bad_phantom_spec_exits_2(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
     spec.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -558,12 +565,16 @@ def test_model_with_bad_class_ids_exits_2(tmp_path, capsys, ids):
     # an infinite window maps every voxel to 0
     {"acquisition": {"n_projections": 300, "angular_step_deg": 0.6, "detector_bins": 192,
                      "absorption_window": [0, float("inf")]}},
+    # numbers json reads as floats that are not finite (1e400 reads as inf)
+    {"filters": {"unsharp_sigma": float("inf")}},
+    {"filters": {"unsharp_amount": float("nan")}},
+    {"phantom": {"noise_sigma": float("nan")}},
 ], ids=["doses_text", "doses_number", "cohort_text", "seed_text", "tile_text",
         "preprocess_number", "stride_text", "median_text", "projections_text", "epochs_text",
         "doses_float", "doses_text_item", "cohort_float", "cohort_bool", "background_text",
         "background_int", "projections_float", "bins_float", "tile_float", "median_float",
         "histeq_float", "stride_float", "epochs_float", "batch_bool", "out_dir_number",
-        "window_text", "window_infinite"])
+        "window_text", "window_infinite", "sigma_infinite", "amount_nan", "noise_nan"])
 def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, doc):
     with pytest.raises(SchemaError):
         config_from_dict(doc)
@@ -662,6 +673,18 @@ def test_tiny_voxel_size_reconstruction_exits_4(sidecar_pairs, tmp_path):
                                      "--size", 6, 6)
     line = expect_error(code, stderr, 4, "ReconstructionError")
     assert "not finite" in line["message"]
+    assert not (tmp_path / "r.vol").exists()
+
+
+@pytest.mark.parametrize("flags", [["--size", 0, 48], ["--size", -3, 48],
+                                   ["--window", 0, "inf"], ["--window", 0, "1e400"]],
+                         ids=["size_zero", "size_negative", "window_infinite",
+                              "window_overflow"])
+def test_reconstruct_size_or_window_out_of_range_exits_2(sidecar_pairs, tmp_path, capsys,
+                                                         flags):
+    expect_error(run("reconstruct", "--input", sidecar_pairs / "s.sino",
+                     "--out", tmp_path / "r.vol", *flags),
+                 capsys.readouterr().err, 2, "ConfigError")
     assert not (tmp_path / "r.vol").exists()
 
 

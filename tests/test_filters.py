@@ -121,7 +121,7 @@ def test_reflect_pad_repeats_the_mirrored_line(n, r):
 
 def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
     from tomoseg.core import GrayVolume
-    from tomoseg.pipeline import StageConfig, preprocess_volume, run_full
+    from tomoseg.pipeline import StageConfig, _apply_filters, run_full
     from tomoseg.segmodel import N_FEATURES, SoftmaxModel, stack_features
 
     for name in [m for m in sys.modules if m.split(".")[0] == "scipy"]:
@@ -131,8 +131,7 @@ def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
     unsharp_stack(stack)
     unsharp_mask(stack[0])
     median_stack(stack)
-    preprocess_volume(GrayVolume(stack, 5.0),
-                      StageConfig(stage=2, preprocess=("unsharp", "median", "histeq")))
+    _apply_filters(stack, StageConfig(stage=2, preprocess=("unsharp", "median", "histeq")))
     cube = np.full((5, 5, 5), 2, dtype=np.uint8)
     cube[2, 2, 2] = 0
     assert (fill_holes_3d(_vol(cube)).data == 2).all()

@@ -7,11 +7,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tomoseg import pipeline
-from tomoseg.core import ClassId, GrayVolume, LabelVolume, json_fields, rng_for_seed
+from tomoseg import pipeline, segmodel
+from tomoseg.core import ClassId, GrayVolume, LabelVolume, ViewAxis, json_fields, \
+    rng_for_seed, view_stack
 from tomoseg.errors import ConfigError, FormatError, ShapeError, TrainingError
-from tomoseg.filters import FilterConfig, fill_holes_3d
+from tomoseg.filters import FilterConfig, fill_holes_3d, unsharp_stack
 from tomoseg.pipeline import EXCLUDED_LABEL, MASK_DILATION_VOXELS, VENTRICLE_COMPLEX, \
     StageConfig, canonical_report, default_stage_configs, ensemble, predict_view, run_full, \
     run_stage, stage_gt, stage_training_stacks, train_all_stages, train_stage, \
@@ -83,6 +87,21 @@ class TestStageGroundTruth:
         assert lac.tolist() == [[[0, 0, 0], [0, 0, 1]]]
         assert com.tolist() == [[[0, 0, 0], [0, 1, 0]]]
 
+    @pytest.mark.parametrize("stage, oracle", [
+        (1, lambda c: VEN if c in (COM, LAC) else c),
+        (2, lambda c: int(c == LAC)),
+        (3, lambda c: int(c == COM)),
+    ])
+    def test_every_class_maps_for_every_stage(self, stage, oracle):
+        cfg = StageConfig(stage=stage)
+        out = stage_gt(cfg, lab(np.arange(6).reshape(1, 1, 6)))
+        assert out.dtype == np.uint8
+        assert out.ravel().tolist() == [oracle(c) for c in range(6)]
+        assert cfg.class_subset == tuple(range(len(cfg.output_names)))
+        assert cfg.output_names == {1: ("Background", "Atrium", "Ventricle", "Bulbus"),
+                                    2: ("Background", "Lacunary"),
+                                    3: ("Background", "Compacta")}[stage]
+
     def test_ventricle_complex_mask(self):
         mask = np.isin(np.arange(6).reshape(1, 2, 3), VENTRICLE_COMPLEX)
         assert mask.astype(int).tolist() == [[[0, 0, 1], [0, 1, 1]]]
@@ -130,6 +149,19 @@ class TestEnsemble:
         assert one(VEN, 0, 0) == VEN       # no rule fires
         assert one(BG, 1, 1) == BG         # Background is final
         assert one(BUL, 1, 0) == BUL
+
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.uint8, (3, 4, 5), elements=st.integers(0, 3)),
+           arrays(np.uint8, (3, 4, 5), elements=st.integers(0, 1)),
+           arrays(np.uint8, (3, 4, 5), elements=st.integers(0, 1)))
+    def test_matches_the_nested_where_rule(self, s1, lac, com):
+        want = np.where(s1 == VEN, np.where(com != 0, np.uint8(COM),
+                                            np.where(lac != 0, np.uint8(LAC), np.uint8(VEN))),
+                        s1).astype(np.uint8)
+        got = ensemble(lab(s1), lab(lac, ("Background", "Lacunary")),
+                       lab(com, ("Background", "Compacta")))
+        assert got.data.dtype == np.uint8
+        assert np.array_equal(got.data, want)
 
     def test_dims_mismatch(self):
         with pytest.raises(ShapeError):
@@ -297,13 +329,32 @@ class TestTrainingStacks:
         assert (vol.data[labels.data == EXCLUDED_LABEL] == 0).all()
         assert (vol.data[inside] != 0).all()
 
-    def test_stage2_preprocessing_changes_gray(self):
-        cohort = self.make_cohort()
-        (sharp, _), = stage_training_stacks(StageConfig(stage=2), cohort)
-        (plain, _), = stage_training_stacks(
-            StageConfig(stage=2, preprocess=()), cohort)
-        assert sharp.dims == plain.dims
-        assert not np.array_equal(sharp.data, plain.data)
+    def banks_built_from(self, monkeypatch, cfg, stride=1):
+        """The slice stacks ``train_stage`` builds its feature banks from."""
+        seen, bank = [], segmodel.stack_features
+        monkeypatch.setattr(segmodel, "stack_features",
+                            lambda stack: seen.append(stack.copy()) or bank(stack))
+        train_stage(cfg, self.make_cohort(), protocol={"slice_stride": stride}, epochs=1,
+                    batch_size=64)
+        return seen
+
+    def test_stage2_preprocessing_changes_gray(self, monkeypatch):
+        (crop, _), = stage_training_stacks(StageConfig(stage=2), self.make_cohort())
+        plain = view_stack(crop.data, ViewAxis.XY)
+        sharp, = self.banks_built_from(monkeypatch, StageConfig(stage=2))
+        assert np.array_equal(sharp, unsharp_stack(plain))
+        assert not np.array_equal(sharp, plain)
+        unfiltered, = self.banks_built_from(monkeypatch, StageConfig(stage=2, preprocess=()))
+        assert np.array_equal(unfiltered, plain)
+
+    def test_stage2_filters_only_the_sampled_slices(self, monkeypatch):
+        (crop, _), = stage_training_stacks(StageConfig(stage=2), self.make_cohort())
+        n = len(view_stack(crop.data, ViewAxis.XY))
+        filtered, unsharp = [], pipeline.unsharp_stack
+        monkeypatch.setattr(pipeline, "unsharp_stack",
+                            lambda stack, *a: filtered.append(len(stack)) or unsharp(stack, *a))
+        self.banks_built_from(monkeypatch, StageConfig(stage=2), stride=3)
+        assert filtered == [len(range(0, n, 3))] != [n]
 
     def test_stack_without_mask_is_skipped(self):
         empty = [(gray(np.zeros((6, 6, 6))), lab(np.zeros((6, 6, 6))))]
@@ -395,7 +446,7 @@ class TestRunFull:
         monkeypatch.setattr(pipeline, "fill_holes_3d",
                             lambda labels: calls.append(labels.class_names) or fill(labels))
         run_full(self.toy_models(), self.toy_volume())
-        assert calls == [pipeline.STAGE1_NAMES]
+        assert calls == [StageConfig(stage=1).output_names]
 
     def test_parallel_jobs_match_serial(self, monkeypatch):
         # three 20x20 slices a slab, so that every view of every stage forks
@@ -448,7 +499,7 @@ class TestTrainAllStages:
         and the shared protocol keys."""
         protos = []
 
-        def record(model, stacks, proto):
+        def record(model, stacks, proto, filters):
             protos.append(proto)
             return model, []
 

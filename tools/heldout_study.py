@@ -10,10 +10,10 @@ batch_size=1024)`` fits the three stages on samples 0 and 1, and
                                                   [--jobs N]
 
 prints one JSON line per seed and dose: the weighted IoU against sample
-2's ground truth, the share of its stage-1 Ventricle labelled Compacta
-(near 1 when a closed compacta shell swallows the lumen) and the sha256
-of the final volume, so two versions of the code can be compared volume
-by volume.  Each seed and dose takes a few seconds on two CPUs.
+2's ground truth and the IoU of each of its classes, the share of its
+stage-1 Ventricle labelled Compacta (near 1 when a closed compacta shell
+swallows the lumen) and the sha256 of the final volume, so two versions
+of the code can be compared volume by volume.  Each seed and dose takes a few seconds on two CPUs.
 """
 
 import argparse
@@ -24,7 +24,7 @@ import numpy as np
 
 from tomoseg.config import ExperimentConfig
 from tomoseg.core import AcquisitionConfig, ClassId
-from tomoseg.evaluate import reconstruct_cohort, weighted_iou
+from tomoseg.evaluate import evaluate_volumes, reconstruct_cohort
 from tomoseg.phantom import default_spec
 from tomoseg.pipeline import VENTRICLE_COMPLEX, run_full, train_all_stages
 
@@ -52,10 +52,12 @@ def study_seed(seed: int, doses, jobs: int = None):
         models, _ = train_all_stages(list(zip(grays[:2], gts[:2])), seed=seed, jobs=jobs,
                                      **MODEL)
         final, _ = run_full(models, grays[2], jobs=jobs)
+        scores = evaluate_volumes(final, gts[2])
         ventricle = np.isin(final.data, VENTRICLE_COMPLEX)
         compacta = float((final.data == ClassId.COMPACTA).sum() / max(ventricle.sum(), 1))
         yield {"seed": seed, "dose": f"D{dose}",
-               "weighted_iou": round(weighted_iou(final, gts[2]), 6),
+               "weighted_iou": round(scores.weighted_iou, 6),
+               "per_class_iou": {name: round(v, 6) for name, v in scores.per_class_iou.items()},
                "compacta_share": round(compacta, 4),
                "sha256": hashlib.sha256(final.data.tobytes()).hexdigest()}
 
