@@ -28,7 +28,7 @@ from .phantom import default_spec, spec_from_dict, spec_to_dict, split_cohort
 from .pipeline import StageConfig, canonical_report, run_full, train_stage
 from .segmodel import DEFAULT_HYPERPARAMETERS, TrainProtocol, load_model, save_model
 from .tomo import RECON_FILTERS, DoseLevel, fbp_reconstruct, forward_project, \
-    load_sinogram, normalize_to_u16, save_sinogram, subsample_dose
+    load_sinogram, normalize_to_u16, save_sinogram, subsample_dose, window_bounds
 
 
 def _expect(vol, kind, path):
@@ -66,12 +66,13 @@ def cmd_project(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    window = window_bounds(args.window)  # refused before any reconstruction
     sino = load_sinogram(args.input)
     if args.dose != 1:
         sino = subsample_dose(sino, DoseLevel(args.dose))
     nx, ny = args.size if args.size else (sino.n_bins, sino.n_bins)
     recon = fbp_reconstruct(sino, (nx, ny, sino.n_slices), args.filter)
-    save_volume(normalize_to_u16(recon, tuple(args.window)), args.out)
+    save_volume(normalize_to_u16(recon, window), args.out)
     print(f"wrote reconstruction {args.out} ({nx}x{ny}x{sino.n_slices}, dose D{args.dose})")
     return 0
 

@@ -10,7 +10,7 @@ setting must be a JSON integer.  The three stages share the one filters
 section, and each stage trains with the seed ``seed + stage``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import AcquisitionConfig, checked_keys, from_json_fields, integers, json_fields
 from .errors import ConfigError, SchemaError
@@ -20,7 +20,9 @@ from .pipeline import StageConfig, default_stage_configs
 from .segmodel import DEFAULT_HYPERPARAMETERS, SoftmaxModel, TrainProtocol
 from .tomo import RECON_FILTERS
 
-_PROTOCOL_KEYS = ("slice_stride", "val_fraction", "tiles_per_slice_per_epoch")
+# Each stage sets its own tile size and seed; the rest of the protocol is shared.
+_PROTOCOL_KEYS = tuple(f.name for f in fields(TrainProtocol)
+                       if f.name not in ("tile_size", "seed"))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ restores it.  Fold spreads are sample standard deviations (n-1).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,9 +180,6 @@ class RunReport:
     weighted_iou: float
     per_class_iou: dict
     class_frequencies: dict
-    config: dict = field(default_factory=dict)
-    dose: str = None
-    seed: int = None
 
     def __post_init__(self):
         if not (0.0 <= self.weighted_iou <= 1.0) and not math.isnan(self.weighted_iou):
@@ -197,9 +194,6 @@ class RunReport:
             "per_class_iou": {str(k): v for k, v in sorted(self.per_class_iou.items())},
             "class_frequencies": {str(k): v
                                   for k, v in sorted(self.class_frequencies.items())},
-            "config": self.config,
-            "dose": self.dose,
-            "seed": self.seed,
         }
 
     def save(self, path) -> None:
@@ -207,8 +201,7 @@ class RunReport:
 
 
 def evaluate_volumes(pred: LabelVolume, gt: LabelVolume,
-                     include_background: bool = False, config: dict = None,
-                     dose: str = None, seed: int = None) -> RunReport:
+                     include_background: bool = False) -> RunReport:
     """Score a prediction against ground truth and package the result.
 
     Each included class is scored once; the weighted IoU sums those scores.
@@ -219,9 +212,6 @@ def evaluate_volumes(pred: LabelVolume, gt: LabelVolume,
         weighted_iou=sum(f * scores[cid] for cid, f in freqs.items()),
         per_class_iou={gt.class_names[cid]: scores[cid] for cid in freqs},
         class_frequencies={gt.class_names[cid]: f for cid, f in freqs.items()},
-        config=config or {},
-        dose=dose,
-        seed=seed,
     )
 
 

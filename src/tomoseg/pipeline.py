@@ -36,7 +36,8 @@ from .filters import FilterConfig, fill_holes_3d, hist_equalize, median_stack, m
 from .segmodel import N_FEATURES, SoftmaxModel, TrainProtocol, stack_features, train
 
 MASK_DILATION_VOXELS = 8
-EXCLUDED_LABEL = 2  # training-only sentinel outside the binary stages' mask
+# Training label outside the binary stages' mask: their class count, which train skips
+EXCLUDED_LABEL = 2
 # Voxels per slab of the view predictor, to the nearest whole slice.  A
 # process labelling slabs (this one, and the forked child at two or more
 # jobs) holds one slab's feature bank and its float64 temporaries, about 70
@@ -97,8 +98,8 @@ class StageConfig:
         return self.stage != 1
 
     @property
-    def class_subset(self) -> tuple:
-        return tuple(range(len(self.output_names)))
+    def n_classes(self) -> int:
+        return len(self.output_names)
 
     @property
     def output_names(self) -> tuple:
@@ -163,14 +164,13 @@ def predict_view(cfg: StageConfig, model: SoftmaxModel, vol: GrayVolume, axis: V
     per_slab = max(1, round(_VOXELS_PER_SLAB / (a * b)))
     labels = np.zeros(vol.data.shape, dtype=np.uint8)
     out = view_stack(labels, axis)
-    classes = np.asarray(model.class_subset, dtype=np.uint8)
 
     def label(run: slice):
         for first in range(run.start, run.stop, per_slab):
             last = min(first + per_slab, run.stop)
             imgs = _apply_filters(stack[first:last], cfg)
             feats = stack_features(imgs, chunk_voxels=imgs.size).reshape(-1, N_FEATURES)
-            out[first:last] = classes[model.predict_index(feats)].reshape(imgs.shape)
+            out[first:last] = model.predict_index(feats).reshape(imgs.shape)
         return out[run]  # a forked child writes into its own copy of ``labels``
 
     firsts = range(start, stop, per_slab)
@@ -203,12 +203,12 @@ def recorded_config(cfg: StageConfig, model) -> StageConfig:
 
 
 def _check_model(cfg: StageConfig, model) -> None:
-    """Raise ``ConfigError`` for a model of other classes than the stage's, one
+    """Raise ``ConfigError`` for a model of another class count than the stage's, one
     whose ``metadata["stage"]`` names another stage, or one that records other
     preprocessing than ``cfg``'s (``recorded_config``)."""
-    if model.class_subset != cfg.class_subset:
-        raise ConfigError(f"stage {cfg.stage} needs a model of classes {cfg.class_subset}, "
-                          f"got one of {model.class_subset}")
+    if model.n_classes != cfg.n_classes:
+        raise ConfigError(f"stage {cfg.stage} needs a model of {cfg.n_classes} classes, "
+                          f"got one of {model.n_classes}")
     trained_for = model.metadata.get("stage", cfg.stage)  # train_stage's models name it
     if trained_for != cfg.stage:
         raise ConfigError(f"stage {cfg.stage} got a model trained for stage {trained_for!r}")
@@ -226,7 +226,7 @@ def run_stage(cfg: StageConfig, model, vol: GrayVolume,
     them to Background in the output.  So each view labels only the slices
     from its first to its last one holding a mask voxel: the voxels of the
     others end as Background whatever their label.  They fill no holes
-    (see the module docstring).  A model of other classes, one whose
+    (see the module docstring).  A model of another class count, one whose
     ``metadata["stage"]`` names another stage, or one that records other
     preprocessing than ``cfg``'s raises ``ConfigError`` (``_check_model``).
     """
@@ -367,7 +367,7 @@ def train_stage(cfg: StageConfig, cohort, seed: int = 0, protocol: dict = None,
     so ``run_full`` preprocesses its slices as here.
     """
     proto = TrainProtocol(tile_size=cfg.tile_size, seed=seed, **(protocol or {}))
-    model = SoftmaxModel(class_subset=cfg.class_subset, metadata={
+    model = SoftmaxModel(n_classes=cfg.n_classes, metadata={
         "stage": cfg.stage, "preprocess": list(cfg.preprocess),
         "filters": json_fields(cfg.filter_config)}, **model_kw)
     stacks = stage_training_stacks(cfg, cohort)

@@ -49,7 +49,6 @@ map equals the ``scipy.ndimage`` filter the bank was first written with
 so ``FEATURE_VERSION`` is unchanged, and training loads no scipy.
 """
 
-import numbers
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import NamedTuple
@@ -176,12 +175,13 @@ def extract_features(img: np.ndarray) -> np.ndarray:
 class SoftmaxModel:
     """Multinomial logistic model over the feature bank (plus bias column).
 
-    ``class_subset`` lists the label-volume ids this model classifies, in
-    output order; predictions return those ids.  ``batch_size`` pixels are
-    drawn per tile step (0 means every tile pixel).
+    It classifies ``n_classes`` labels, 0 to ``n_classes - 1``: a prediction
+    is the label, and a training pixel labelled ``n_classes`` or more is
+    excluded.  ``batch_size`` pixels are drawn per tile step (0 means every
+    tile pixel).
     """
 
-    class_subset: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
+    n_classes: int = N_CLASSES
     learning_rate: float = DEFAULT_HYPERPARAMETERS["learning_rate"]
     epochs: int = DEFAULT_HYPERPARAMETERS["epochs"]
     batch_size: int = DEFAULT_HYPERPARAMETERS["batch_size"]
@@ -190,17 +190,11 @@ class SoftmaxModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        subset = tuple(self.class_subset)
-        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral)
-               or not 0 <= c < N_CLASSES for c in subset):
-            raise ConfigError(f"class_subset must hold class ids 0..{N_CLASSES - 1}, "
-                              f"got {list(subset)}")
-        self.class_subset = tuple(int(c) for c in subset)
-        if not self.class_subset:
-            raise ConfigError("class_subset must not be empty")
-        if len(set(self.class_subset)) != len(self.class_subset):
-            raise ConfigError(f"class_subset has duplicates: {self.class_subset}")
-        integers((self.epochs, self.batch_size), "epochs and batch_size", ConfigError)
+        self.n_classes, self.epochs, self.batch_size = integers(
+            (self.n_classes, self.epochs, self.batch_size), "n_classes, epochs and batch_size",
+            ConfigError)
+        if not 1 <= self.n_classes <= N_CLASSES:
+            raise ConfigError(f"n_classes must be 1..{N_CLASSES}, got {self.n_classes}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
@@ -211,17 +205,11 @@ class SoftmaxModel:
         if not (np.isfinite(self.l2) and self.l2 >= 0):
             raise ConfigError(f"l2 must be non-negative and finite, got {self.l2}")
         if self.weights is None:
-            self.weights = np.zeros((len(self.class_subset), N_FEATURES + 1))
+            self.weights = np.zeros((self.n_classes, N_FEATURES + 1))
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (len(self.class_subset), N_FEATURES + 1):
+        if self.weights.shape != (self.n_classes, N_FEATURES + 1):
             raise FormatError(
-                f"weights shape {self.weights.shape} != "
-                f"({len(self.class_subset)}, {N_FEATURES + 1})"
-            )
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_subset)
+                f"weights shape {self.weights.shape} != ({self.n_classes}, {N_FEATURES + 1})")
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         """Class scores of an (N, 9) feature matrix: (N, n_classes), float64."""
@@ -231,7 +219,7 @@ class SoftmaxModel:
         return x @ self.weights[:, :-1].T + self.weights[:, -1]
 
     def predict_index(self, features: np.ndarray) -> np.ndarray:
-        """Index into ``class_subset`` of each row's largest logit, ties to the lower one.
+        """The label of each row's largest logit, ties to the lower label.
 
         Rows are scored in even blocks of at most ``_PREDICT_ROWS``, which
         bounds the float64 copy of the features that the product takes.
@@ -432,22 +420,20 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
 
     History holds one record per epoch: the mean tile loss and the
     validation macro IoU over classes present in the validation labels.
-    Pixels whose label is outside the model's ``class_subset`` are excluded
-    from sampling (masked stages rely on this).
+    Pixels labelled ``model.n_classes`` or more are excluded from sampling
+    and validation (the masked stages' ``EXCLUDED_LABEL`` relies on this).
     """
     if not stacks:
         raise TrainingError("need at least one training stack")
-    class_subset = model.class_subset
     for gray, lab in stacks:
         if gray.dims != lab.dims:
             raise ShapeError(f"gray dims {gray.dims} != label dims {lab.dims}")
 
-    id_to_idx = np.full(256, -1, dtype=np.int64)  # labels are u8
-    for idx, cid in enumerate(class_subset):
-        id_to_idx[cid] = idx
+    labels = np.arange(256, dtype=np.int64)  # labels are u8; -1 marks an excluded pixel
+    labels[model.n_classes:] = -1
     stride = proto.slice_stride
-    gts = [id_to_idx[view_stack(lab.data, ViewAxis.XY)[::stride]] for _, lab in stacks]
-    train_pairs, val_pairs = _split(gts, proto, class_subset)
+    gts = [labels[view_stack(lab.data, ViewAxis.XY)[::stride]] for _, lab in stacks]
+    train_pairs, val_pairs = _split(gts, proto, model.n_classes)
 
     feats = [stack_features(filters(view_stack(gray.data, ViewAxis.XY)[::stride]))
              for gray, _ in stacks]
@@ -456,8 +442,7 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
     tables = {}  # a tile that spans its slice always starts at (0, 0): one table per slice
     batch = np.empty((model.batch_size, N_FEATURES + 1))  # the design matrix of drawn steps
     batch[:, -1] = 1.0
-    trained = {"trained_epochs": model.epochs} if model.epochs else {}
-    fitted = replace(model, weights=model.weights.copy(), metadata={**model.metadata, **trained})
+    fitted = replace(model, weights=model.weights.copy(), metadata=dict(model.metadata))
     weights = fitted.weights  # Adam steps these in place: each epoch scores the current weights
     adam = _Adam(weights, model.learning_rate)
     sampler = rng_for_seed(proto.seed, 202)
@@ -498,13 +483,13 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
     return fitted, history
 
 
-def _split(gts, proto: TrainProtocol, class_subset: tuple) -> tuple[list, list]:
+def _split(gts, proto: TrainProtocol, k: int) -> tuple[list, list]:
     """The seeded slice split into training and validation (slice index pairs).
 
     The permuted slices' first ``round(val_fraction * n)`` validate.  When
     that leaves a class without training pixels, the last-drawn
     validation slice holding it moves to the head of the training slices;
-    a class no selected slice holds raises ``TrainingError``.
+    a class (0 to ``k - 1``) that no selected slice holds raises ``TrainingError``.
     """
     pairs = [(s, j) for s, gt in enumerate(gts) for j in range(len(gt))]
     order = rng_for_seed(proto.seed, 101).permutation(len(pairs))
@@ -512,14 +497,13 @@ def _split(gts, proto: TrainProtocol, class_subset: tuple) -> tuple[list, list]:
     val, fit = [pairs[i] for i in order[:n_val]], [pairs[i] for i in order[n_val:]]
     if not fit:
         raise TrainingError("no training slices left after the validation split")
-    k = len(class_subset)
     held = {(s, j): np.bincount(gts[s][j][gts[s][j] >= 0], minlength=k) > 0 for s, j in pairs}
-    for idx, cid in enumerate(class_subset):
-        if any(held[pair][idx] for pair in fit):
+    for c in range(k):
+        if any(held[pair][c] for pair in fit):
             continue
-        holders = [pair for pair in val if held[pair][idx]]
+        holders = [pair for pair in val if held[pair][c]]
         if not holders:
-            raise TrainingError(f"class {cid} absent from all training labels")
+            raise TrainingError(f"class {c} absent from all training labels")
         val.remove(holders[-1])
         fit.insert(0, holders[-1])
     return fit, val
@@ -551,12 +535,10 @@ def _validation_iou(model: SoftmaxModel, val_x: np.ndarray, val_y: np.ndarray) -
 
 
 def predict_slice(model: SoftmaxModel, img: np.ndarray) -> np.ndarray:
-    """Argmax labels for one slice; ties resolve to the lower class index."""
+    """Argmax labels for one slice; ties resolve to the lower label."""
     img = _require_2d(img)
-    feats = extract_features(img).reshape(-1, N_FEATURES)
-    idx = model.predict_index(feats)
-    out = np.asarray(model.class_subset, dtype=np.uint8)[idx]
-    return out.reshape(img.shape)
+    labels = model.predict_index(extract_features(img).reshape(-1, N_FEATURES))
+    return labels.astype(np.uint8).reshape(img.shape)
 
 
 def save_model(model: SoftmaxModel, path) -> None:
@@ -564,7 +546,6 @@ def save_model(model: SoftmaxModel, path) -> None:
         "format": "softmax-featbank",
         "feature_version": FEATURE_VERSION,
         "n_classes": model.n_classes,
-        "class_subset": list(model.class_subset),
         "weights": model.weights.tolist(),
         "hyperparameters": {key: getattr(model, key) for key in DEFAULT_HYPERPARAMETERS},
         "metadata": model.metadata,
@@ -573,6 +554,11 @@ def save_model(model: SoftmaxModel, path) -> None:
 
 
 def load_model(path) -> SoftmaxModel:
+    """The model of a ``save_model`` file; a malformed one raises ``FormatError``
+    naming the file, a value ``SoftmaxModel`` refuses among them.  A file written
+    before models dropped ``class_subset`` loads when that list is
+    ``range(n_classes)``, as the pipeline always wrote it; any other list is
+    malformed."""
     doc = read_json(path, FormatError, "model file")
     if not isinstance(doc, dict) or doc.get("format") != "softmax-featbank":
         raise FormatError(f"{path}: not a model file")
@@ -581,17 +567,19 @@ def load_model(path) -> SoftmaxModel:
     try:
         hp = {**DEFAULT_HYPERPARAMETERS, **doc.get("hyperparameters", {})}
         model = SoftmaxModel(
-            class_subset=tuple(doc["class_subset"]),
+            n_classes=doc["n_classes"],
             weights=np.asarray(doc["weights"], dtype=np.float64),
             metadata=dict(doc.get("metadata", {})),
             # each hyperparameter is cast to the type of its default
             **{key: type(value)(hp[key]) for key, value in DEFAULT_HYPERPARAMETERS.items()},
         )
-        n_classes = int(doc["n_classes"])
     except KeyError as e:
         raise FormatError(f"{path}: model document lacks key {e}") from e
-    except (TypeError, ValueError) as e:
+    except (ConfigError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: malformed model document: {e}") from e
-    if model.n_classes != n_classes:
-        raise FormatError(f"{path}: n_classes inconsistent with class_subset")
+    labels = list(range(model.n_classes))
+    subset = doc.get("class_subset", labels)
+    if subset != labels or any(type(c) is not int for c in subset):  # True == 1, 1.0 == 1
+        raise FormatError(f"{path}: class_subset {doc['class_subset']!r} is not the labels "
+                          f"0..{model.n_classes - 1}")
     return model

@@ -378,15 +378,20 @@ def fbp_reconstruct(s: SinogramStack, out_dims, filter_name: str = "ramlak",
     return AttenuationVolume(recon.reshape(n_slices, out_ny, out_nx), s.voxel_size_um)
 
 
-def normalize_to_u16(vol: AttenuationVolume, window: tuple[float, float]) -> GrayVolume:
-    """Map the fixed absorption window affinely onto 0..65535, clamping outside.
-
-    The window must satisfy lo < hi with a finite width ``hi - lo``, else
-    ``ConfigError``: an infinite bound would map every voxel to 0 or to NaN.
-    """
+def window_bounds(window) -> tuple[float, float]:
+    """The (lo, hi) floats of an absorption window; ``ConfigError`` unless lo < hi
+    with a finite width ``hi - lo``: an infinite bound would map every voxel
+    to 0 or to NaN."""
     lo, hi = (float(v) for v in window)
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ConfigError(f"window must be two finite numbers lo < hi, got {window}")
+    return lo, hi
+
+
+def normalize_to_u16(vol: AttenuationVolume, window: tuple[float, float]) -> GrayVolume:
+    """Map the fixed absorption window (``window_bounds``) affinely onto
+    0..65535, clamping outside."""
+    lo, hi = window_bounds(window)
     scale = 65535.0 / (hi - lo)
     out = np.empty(vol.data.shape, dtype=np.uint16)
     for plane, gray in zip(vol.data, out):  # one float64 z-plane at a time

@@ -24,7 +24,7 @@ import pytest
 from tomoseg.cli import main
 from tomoseg.config import ExperimentConfig
 from tomoseg.core import (AcquisitionConfig, AttenuationVolume, ClassId, LabelVolume,
-                          rng_for_seed)
+                          rng_for_seed, write_json)
 from tomoseg.evaluate import kfold_cv, run_dose_ablation, reconstruct_cohort, \
     weighted_iou
 from tomoseg.filters import fill_holes_3d, mode_fuse
@@ -36,6 +36,22 @@ from tomoseg.tomo import (DoseLevel, fbp_reconstruct, forward_project,
 
 JOBS = os.cpu_count() or 1
 GOLDEN = Path(__file__).with_name("golden.json")
+# the stage models the criterion-10 chain wrote while model files listed their labels
+# as ``class_subset`` and recorded ``metadata["trained_epochs"]``
+CLASS_SUBSET_MODELS = Path(__file__).with_name("data") / "class_subset_models"
+# the criterion-10 chain, run from a directory beside ``spec.json``
+CHAIN_ARGS = [
+    ["phantom", "--spec", "../spec.json", "--out", "ph", "--cohort", 1],
+    ["project", "--input", "ph/atten_000.vol", "--out", "s.sino",
+     "--angles", 60, "--step", 3.0, "--bins", 80],
+    ["reconstruct", "--input", "s.sino", "--out", "recon.vol", "--size", 48, 48],
+    *[["train", "--stage", s, "--gray", "recon.vol", "--labels", "ph/gt_000.vol",
+       "--out", f"m{s}.json", "--epochs", 6, "--lr", 0.05, "--batch", 512, "--tile", 48,
+       "--stride", 1, "--seed", 1] for s in (1, 2, 3)],
+    ["infer", "--input", "recon.vol", "--models", "m1.json", "m2.json", "m3.json",
+     "--out", "seg.vol", "--report", "report.json", "--jobs", 1],
+    ["evaluate", "--pred", "seg.vol", "--gt", "ph/gt_000.vol", "--report", "eval.json"],
+]
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -281,27 +297,10 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         json.dumps(spec_to_dict(default_spec(n=48, seed=7))))
 
     # both chains run the exact same argv from their own working directory
-    argsets = [
-        ["phantom", "--spec", "../spec.json", "--out", "ph", "--cohort", 1],
-        ["project", "--input", "ph/atten_000.vol", "--out", "s.sino",
-         "--angles", 60, "--step", 3.0, "--bins", 80],
-        ["reconstruct", "--input", "s.sino", "--out", "recon.vol",
-         "--size", 48, 48],
-        *[["train", "--stage", s, "--gray", "recon.vol",
-           "--labels", "ph/gt_000.vol", "--out", f"m{s}.json",
-           "--epochs", 6, "--lr", 0.05, "--batch", 512, "--tile", 48,
-           "--stride", 1, "--seed", 1] for s in (1, 2, 3)],
-        ["infer", "--input", "recon.vol",
-         "--models", "m1.json", "m2.json", "m3.json",
-         "--out", "seg.vol", "--report", "report.json", "--jobs", 1],
-        ["evaluate", "--pred", "seg.vol", "--gt", "ph/gt_000.vol",
-         "--report", "eval.json"],
-    ]
-
     def run_chain(out):
         out.mkdir()
         monkeypatch.chdir(out)
-        for args in argsets:
+        for args in CHAIN_ARGS:
             assert main([str(a) for a in args]) == 0
 
     run_chain(tmp_path / "a")
@@ -317,6 +316,34 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
             if not diffs else f"artifacts differ: {diffs}")
     assert_golden("criterion_10", {name: hashlib.sha256((tmp_path / "a" / name).read_bytes())
                                    .hexdigest() for name in compared})
+
+
+def test_models_listing_their_labels_as_class_subset_infer_as_before(tmp_path, monkeypatch):
+    """The criterion-10 models in the format that listed ``class_subset``: without
+    that key and ``trained_epochs``, rewritten by ``write_json``, they are today's
+    models, and ``infer`` reads them as they are into today's segmentation and report."""
+    golden = json.loads(GOLDEN.read_text())["criterion_10"]
+    (tmp_path / "spec.json").write_text(
+        json.dumps(spec_to_dict(default_spec(n=48, seed=7))))
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name in ("m1.json", "m2.json", "m3.json"):
+        doc = json.loads((CLASS_SUBSET_MODELS / name).read_text())
+        assert doc.pop("class_subset") == list(range(doc["n_classes"]))
+        assert doc["metadata"].pop("trained_epochs") == doc["hyperparameters"]["epochs"]
+        write_json(name, doc)
+        digests[name] = hashlib.sha256(Path(name).read_bytes()).hexdigest()
+    out = tmp_path / "chain"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    for args in CHAIN_ARGS[:3]:
+        assert main([str(a) for a in args]) == 0
+    for name in ("m1.json", "m2.json", "m3.json"):
+        (out / name).write_bytes((CLASS_SUBSET_MODELS / name).read_bytes())
+    assert main([str(a) for a in CHAIN_ARGS[6]]) == 0  # infer
+    for name in ("seg.vol", "seg.vol.json", "report.json"):
+        digests[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert_golden("criterion_10", digests, subset=True)
 
 
 def platform_fields() -> dict:
@@ -342,16 +369,17 @@ def platform_fields() -> dict:
             "openblas_core": core, "numpy_simd": levels[-1] if levels else "unknown"}
 
 
-def assert_golden(key: str, digests: dict) -> None:
-    """Compare sha256 digests with those recorded in ``tests/golden.json``.
+def assert_golden(key: str, digests: dict, subset: bool = False) -> None:
+    """Compare sha256 digests with those recorded in ``tests/golden.json``
+    (with ``subset``, only the artifacts ``digests`` names).
 
     A mismatch names the artifacts that moved and every platform field that
     differs from the recording.  A change that alters outputs on purpose
     records the new digests (and the platform they were taken on).
     """
     golden = json.loads(GOLDEN.read_text())
-    moved = sorted(name for name in golden[key].keys() | digests.keys()
-                   if golden[key].get(name) != digests.get(name))
+    names = digests.keys() if subset else golden[key].keys() | digests.keys()
+    moved = sorted(name for name in names if golden[key].get(name) != digests.get(name))
     here = platform_fields()
     differ = [f"{field} recorded {value!r}, here {here.get(field)!r}"
               for field, value in golden["platform"].items() if here.get(field) != value]

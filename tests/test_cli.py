@@ -474,7 +474,7 @@ def test_train_keeps_the_stage_class_that_the_seeded_split_would_leave_out(tmp_p
     assert run("train", "--stage", 2, "--gray", tmp_path / "recon.vol",
                "--labels", tmp_path / "ph/gt_000.vol", "--out", tmp_path / "m2.json",
                "--epochs", 2, "--seed", 34) == 0
-    assert json.loads((tmp_path / "m2.json").read_text())["class_subset"] == [0, 1]
+    assert json.loads((tmp_path / "m2.json").read_text())["n_classes"] == 2
 
 
 @pytest.mark.parametrize("text", ["{\"dims\": [48, 48,", "[48, 48, 48]", "{\"dims\": \"abc\"}",
@@ -496,18 +496,19 @@ def test_bad_phantom_spec_exits_2(tmp_path, capsys, text):
 
 def _model_doc():
     return {"format": "softmax-featbank", "feature_version": "fb1", "n_classes": 2,
-            "class_subset": [0, 1], "weights": [[0.0] * 10] * 2,
-            "hyperparameters": {}, "metadata": {}}
+            "weights": [[0.0] * 10] * 2, "hyperparameters": {}, "metadata": {}}
 
 
 @pytest.mark.parametrize("doc", [
     [_model_doc()],
-    {k: v for k, v in _model_doc().items() if k != "class_subset"},
     {k: v for k, v in _model_doc().items() if k != "n_classes"},
     {**_model_doc(), "weights": "x"},
     {**_model_doc(), "hyperparameters": [1]},
-], ids=["list", "no_class_subset", "no_n_classes", "weights_not_numbers",
-        "hyperparameters_not_object"])
+    {**_model_doc(), "n_classes": "2"},
+    {**_model_doc(), "n_classes": 0, "weights": []},
+    {**_model_doc(), "hyperparameters": {"learning_rate": -1}},
+], ids=["list", "no_n_classes", "weights_not_numbers", "hyperparameters_not_object",
+        "n_classes_text", "n_classes_zero", "learning_rate_negative"])
 def test_malformed_model_exits_4(tmp_path, capsys, doc):
     from tomoseg.core import GrayVolume, save_volume
     save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
@@ -519,16 +520,19 @@ def test_malformed_model_exits_4(tmp_path, capsys, doc):
     assert not (tmp_path / "seg.vol").exists()
 
 
-@pytest.mark.parametrize("ids", [[1, 1], [0, 300], [0, -1], [0, 1.7], [0, True], [0, "01"]],
-                         ids=["duplicate", "above_range", "negative", "float", "bool", "text"])
-def test_model_with_bad_class_ids_exits_2(tmp_path, capsys, ids):
+@pytest.mark.parametrize("ids", [[1, 0], [0, 2], [0], [1, 1], [0, 300], [0, -1], [0, 1.7],
+                                 [0, True], [0, "01"], "01"],
+                         ids=["swapped", "gap", "short", "duplicate", "above_range", "negative",
+                              "float", "bool", "text", "not_a_list"])
+def test_model_whose_class_subset_is_not_its_labels_exits_4(tmp_path, capsys, ids):
+    # models once listed their labels as class_subset; any list but 0..n_classes-1 is refused
     save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
     model = tmp_path / "m.json"
     model.write_text(json.dumps({**_model_doc(), "class_subset": ids}))
     line = expect_error(run("infer", "--input", tmp_path / "g.vol",
                             "--models", model, model, model, "--out", tmp_path / "seg.vol"),
-                        capsys.readouterr().err, 2, "ConfigError")
-    assert "class_subset" in line["message"]
+                        capsys.readouterr().err, 4, "FormatError")
+    assert line["message"].startswith(f"{model}: class_subset")
     assert not (tmp_path / "seg.vol").exists()
 
 
@@ -688,6 +692,23 @@ def test_reconstruct_size_or_window_out_of_range_exits_2(sidecar_pairs, tmp_path
     assert not (tmp_path / "r.vol").exists()
 
 
+@pytest.mark.parametrize("window", [["0", "inf"], ["0", "1e400"], ["1", "0"], ["0", "nan"]],
+                         ids=["infinite", "overflow", "reversed", "nan"])
+def test_reconstruct_refuses_a_window_before_reconstructing(sidecar_pairs, tmp_path, capsys,
+                                                             monkeypatch, window):
+    from tomoseg import cli
+
+    def no_fbp(*_, **__):
+        raise AssertionError("fbp_reconstruct ran")
+
+    monkeypatch.setattr(cli, "fbp_reconstruct", no_fbp)
+    code = main(["reconstruct", "--input", str(sidecar_pairs / "s.sino"),
+                 "--out", str(tmp_path / "r.vol"), "--window", *window])
+    line = expect_error(code, capsys.readouterr().err, 2, "ConfigError")
+    assert line["message"].startswith("window must be")
+    assert not (tmp_path / "r.vol").exists()
+
+
 def test_evaluate_repeated_class_names_exits_4(sidecar_pairs, tmp_path, capsys):
     gt = tmp_path / "gt.vol"
     shutil.copyfile(sidecar_pairs / "gt.vol", gt)
@@ -724,7 +745,7 @@ def test_a_directory_in_place_of_a_file_exits_3(sidecar_pairs, tmp_path, capsys,
             shutil.copyfile(sidecar_pairs / (name + suffix), tmp_path / (name + suffix))
     save_volume(AttenuationVolume(np.full((4, 8, 8), 0.5, dtype=np.float32)),
                 tmp_path / "atten.vol")
-    save_model(SoftmaxModel(class_subset=(0, 1)), tmp_path / "m.json")
+    save_model(SoftmaxModel(n_classes=2), tmp_path / "m.json")
     (tmp_path / "d").mkdir()
     expect_error(run(*argv), capsys.readouterr().err, 3, "IsADirectoryError")
     assert (tmp_path / "d").is_dir() and not any((tmp_path / "d").iterdir())
@@ -776,8 +797,8 @@ def test_infer_on_a_zero_extent_volume_exits_4(tmp_path, capsys):
     (tmp_path / "g.vol.json").write_text(json.dumps({**doc, "dims": [8, 8, 0]}))
     (tmp_path / "g.vol").write_bytes(b"")
     models = [tmp_path / f"m{stage}.json" for stage in (1, 2, 3)]
-    for subset, path in zip(((0, 1, 2, 3), (0, 1), (0, 1)), models):
-        save_model(SoftmaxModel(class_subset=subset), path)
+    for k, path in zip((4, 2, 2), models):
+        save_model(SoftmaxModel(n_classes=k), path)
     line = expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", *models,
                             "--out", tmp_path / "seg.vol"),
                         capsys.readouterr().err, 4, "FormatError")

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from tomoseg.errors import SchemaError
 from tomoseg.filters import FilterConfig
 from tomoseg.phantom import default_spec, split_cohort
 from tomoseg.pipeline import StageConfig, default_stage_configs
+from tomoseg.segmodel import TrainProtocol
 
 
 class TestDefaults:
@@ -53,6 +55,15 @@ class TestValidation:
     def test_unknown_protocol_key(self):
         with pytest.raises(SchemaError, match="protocol"):
             ExperimentConfig(protocol={"learning_rate": 0.1})
+
+    def test_protocol_keys_are_the_train_protocol_fields_but_tile_size_and_seed(self):
+        for f in fields(TrainProtocol):
+            doc = {"protocol": {f.name: f.default}}
+            if f.name in ("tile_size", "seed"):  # each stage sets its own
+                with pytest.raises(SchemaError, match="protocol"):
+                    config_from_dict(doc)
+            else:
+                assert config_from_dict(doc).protocol == {f.name: f.default}
 
     def test_unknown_model_key(self):
         with pytest.raises(SchemaError, match="model"):

@@ -142,14 +142,13 @@ def test_bank_and_filters_run_with_scipy_unimportable(monkeypatch):
     r2 = (z - 5.5) ** 2 + (y - 5.5) ** 2 + (x - 5.5) ** 2
     gray = np.where((r2 <= 25) & (r2 > 4), 50000, 5000).astype(np.uint16)
 
-    def threshold(classes, positive, cut):  # classes[positive] above cut, else Background
-        w = np.zeros((len(classes), N_FEATURES + 1))
+    def threshold(k, positive, cut):  # label ``positive`` above cut, else Background
+        w = np.zeros((k, N_FEATURES + 1))
         w[1:, -1] = -1000.0
         w[positive, [0, -1]] = 400.0, -400.0 * cut
-        return SoftmaxModel(class_subset=classes, weights=w)
+        return SoftmaxModel(n_classes=k, weights=w)
 
-    models = {1: threshold((0, 1, 2, 3), 2, 0.35), 2: threshold((0, 1), 1, 0.9),
-              3: threshold((0, 1), 1, 0.6)}
+    models = {1: threshold(4, 2, 0.35), 2: threshold(2, 1, 0.9), 3: threshold(2, 1, 0.6)}
     final, report = run_full(models, GrayVolume(gray, 5.0))
     assert report["label_histograms"]["stage1"]["Background"] == (r2 > 25).sum()
     assert (final.data[r2 <= 4] != 0).all()

@@ -39,7 +39,7 @@ def binary_threshold_model(cut=0.5, scale=400.0):
     w = np.zeros((2, N_FEATURES + 1))
     w[1, 0] = scale
     w[1, -1] = -scale * cut
-    return SoftmaxModel(class_subset=(0, 1), weights=w)
+    return SoftmaxModel(n_classes=2, weights=w)
 
 
 def stage1_threshold_model(cut=0.5, scale=400.0):
@@ -48,7 +48,7 @@ def stage1_threshold_model(cut=0.5, scale=400.0):
     w[VEN, 0] = scale
     w[VEN, -1] = -scale * cut
     w[ATR, -1] = w[BUL, -1] = -1000.0
-    return SoftmaxModel(class_subset=(0, 1, 2, 3), weights=w)
+    return SoftmaxModel(n_classes=4, weights=w)
 
 
 class TestStageConfig:
@@ -60,8 +60,7 @@ class TestStageConfig:
             (224, ("unsharp",), True)
         assert (cfgs[3].tile_size, cfgs[3].preprocess, cfgs[3].mask_to_ventricle) == \
             (224, (), True)
-        assert cfgs[1].class_subset == (0, 1, 2, 3)
-        assert cfgs[2].class_subset == cfgs[3].class_subset == (0, 1)
+        assert (cfgs[1].n_classes, cfgs[2].n_classes, cfgs[3].n_classes) == (4, 2, 2)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -97,7 +96,7 @@ class TestStageGroundTruth:
         out = stage_gt(cfg, lab(np.arange(6).reshape(1, 1, 6)))
         assert out.dtype == np.uint8
         assert out.ravel().tolist() == [oracle(c) for c in range(6)]
-        assert cfg.class_subset == tuple(range(len(cfg.output_names)))
+        assert cfg.n_classes == len(cfg.output_names)
         assert cfg.output_names == {1: ("Background", "Atrium", "Ventricle", "Bulbus"),
                                     2: ("Background", "Lacunary"),
                                     3: ("Background", "Compacta")}[stage]
@@ -478,8 +477,7 @@ class TestTrainAllStages:
         models, histories = train_all_stages(
             cohort, seed=1, epochs=3, learning_rate=0.05, batch_size=256)
         assert set(models) == {1, 2, 3}
-        assert models[1].class_subset == (0, 1, 2, 3)
-        assert models[2].class_subset == models[3].class_subset == (0, 1)
+        assert (models[1].n_classes, models[2].n_classes, models[3].n_classes) == (4, 2, 2)
         assert all(len(histories[s]) == 3 for s in (1, 2, 3))
         final, report = run_full(models, cohort[0][0])
         assert final.dims == cohort[0][0].dims

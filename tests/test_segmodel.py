@@ -2,9 +2,11 @@
 
 import json
 import os
+import tempfile
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,10 +118,9 @@ def reference_loss_and_grad(weights, x, y, l2=0.0):
 def reference_train(model, stacks, proto):
     """train() as first written: per step a tile copy, class weights, Generator.choice
     and the concatenating loss; the slice split and validation are train()'s own."""
-    class_subset = model.class_subset
+    k = model.n_classes
     id_to_idx = np.full(256, -1, dtype=np.int64)
-    for idx, cid in enumerate(class_subset):
-        id_to_idx[cid] = idx
+    id_to_idx[:k] = np.arange(k)
     stride = proto.slice_stride
     feats = [stack_features(view_stack(g.data, ViewAxis.XY)[::stride]) for g, _ in stacks]
     gts = [id_to_idx[view_stack(lab.data, ViewAxis.XY)[::stride]] for _, lab in stacks]
@@ -151,8 +152,8 @@ def reference_train(model, stacks, proto):
                     continue
                 x, y = x[valid], y[valid]
                 if model.batch_size and model.batch_size < y.size:
-                    freq = np.bincount(y, minlength=len(class_subset)).astype(np.float64)
-                    cls_w = np.zeros(len(class_subset))
+                    freq = np.bincount(y, minlength=k).astype(np.float64)
+                    cls_w = np.zeros(k)
                     nz = freq > 0
                     cls_w[nz] = np.minimum(freq[nz].max() / freq[nz], 10.0)
                     p = cls_w[y]
@@ -195,12 +196,12 @@ def tied_sampler(seed, *stream):
     return gen
 
 
-def threshold_model(subset=(0, 1), cut=0.5, scale=200.0):
-    """Hand-built model that classifies on raw intensity alone."""
-    w = np.zeros((len(subset), N_FEATURES + 1))
+def threshold_model(cut=0.5, scale=200.0):
+    """Hand-built binary model that classifies on raw intensity alone."""
+    w = np.zeros((2, N_FEATURES + 1))
     w[1, F_INTENSITY] = scale
     w[1, -1] = -scale * cut
-    return SoftmaxModel(class_subset=subset, weights=w)
+    return SoftmaxModel(n_classes=2, weights=w)
 
 
 class TestFeatures:
@@ -388,7 +389,7 @@ class TestChoice:
 class TestSoftmaxModel:
     def test_probabilities_sum_to_one(self):
         rng = rng_for_seed(2, 42)
-        model = SoftmaxModel(class_subset=(0, 1, 2, 3),
+        model = SoftmaxModel(n_classes=4,
                              weights=rng.normal(size=(4, N_FEATURES + 1)) * 3)
         p = model.predict_proba(rng.uniform(size=(50, N_FEATURES)))
         assert p.shape == (50, 4)
@@ -397,19 +398,17 @@ class TestSoftmaxModel:
 
     def test_zero_weights_predict_lowest_index(self):
         img = rng_for_seed(3, 42).integers(0, 65536, size=(9, 9)).astype(np.uint16)
-        assert (predict_slice(SoftmaxModel(class_subset=(0, 1, 2)), img) == 0).all()
-        # ties resolve to the first listed class id, not literal zero
-        assert (predict_slice(SoftmaxModel(class_subset=(2, 5)), img) == 2).all()
-        model = SoftmaxModel(class_subset=(3, 1, 0))
+        model = SoftmaxModel(n_classes=3)
+        assert (predict_slice(model, img) == 0).all()
         assert (model.predict_index(extract_features(img).reshape(-1, N_FEATURES)) == 0).all()
         vol = gray(np.stack([img] * 4))
         for axis in ViewAxis:
-            assert (predict_view(STAGE1, model, vol, axis, jobs=2).data == 3).all()
+            assert (predict_view(STAGE1, model, vol, axis, jobs=2).data == 0).all()
 
     def test_nan_weights_raise(self):
         w = np.zeros((2, N_FEATURES + 1))
         w[0, 0] = np.nan
-        model = SoftmaxModel(class_subset=(0, 1), weights=w)
+        model = SoftmaxModel(n_classes=2, weights=w)
         with pytest.raises(ModelError):
             predict_slice(model, np.zeros((4, 4), dtype=np.uint16))
         with pytest.raises(ModelError):
@@ -418,15 +417,12 @@ class TestSoftmaxModel:
             predict_view(STAGE1, model, gray(np.zeros((3, 4, 5))), ViewAxis.XY, jobs=2)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            SoftmaxModel(class_subset=())
-        with pytest.raises(ConfigError):
-            SoftmaxModel(class_subset=(0, 0))
-        for ids in ((0, 6), (0, 300), (-1, 1), (0, 1.7), (0, True), (0, "01"), (0, None)):
-            with pytest.raises(ConfigError, match="class_subset"):
-                SoftmaxModel(class_subset=ids)
-        assert SoftmaxModel(class_subset=np.arange(6, dtype=np.uint8)).class_subset == \
-            (0, 1, 2, 3, 4, 5)
+        for n in (0, 7, 300, -1, 1.7, 2.0, True, "2", None, (0, 1)):
+            with pytest.raises(ConfigError, match="n_classes"):
+                SoftmaxModel(n_classes=n)
+        n = SoftmaxModel(n_classes=np.uint8(6)).n_classes
+        assert n == 6 and type(n) is int
+        assert SoftmaxModel(n_classes=1).weights.shape == (1, N_FEATURES + 1)
         with pytest.raises(ConfigError):
             SoftmaxModel(learning_rate=0.0)
         with pytest.raises(ConfigError):
@@ -439,7 +435,7 @@ class TestSoftmaxModel:
             with pytest.raises(ConfigError, match="l2"):
                 SoftmaxModel(l2=bad)
         with pytest.raises(FormatError):
-            SoftmaxModel(class_subset=(0, 1), weights=np.zeros((3, N_FEATURES + 1)))
+            SoftmaxModel(n_classes=2, weights=np.zeros((3, N_FEATURES + 1)))
 
     def test_protocol_validation(self):
         with pytest.raises(ConfigError):
@@ -464,7 +460,7 @@ class TestLogits:
     def test_argmax_of_logits_is_argmax_of_probabilities(self, k, data):
         weights = data.draw(arrays(np.float64, (k, N_FEATURES + 1), elements=_FINITE))
         x = data.draw(arrays(np.float64, (8, N_FEATURES), elements=_FINITE))
-        model = SoftmaxModel(class_subset=tuple(range(k)), weights=weights)
+        model = SoftmaxModel(n_classes=k, weights=weights)
         pick = model.logits(x).argmax(axis=1)
         p = model.predict_proba(x)
         assert np.array_equal(model.predict_index(x), pick)
@@ -480,7 +476,7 @@ class TestLogits:
     def test_blocked_logits_equal_whole(self, k, seed):
         # predict_index scores rows in blocks; the product must not depend on the cut
         rng = np.random.Generator(np.random.Philox(seed))
-        model = SoftmaxModel(class_subset=tuple(range(k)),
+        model = SoftmaxModel(n_classes=k,
                              weights=rng.normal(size=(k, N_FEATURES + 1)))
         x = rng.random((3 * segmodel._PREDICT_ROWS + 5, N_FEATURES), dtype=np.float32)
         whole = model.logits(x)
@@ -493,7 +489,7 @@ class TestLogits:
     def test_logits_keep_apart_what_the_softmax_rounds_together(self):
         weights = np.zeros((2, N_FEATURES + 1))
         weights[1, -1] = 1e-220  # class 1 scores higher by far less than one ulp of 1.0
-        model = SoftmaxModel(class_subset=(0, 1), weights=weights)
+        model = SoftmaxModel(n_classes=2, weights=weights)
         x = np.ones((3, N_FEATURES))
         assert (model.predict_proba(x) == 0.5).all()
         assert (model.predict_index(x) == 1).all()
@@ -502,7 +498,7 @@ class TestLogits:
 class TestTrain:
     def test_separable_data_converges(self):
         stack = two_class_stack()
-        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=60,
+        model = SoftmaxModel(n_classes=2, learning_rate=0.05, epochs=60,
                              batch_size=512)
         proto = TrainProtocol(tile_size=20, seed=5)
         fitted, history = train(model, [stack], proto)
@@ -512,7 +508,7 @@ class TestTrain:
 
     def test_heldout_accuracy_after_separable_training(self):
         stack = two_class_stack(seed=7)
-        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=60,
+        model = SoftmaxModel(n_classes=2, learning_rate=0.05, epochs=60,
                              batch_size=512)
         fitted, _ = train(model, [stack], TrainProtocol(tile_size=20, seed=5))
         rng = rng_for_seed(8, 42)
@@ -523,7 +519,7 @@ class TestTrain:
 
     def test_zero_epochs_leaves_model_unchanged(self):
         stack = two_class_stack()
-        model = SoftmaxModel(class_subset=(0, 1), epochs=0)
+        model = SoftmaxModel(n_classes=2, epochs=0)
         fitted, history = train(model, [stack], TrainProtocol(tile_size=20, seed=5))
         assert history == []
         assert np.array_equal(fitted.weights, model.weights)
@@ -532,7 +528,7 @@ class TestTrain:
         vol = np.full((3, 10, 10), 8000, dtype=np.uint16)
         lab = np.zeros((3, 10, 10), dtype=np.uint8)
         lab[1] = 1  # slice 1 is skipped by the stride-3 schedule
-        model = SoftmaxModel(class_subset=(0, 1), epochs=1)
+        model = SoftmaxModel(n_classes=2, epochs=1)
         with pytest.raises(TrainingError, match="class 1"):
             train(model, [(gray(vol), labels(lab))], TrainProtocol(tile_size=10, seed=0))
 
@@ -547,7 +543,7 @@ class TestTrain:
         vol = np.full((3, 10, 10), 8000, dtype=np.uint16)
         lab = np.zeros((3, 10, 10), dtype=np.uint8)
         lab[1] = 1  # slice 1 is skipped by the stride-3 schedule
-        model = SoftmaxModel(class_subset=(0, 1), epochs=1)
+        model = SoftmaxModel(n_classes=2, epochs=1)
         with pytest.raises(TrainingError, match="class 1"):
             train(model, [(gray(vol), labels(lab))], TrainProtocol(tile_size=10, seed=0))
         assert calls == []
@@ -560,7 +556,7 @@ class TestTrain:
         lab = np.zeros((4, 10, 10), dtype=np.uint8)
         lab[1:3] = 1  # class 1 lives only on slices 1 and 2
         stack = (gray(vol), labels(lab))
-        model = SoftmaxModel(class_subset=(0, 1), epochs=1, learning_rate=0.05)
+        model = SoftmaxModel(n_classes=2, epochs=1, learning_rate=0.05)
         with pytest.raises(TrainingError, match="class 1"):
             train(model, [stack], TrainProtocol(tile_size=10, slice_stride=3, seed=0))
         fitted, history = train(model, [stack],
@@ -570,7 +566,7 @@ class TestTrain:
     def test_determinism(self):
         stack = two_class_stack()
         def run(seed):
-            model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=8,
+            model = SoftmaxModel(n_classes=2, learning_rate=0.05, epochs=8,
                                  batch_size=256)
             return train(model, [stack], TrainProtocol(tile_size=16, seed=seed))
         m1, h1 = run(3)
@@ -588,7 +584,7 @@ class TestTrain:
         vol[1:] = 8000
         lab = np.zeros((3, 16, 16), dtype=np.uint8)
         lab[0, :, 8:] = 1
-        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.01, epochs=25,
+        model = SoftmaxModel(n_classes=2, learning_rate=0.01, epochs=25,
                              batch_size=0)
         _, history = train(model, [(gray(vol), labels(lab))],
                            TrainProtocol(tile_size=16, seed=0))
@@ -597,7 +593,7 @@ class TestTrain:
 
     def test_history_is_well_formed(self):
         stack = two_class_stack()
-        model = SoftmaxModel(class_subset=(0, 1), epochs=5, learning_rate=0.01)
+        model = SoftmaxModel(n_classes=2, epochs=5, learning_rate=0.01)
         _, history = train(model, [stack], TrainProtocol(tile_size=20, seed=1))
         assert [h["epoch"] for h in history] == [1, 2, 3, 4, 5]
         for h in history:
@@ -606,7 +602,7 @@ class TestTrain:
 
     def test_input_validation(self):
         stack = two_class_stack()
-        model = SoftmaxModel(class_subset=(0, 1), epochs=1)
+        model = SoftmaxModel(n_classes=2, epochs=1)
         with pytest.raises(TrainingError):
             train(model, [], TrainProtocol(tile_size=20))
         bad = (stack[0], labels(np.zeros((2, 20, 20), dtype=np.uint8)))
@@ -652,7 +648,7 @@ class TestValidationMatchesPerSliceReference:
 
     def test_four_classes(self, monkeypatch):
         vol, lab = blocky_stack(4)
-        model = SoftmaxModel(class_subset=(0, 1, 2, 3), **self.KW)
+        model = SoftmaxModel(n_classes=4, **self.KW)
         stacks = [(gray(vol), labels(lab))]
         proto = TrainProtocol(tile_size=16, slice_stride=1, seed=3)
         want, _ = train_with_reference(monkeypatch, model, stacks, proto)
@@ -663,10 +659,10 @@ class TestValidationMatchesPerSliceReference:
 
     def test_masked_binary_with_excluded_pixels(self, monkeypatch):
         vol, lab = blocky_stack(2, seed=22)
-        lab[:, :, :8] = pipeline.EXCLUDED_LABEL  # outside class_subset: never scored
+        lab[:, :, :8] = pipeline.EXCLUDED_LABEL  # not below n_classes: never scored
         vol2, lab2 = blocky_stack(2, nz=9, seed=23)
         lab2[:, 16:, :] = pipeline.EXCLUDED_LABEL
-        model = SoftmaxModel(class_subset=(0, 1), **self.KW)
+        model = SoftmaxModel(n_classes=2, **self.KW)
         stacks = [(gray(vol), labels(lab)), (gray(vol2), labels(lab2))]
         proto = TrainProtocol(tile_size=16, slice_stride=1, seed=4)
         want, val_slices = train_with_reference(monkeypatch, model, stacks, proto)
@@ -680,7 +676,7 @@ class TestValidationMatchesPerSliceReference:
         first_training_slice = rng_for_seed(proto.seed, 101).permutation(10)[3]
         lab[first_training_slice, 8:16, 8:16] = 2
         vol[first_training_slice, 8:16, 8:16] = 60000
-        model = SoftmaxModel(class_subset=(0, 1, 2), **self.KW)
+        model = SoftmaxModel(n_classes=3, **self.KW)
         stacks = [(gray(vol), labels(lab))]
         want, val_slices = train_with_reference(monkeypatch, model, stacks, proto)
         assert val_slices and not any((gt == 2).any() for gt in val_slices)
@@ -688,7 +684,7 @@ class TestValidationMatchesPerSliceReference:
 
     def test_single_selected_slice_has_no_validation(self, monkeypatch):
         vol, lab = blocky_stack(2, nz=3, seed=25)  # stride 3 selects slice 0 alone
-        model = SoftmaxModel(class_subset=(0, 1), **self.KW)
+        model = SoftmaxModel(n_classes=2, **self.KW)
         stacks = [(gray(vol), labels(lab))]
         proto = TrainProtocol(tile_size=16, seed=6)
         want, val_slices = train_with_reference(monkeypatch, model, stacks, proto)
@@ -701,7 +697,7 @@ class TestValidationMatchesPerSliceReference:
 class TestInlineValidation:
     """Each epoch is scored on the calling thread right after its steps."""
 
-    MODEL = SoftmaxModel(class_subset=(0, 1, 2, 3), learning_rate=0.05, epochs=6,
+    MODEL = SoftmaxModel(n_classes=4, learning_rate=0.05, epochs=6,
                          batch_size=256)
     PROTO = TrainProtocol(tile_size=16, slice_stride=1, seed=3)
 
@@ -770,7 +766,7 @@ class TestClassKeepingSplit:
     def test_a_split_that_keeps_every_class_is_the_seeded_split(self):
         _, lab = blocky_stack(3, nz=10, seed=26)
         proto = TrainProtocol(slice_stride=1, seed=5)
-        fit, val = segmodel._split([lab.astype(np.int64)], proto, (0, 1, 2))
+        fit, val = segmodel._split([lab.astype(np.int64)], proto, 3)
         want_fit, want_val = plain_split(10, proto)
         assert [j for _, j in fit] == want_fit and [j for _, j in val] == want_val
 
@@ -781,7 +777,7 @@ class TestClassKeepingSplit:
         gt[want_val[0], :2] = 1  # class 1 only on the first-drawn validation slice
         gt[want_val[1:], 4:] = 2  # class 2 only on the other validation slices
         gt[:, 0, 0] = -1  # excluded pixels hold no class
-        fit, val = segmodel._split([gt], proto, (0, 1, 2))
+        fit, val = segmodel._split([gt], proto, 3)
         # class 1 takes its only slice; class 2 the last-drawn slice that holds it
         assert [j for _, j in fit] == [want_val[-1], want_val[0]] + want_fit
         assert [j for _, j in val] == want_val[1:-1]
@@ -794,14 +790,14 @@ class TestClassKeepingSplit:
         vol[:] = 9000
         lab[want_val[0], 8:16, 8:16] = 1
         vol[want_val[0], 8:16, 8:16] = 60000
-        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=3, batch_size=64)
+        model = SoftmaxModel(n_classes=2, learning_rate=0.05, epochs=3, batch_size=64)
         fitted, history = train(model, [(gray(vol), labels(lab))], proto)
         assert len(history) == 3 and np.isfinite(fitted.weights).all()
 
     def test_a_class_no_selected_slice_holds_still_raises(self):
         gt = np.zeros((4, 8, 8), dtype=np.int64)
         with pytest.raises(TrainingError, match="class 1 absent"):
-            segmodel._split([gt], TrainProtocol(slice_stride=1), (0, 1))
+            segmodel._split([gt], TrainProtocol(slice_stride=1), 2)
 
 
 def checker_stack(nz=6, n=16, seed=31):
@@ -831,7 +827,7 @@ class TestTrainMatchesPerTileReference:
     def test_unmasked(self, n_classes, batch_size, proto_kw):
         vol, lab = blocky_stack(n_classes)
         vol, lab = vol[:, :, :20], lab[:, :, :20]  # 24 x 20 slices: tile origins differ
-        model = SoftmaxModel(class_subset=tuple(range(n_classes)), learning_rate=0.05,
+        model = SoftmaxModel(n_classes=n_classes, learning_rate=0.05,
                              epochs=4, batch_size=batch_size)
         stacks = [(gray(vol), labels(lab))]
         proto = TrainProtocol(slice_stride=1, seed=7, **proto_kw)
@@ -843,7 +839,7 @@ class TestTrainMatchesPerTileReference:
         lab[:, :, :8] = pipeline.EXCLUDED_LABEL
         vol2, lab2 = blocky_stack(2, nz=9, seed=23)
         lab2[:, 12:, :] = pipeline.EXCLUDED_LABEL  # a 12-pixel tile at row 12 has none to draw
-        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=4, batch_size=256)
+        model = SoftmaxModel(n_classes=2, learning_rate=0.05, epochs=4, batch_size=256)
         stacks = [(gray(vol), labels(lab)), (gray(vol2), labels(lab2))]
         proto = TrainProtocol(tile_size=tile_size, slice_stride=1, seed=8)
         assert_same_training(train(model, stacks, proto), reference_train(model, stacks, proto))
@@ -854,7 +850,7 @@ class TestTrainMatchesPerTileReference:
 
         monkeypatch.setattr(segmodel, "rng_for_seed", sampler_with_ties)
         vol, lab = checker_stack()  # 256 equally weighted pixels: cdf steps of 1/256
-        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=2, batch_size=64)
+        model = SoftmaxModel(n_classes=2, learning_rate=0.05, epochs=2, batch_size=64)
         stacks = [(gray(vol), labels(lab))]
         proto = TrainProtocol(tile_size=16, slice_stride=1, seed=9)
         assert_same_training(train(model, stacks, proto), reference_train(model, stacks, proto))
@@ -912,7 +908,7 @@ class TestPredictVolume:
         weights = rng.normal(0.0, 2.0, size=(2, N_FEATURES + 1))
         weights[1, F_INTENSITY] += 40.0  # every feature counts, intensity decides most
         weights[1, -1] -= 20.0
-        model = SoftmaxModel(class_subset=(0, 1), weights=weights)
+        model = SoftmaxModel(n_classes=2, weights=weights)
         cfg = StageConfig(stage=stage)
         n, a, b = view_stack(vol.data, axis).shape
         monkeypatch.setattr(pipeline, "_VOXELS_PER_SLAB", per_slab * a * b)
@@ -1000,7 +996,7 @@ class TestPredictVolume:
         rng = rng_for_seed(14, 42)
         vol3 = np.where(sphere, 52000, 9000) + rng.integers(-300, 301, size=(n, n, n))
         stack = (gray(vol3.astype(np.uint16)), labels(sphere.astype(np.uint8)))
-        model = SoftmaxModel(class_subset=(0, 1), learning_rate=0.05, epochs=40,
+        model = SoftmaxModel(n_classes=2, learning_rate=0.05, epochs=40,
                              batch_size=512)
         fitted, _ = train(model, [stack], TrainProtocol(tile_size=n, seed=2))
         xy = predict_view(STAGE1, fitted, stack[0], ViewAxis.XY).data
@@ -1011,18 +1007,51 @@ class TestPredictVolume:
 class TestModelIO:
     def test_round_trip(self, tmp_path):
         rng = rng_for_seed(15, 42)
-        model = SoftmaxModel(class_subset=(0, 2, 5), learning_rate=0.02, epochs=77,
+        model = SoftmaxModel(n_classes=3, learning_rate=0.02, epochs=77,
                              batch_size=333, l2=0.003,
                              weights=rng.normal(size=(3, N_FEATURES + 1)),
-                             metadata={"trained_epochs": 77})
+                             metadata={"stage": 9})
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
-        assert back.class_subset == model.class_subset
+        assert back.n_classes == 3
         assert np.array_equal(back.weights, model.weights)
         assert (back.learning_rate, back.epochs, back.batch_size, back.l2) == \
             (0.02, 77, 333, 0.003)
-        assert back.metadata == {"trained_epochs": 77}
+        assert back.metadata == {"stage": 9}
+        assert "class_subset" not in json.loads(path.read_text())
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 6), data=st.data(),
+           hp=st.fixed_dictionaries({
+               "learning_rate": st.floats(1e-6, 10.0), "epochs": st.integers(0, 10 ** 6),
+               "batch_size": st.integers(0, 10 ** 6), "l2": st.floats(0.0, 10.0)}))
+    def test_any_model_round_trips(self, k, data, hp):
+        weights = data.draw(arrays(np.float64, (k, N_FEATURES + 1),
+                                   elements=st.floats(allow_nan=False, allow_infinity=False)))
+        model = SoftmaxModel(n_classes=k, weights=weights, metadata={"stage": 1}, **hp)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(model, Path(tmp) / "m.json")
+            back = load_model(Path(tmp) / "m.json")
+        assert np.array_equal(back.weights, model.weights)
+        for f in fields(SoftmaxModel):
+            if f.name != "weights":
+                assert getattr(back, f.name) == getattr(model, f.name)
+                assert type(getattr(back, f.name)) is type(getattr(model, f.name))
+
+    def test_a_file_listing_its_labels_as_class_subset_loads(self, tmp_path):
+        model = SoftmaxModel(n_classes=3, weights=rng_for_seed(16, 42).normal(
+            size=(3, N_FEATURES + 1)), metadata={"trained_epochs": 150})
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        (tmp_path / "m.json").write_text(json.dumps({**doc, "class_subset": [0, 1, 2]}))
+        back = load_model(tmp_path / "m.json")
+        assert back.n_classes == 3 and np.array_equal(back.weights, model.weights)
+        assert back.metadata == {"trained_epochs": 150}
+        for subset in ([0, 2, 1], [0, 1], [0, 1, 2, 3], [0, 1.0, 2], [0, 1, True]):
+            (tmp_path / "m.json").write_text(json.dumps({**doc, "class_subset": subset}))
+            with pytest.raises(FormatError, match="class_subset"):
+                load_model(tmp_path / "m.json")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -1041,7 +1070,7 @@ class TestModelIO:
             load_model(p)
 
     def test_rejects_wrong_version_or_shape(self, tmp_path):
-        model = SoftmaxModel(class_subset=(0, 1))
+        model = SoftmaxModel(n_classes=2)
         p = tmp_path / "m.json"
         save_model(model, p)
         import json
