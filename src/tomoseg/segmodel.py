@@ -26,22 +26,29 @@ only on the slice and the tile origin, so a tile that spans its whole
 slice builds it once per ``train`` call.  A table with no more labelled
 pixels than the batch enters every step whole, as its own float64
 design matrix (features plus a bias column of ones), so its steps gather
-nothing.  A batch drawn from a larger table looks its uniforms up in
-the table's cumulative distribution in sorted order, which makes the
-same picks as ``Generator.choice`` and leaves the generator in the same
-state.  The picked rows are gathered straight into one float64 batch
-buffer per ``train`` call, whose bias column is set once.  The loss's
-per-row max and sum run column by column over the few classes, without
-``axis=1`` reductions, and Adam updates its moments in place.
+nothing.  A batch drawn from a larger table makes the same picks as
+``Generator.choice`` and leaves the generator in the same state: a table
+kept for the call looks its uniforms up through a guide table of its
+cumulative distribution (Chen & Asau 1974), one lookup and a pass or two
+to fix it up; a table built for one step looks them up in sorted order
+with ``searchsorted``, which costs less than building a guide.  The
+picked rows are gathered straight into one float64 batch buffer per
+``train`` call, whose bias column is set once.  The loss's per-row max
+and sum run column by column over the few classes, without ``axis=1``
+reductions, and Adam updates its moments in place.
 
 Validation is gathered once per ``train`` call as well: the labelled
-pixels of the validation slices become one float64 (N, 9) matrix and one
-label vector.  Each epoch scores them with one affine map, an argmax over
-the logits and one confusion-matrix ``bincount``, on the calling thread
-right after that epoch's steps.  In validation and inference alike a
-pixel's label is the argmax of its logits (``SoftmaxModel.predict_index``),
-ties going to the lower index: the softmax is monotone, so no exponential
-is computed to find the most probable class.
+pixels of the validation slices, as the bank's float32 rows, and their
+labels.  After each epoch's steps ``train`` checks that the weights are
+finite, so a diverging model raises ``ModelError`` in its own epoch, and
+keeps a copy of them.  After the last step every epoch is scored in one
+pass over the rows (``_epoch_ious``): a block of rows, cast to float64,
+takes one product per class with every epoch's weights, a
+column-by-column argmax and one confusion ``bincount``.  In validation
+and inference alike a pixel's label is the argmax of its logits
+(``SoftmaxModel.predict_index``), ties going to the lower index: the
+softmax is monotone, so no exponential is computed to find the most
+probable class.
 
 The filters of the bank are the exact numpy forms in ``filters``: each
 map equals the ``scipy.ndimage`` filter the bank was first written with
@@ -49,6 +56,7 @@ map equals the ``scipy.ndimage`` filter the bank was first written with
 so ``FEATURE_VERSION`` is unchanged, and training loads no scipy.
 """
 
+import numbers
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import NamedTuple
@@ -74,10 +82,18 @@ _GRAD_MAPS = dict(zip(_GRAD_SIGMAS, range(5, 7)))
 _WEIGHTS = {s: (gaussian_weights(s, 0), gaussian_weights(s, 1)) for s in _BLUR_SIGMAS}
 _PAD = max(len(w0) for w0, _ in _WEIGHTS.values()) // 2
 _WEIGHT_CAP = 10.0
-# Rows a prediction scores at once: each takes 8 bytes a feature in float64.
-# Blocked, validation scores stage 1's 53k-row set in 1.9 ms an epoch,
-# against 3.0 ms scored whole (2-vCPU x86-64 VM, numpy 2.4).
+# Rows a prediction scores at once: each takes 8 bytes a feature in float64,
+# so a slab's copy of its features stays within a fixed size.
 _PREDICT_ROWS = 1 << 12
+# The epoch scorer's blocks: about this many (row, epoch) pairs, over at most
+# _SCORE_EPOCHS epochs (a multiple of 8; see ``_epoch_ious``).  A pair holds 26
+# bytes of float64 logits and running maximum, u8 labels and bincount index;
+# with numpy's operand buffers a block peaks near 0.84 MB.  Smaller blocks
+# pay more calls, larger ones fall out of cache: 53k random rows over 150
+# epochs and 4 classes scored in 110 ms, against 130 ms at half or twice the
+# pairs (2-vCPU x86-64 VM, numpy 2.4).
+_SCORE_PAIRS = 1 << 14
+_SCORE_EPOCHS = 256
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
@@ -195,6 +211,10 @@ class SoftmaxModel:
             ConfigError)
         if not 1 <= self.n_classes <= N_CLASSES:
             raise ConfigError(f"n_classes must be 1..{N_CLASSES}, got {self.n_classes}")
+        for name in ("learning_rate", "l2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive and finite, "
                               f"got {self.learning_rate}")
@@ -212,21 +232,23 @@ class SoftmaxModel:
                 f"weights shape {self.weights.shape} != ({self.n_classes}, {N_FEATURES + 1})")
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        """Class scores of an (N, 9) feature matrix: (N, n_classes), float64."""
+        """Class scores of an (N, 9) feature matrix: (N, n_classes), float64.
+
+        The product gives a row the same bits in any matrix of two or more
+        rows (``test_blocked_logits_equal_whole``), and a lone row is scored
+        as the first of two (``_product_rows``).
+        """
         if not np.isfinite(self.weights).all():
             raise ModelError("model weights are not finite")
-        x = np.asarray(features, dtype=np.float64)
-        return x @ self.weights[:, :-1].T + self.weights[:, -1]
+        return (_product_rows(features) @ self.weights[:, :-1].T
+                + self.weights[:, -1])[:len(features)]
 
     def predict_index(self, features: np.ndarray) -> np.ndarray:
         """The label of each row's largest logit, ties to the lower label.
 
         Rows are scored in even blocks of at most ``_PREDICT_ROWS``, which
         bounds the float64 copy of the features that the product takes.
-        The product gives a row the same bits in any block of two or more
-        rows (``test_blocked_logits_equal_whole``; a single row goes through
-        a matrix-vector path that may round otherwise), and the blocks are
-        cut evenly, so none has one row unless the matrix has.
+        Every block gives a row the bits of its logits in the whole matrix.
         """
         blocks = np.array_split(features, max(1, -(-len(features) // _PREDICT_ROWS)))
         return np.concatenate([self.logits(x).argmax(axis=1) for x in blocks])
@@ -238,6 +260,13 @@ class SoftmaxModel:
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=1, keepdims=True)
         return logits
+
+
+def _product_rows(features: np.ndarray) -> np.ndarray:
+    """The float64 rows a product scores: a lone row goes in twice, since numpy
+    takes one row through a matrix-vector path that may round otherwise."""
+    x = np.asarray(features, dtype=np.float64)
+    return np.repeat(x, 2, axis=0) if len(x) == 1 else x
 
 
 @dataclass(frozen=True)
@@ -318,14 +347,16 @@ class _Table(NamedTuple):
 
     ``y`` holds their class indices.  A table whose pixels all enter each
     step holds their float64 design matrix ``x``; a table that a batch is
-    drawn from holds their flat ``rows`` of the stack's feature matrix and
-    the cumulative distribution ``cdf`` of their sampling weights.
+    drawn from holds their flat ``rows`` of the stack's feature matrix, the
+    cumulative distribution ``cdf`` of their sampling weights and, when it
+    is kept for the whole ``train`` call, the ``guide`` of that cdf.
     """
 
     y: np.ndarray
     x: np.ndarray = None
     rows: np.ndarray = None
     cdf: np.ndarray = None
+    guide: tuple = None
 
 
 def _tile_table(features: np.ndarray, gt: np.ndarray, j: int, ti: int, tj: int, th: int,
@@ -380,6 +411,36 @@ def _choice(sampler: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndar
     order = u.argsort()
     pick = np.empty(size, dtype=np.intp)
     pick[order] = cdf.searchsorted(u[order], side="right")
+    return pick
+
+
+def _guide(cdf: np.ndarray) -> tuple:
+    """Guide table of a cumulative distribution that ends in 1, for ``_guided_choice``.
+
+    With M a power of two of at least twice the rows, ``g[k]`` counts the
+    cdf values <= k/M.  Returns (g as int32, M, the most rows any bucket
+    [k/M, (k+1)/M) adds).  Built in O(n + M): a value c is <= k/M exactly
+    when ceil(c M) <= k, and c M is exact.
+    """
+    m = 1 << (2 * cdf.size - 1).bit_length()
+    g = np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1)[:m].cumsum(dtype=np.int32)
+    return g, m, int(np.diff(g, append=cdf.size).max())
+
+
+def _guided_choice(sampler: np.random.Generator, cdf: np.ndarray, guide: tuple,
+                   size: int) -> np.ndarray:
+    """``_choice`` by the guide-table method (Chen & Asau, AIIE Trans. 1974).
+
+    A uniform u in [k/M, (k+1)/M) picks ``#{cdf <= u}`` like ``choice``:
+    the count starts at ``g[k]`` and steps past each following cdf value
+    <= u, at most as many steps as the bucket adds.  u M is exact, and
+    ``cdf[-1] = 1 > u`` stops every count inside the table.
+    """
+    g, m, steps = guide
+    u = sampler.random(size)
+    pick = g[(u * m).astype(np.intp)]
+    for _ in range(steps):
+        pick += cdf[pick] <= u
     return pick
 
 
@@ -442,13 +503,13 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
     tables = {}  # a tile that spans its slice always starts at (0, 0): one table per slice
     batch = np.empty((model.batch_size, N_FEATURES + 1))  # the design matrix of drawn steps
     batch[:, -1] = 1.0
-    fitted = replace(model, weights=model.weights.copy(), metadata=dict(model.metadata))
-    weights = fitted.weights  # Adam steps these in place: each epoch scores the current weights
+    weights = model.weights.copy()
     adam = _Adam(weights, model.learning_rate)
     sampler = rng_for_seed(proto.seed, 202)
-    history = []
+    snapshots = np.empty((model.epochs,) + weights.shape)  # each epoch's weights, scored last
+    losses = []
     for epoch in range(model.epochs):
-        losses = []
+        epoch_losses = []
         for s, j in train_pairs:
             _, h, w = gts[s].shape
             th, tw = min(proto.tile_size, h), min(proto.tile_size, w)
@@ -462,25 +523,32 @@ def train(model: SoftmaxModel, stacks, proto: TrainProtocol,
                 elif (s, j) in tables:
                     table = tables[s, j]
                 else:
-                    table = tables[s, j] = _tile_table(feature_rows[s], gts[s], j, 0, 0,
-                                                       h, w, model.batch_size)
+                    table = _tile_table(feature_rows[s], gts[s], j, 0, 0, h, w,
+                                        model.batch_size)
+                    if table.cdf is not None:
+                        table = table._replace(guide=_guide(table.cdf))
+                    tables[s, j] = table
                 if table.y.size == 0:
                     continue
                 if table.cdf is None:
                     x, y = table.x, table.y
                 else:
-                    pick = _choice(sampler, table.cdf, model.batch_size)
+                    pick = (_choice(sampler, table.cdf, model.batch_size) if table.guide is None
+                            else _guided_choice(sampler, table.cdf, table.guide,
+                                                model.batch_size))
                     x = _design(feature_rows[s], table.rows[pick], out=batch)
                     y = table.y[pick]
                 loss, grad = softmax_loss_and_grad(weights, x, y, model.l2)
                 adam.step(weights, grad)
-                losses.append(loss)
-        history.append({
-            "epoch": epoch + 1,
-            "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_iou": _validation_iou(fitted, val_x, val_y),
-        })
-    return fitted, history
+                epoch_losses.append(loss)
+        if not np.isfinite(weights).all():
+            raise ModelError("model weights are not finite")
+        snapshots[epoch] = weights
+        losses.append(float(np.mean(epoch_losses)) if epoch_losses else float("nan"))
+    history = [{"epoch": epoch + 1, "train_loss": loss, "val_iou": iou}
+               for epoch, (loss, iou) in enumerate(zip(losses,
+                                                       _epoch_ious(snapshots, val_x, val_y)))]
+    return replace(model, weights=weights, metadata=dict(model.metadata)), history
 
 
 def _split(gts, proto: TrainProtocol, k: int) -> tuple[list, list]:
@@ -510,20 +578,73 @@ def _split(gts, proto: TrainProtocol, k: int) -> tuple[list, list]:
 
 
 def _validation_set(feats, gts, val_pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Labelled pixels of the validation slices: an (N, 9) float64 matrix and class indices."""
+    """Labelled pixels of the validation slices: their (N, 9) float32 rows of
+    the bank and their class indices."""
     if not val_pairs:
-        return np.empty((0, N_FEATURES)), np.empty(0, dtype=np.int64)
+        return np.empty((0, N_FEATURES), dtype=np.float32), np.empty(0, dtype=np.int64)
     rows = [(feats[s][j].reshape(-1, N_FEATURES), gts[s][j].ravel()) for s, j in val_pairs]
-    x = np.concatenate([f[gt >= 0] for f, gt in rows], dtype=np.float64)
+    x = np.concatenate([f[gt >= 0] for f, gt in rows])
     y = np.concatenate([gt[gt >= 0] for _, gt in rows])
     return x, y
 
 
-def _validation_iou(model: SoftmaxModel, val_x: np.ndarray, val_y: np.ndarray) -> float:
-    """Macro IoU over the classes present in ``val_y``; NaN when none is."""
-    k = model.n_classes
-    pred = model.predict_index(val_x)
-    confusion = np.bincount(val_y * k + pred, minlength=k * k).reshape(k, k)
+def _epoch_ious(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[float]:
+    """Validation macro IoU of each epoch's weights in an (epochs, k, 10) stack.
+
+    Epoch e scores as ``_macro_iou`` of the labels that
+    ``SoftmaxModel(k, weights=weights[e]).predict_index(x)`` gives, for
+    finite logits: one pass over the rows scores every epoch.  Each block
+    of rows, cast to float64 (exactly), takes one product per class with a
+    block of epochs' weights plus their biases, then a column-by-column
+    argmax whose strict ``>`` keeps ties on the lower label, and one
+    ``bincount`` adds the labels into an (epochs, k, k) confusion stack.
+    Blocks hold about ``_SCORE_PAIRS`` (row, epoch) pairs, whatever the
+    number of epochs.  As in ``logits``, a lone row is scored as two.  The
+    epoch blocks are a multiple of 8 wide, zero weights filling the last:
+    OpenBLAS's SkylakeX kernel rounds the last ``epochs % 8`` columns of a
+    product over 193 or more epochs otherwise, and an epoch's logits then
+    lose the bits that ``predict_index`` gives (``TestEpochScores``).
+    """
+    n_epochs, k, _ = weights.shape
+    if not n_epochs:
+        return []
+    kk = k * k
+    padded = np.zeros((-(-n_epochs // 8) * 8, k, N_FEATURES + 1))
+    padded[:n_epochs] = weights
+    w = np.ascontiguousarray(padded[:, :, :-1].transpose(1, 2, 0))  # per class (9, epochs)
+    b = padded[:, :, -1].T.copy()
+    width = min(len(padded), _SCORE_EPOCHS)
+    confusion = np.zeros(len(padded) * kk, dtype=np.int64)
+    n_blocks = -(-len(y) // max(2, _SCORE_PAIRS // width))  # even blocks of rows
+    bounds = [len(y) * i // n_blocks for i in range(n_blocks + 1)] if n_blocks else []
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        xb = _product_rows(x[r0:r1])
+        yk = y[r0:r1, None] * k
+        for e0 in range(0, len(padded), width):
+            e1 = min(e0 + width, len(padded))
+            best = xb @ w[0, :, e0:e1]
+            best += b[0, e0:e1]
+            logits = np.empty_like(best)
+            pred = np.zeros(best.shape, dtype=np.uint8)
+            higher = np.empty_like(pred)
+            for c in range(1, k):
+                np.matmul(xb, w[c, :, e0:e1], out=logits)
+                logits += b[c, e0:e1]
+                # c exceeds every earlier label, so the maximum sets c where c scores higher
+                np.greater(logits, best, out=higher)
+                higher *= c
+                np.maximum(pred, higher, out=pred)
+                if c < k - 1:
+                    np.maximum(best, logits, out=best)
+            index = yk + np.arange(0, (e1 - e0) * kk, kk)
+            index += pred[:r1 - r0]
+            confusion[e0 * kk:e1 * kk] += np.bincount(index.ravel(), minlength=(e1 - e0) * kk)
+    return [_macro_iou(c) for c in confusion.reshape(-1, k, k)[:n_epochs]]
+
+
+def _macro_iou(confusion: np.ndarray) -> float:
+    """Macro IoU of a (k, k) confusion matrix (true class by row) over the
+    classes that occur; NaN when none does."""
     inter = np.diag(confusion)
     gt_count = confusion.sum(axis=1)
     union = gt_count + confusion.sum(axis=0) - inter
@@ -570,8 +691,7 @@ def load_model(path) -> SoftmaxModel:
             n_classes=doc["n_classes"],
             weights=np.asarray(doc["weights"], dtype=np.float64),
             metadata=dict(doc.get("metadata", {})),
-            # each hyperparameter is cast to the type of its default
-            **{key: type(value)(hp[key]) for key, value in DEFAULT_HYPERPARAMETERS.items()},
+            **{key: hp[key] for key in DEFAULT_HYPERPARAMETERS},
         )
     except KeyError as e:
         raise FormatError(f"{path}: model document lacks key {e}") from e

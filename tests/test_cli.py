@@ -507,16 +507,23 @@ def _model_doc():
     {**_model_doc(), "n_classes": "2"},
     {**_model_doc(), "n_classes": 0, "weights": []},
     {**_model_doc(), "hyperparameters": {"learning_rate": -1}},
+    # a hyperparameter of the wrong JSON type is refused, not cast to its default's type
+    {**_model_doc(), "hyperparameters": {"epochs": 2.7}},
+    {**_model_doc(), "hyperparameters": {"batch_size": True}},
+    {**_model_doc(), "hyperparameters": {"l2": "0.5"}},
+    {**_model_doc(), "hyperparameters": {"learning_rate": True}},
 ], ids=["list", "no_n_classes", "weights_not_numbers", "hyperparameters_not_object",
-        "n_classes_text", "n_classes_zero", "learning_rate_negative"])
+        "n_classes_text", "n_classes_zero", "learning_rate_negative", "epochs_float",
+        "batch_size_bool", "l2_text", "learning_rate_bool"])
 def test_malformed_model_exits_4(tmp_path, capsys, doc):
     from tomoseg.core import GrayVolume, save_volume
     save_volume(GrayVolume(np.zeros((4, 4, 4), dtype=np.uint16)), tmp_path / "g.vol")
     model = tmp_path / "m.json"
     model.write_text(json.dumps(doc))
-    expect_error(run("infer", "--input", tmp_path / "g.vol", "--models", model, model, model,
-                     "--out", tmp_path / "seg.vol"),
-                 capsys.readouterr().err, 4, "FormatError")
+    line = expect_error(run("infer", "--input", tmp_path / "g.vol",
+                            "--models", model, model, model, "--out", tmp_path / "seg.vol"),
+                        capsys.readouterr().err, 4, "FormatError")
+    assert line["message"].startswith(f"{model}: ")
     assert not (tmp_path / "seg.vol").exists()
 
 

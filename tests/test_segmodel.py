@@ -7,6 +7,7 @@ import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,7 +118,8 @@ def reference_loss_and_grad(weights, x, y, l2=0.0):
 
 def reference_train(model, stacks, proto):
     """train() as first written: per step a tile copy, class weights, Generator.choice
-    and the concatenating loss; the slice split and validation are train()'s own."""
+    and the concatenating loss, the plain seeded split, and each epoch scored by
+    ``reference_validation_iou`` right after its steps."""
     k = model.n_classes
     id_to_idx = np.full(256, -1, dtype=np.int64)
     id_to_idx[:k] = np.arange(k)
@@ -129,7 +131,6 @@ def reference_train(model, stacks, proto):
     n_val = int(round(proto.val_fraction * len(pairs))) if len(pairs) > 1 else 0
     val_pairs = [pairs[i] for i in order[:n_val]]
     train_pairs = [pairs[i] for i in order[n_val:]]
-    val_x, val_y = segmodel._validation_set(feats, gts, val_pairs)
     weights = model.weights.copy()
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
@@ -172,7 +173,7 @@ def reference_train(model, stacks, proto):
         history.append({
             "epoch": epoch + 1,
             "train_loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_iou": segmodel._validation_iou(fitted, val_x, val_y),
+            "val_iou": reference_validation_iou(fitted, feats, gts, val_pairs),
         })
     return replace(model, weights=weights.copy()), history
 
@@ -335,21 +336,29 @@ def generator_state(gen):
     return json.dumps(gen.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
 
 
+def samplers(cdf):
+    """The sorted-key lookup of per-step tables and the guided lookup of kept ones."""
+    guide = segmodel._guide(cdf)
+    return [segmodel._choice,
+            lambda gen, cdf, size: segmodel._guided_choice(gen, cdf, guide, size)]
+
+
 def assert_samples_like_generator_choice(p, size, seed):
-    """Given the cdf numpy builds from p, the sampler makes Generator.choice's
+    """Given the cdf numpy builds from p, each sampler makes Generator.choice's
     picks and leaves the generator in the same state."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     want_gen = rng_for_seed(seed, 202)
     want = want_gen.choice(p.size, size=size, replace=True, p=p)
-    got_gen = rng_for_seed(seed, 202)
-    got = segmodel._choice(got_gen, cdf, size)
-    assert np.array_equal(got, want)
-    assert generator_state(got_gen) == generator_state(want_gen)
+    for sample in samplers(cdf):
+        got_gen = rng_for_seed(seed, 202)
+        got = sample(got_gen, cdf, size)
+        assert np.array_equal(got, want)
+        assert generator_state(got_gen) == generator_state(want_gen)
 
 
 class TestChoice:
-    """The sorted-key inverse-CDF sampler against Generator.choice."""
+    """The sorted-key and guide-table inverse-CDF samplers against Generator.choice."""
 
     @settings(max_examples=200, deadline=None)
     @given(class_w=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1,
@@ -381,9 +390,20 @@ class TestChoice:
         cdf /= cdf[-1]
         assert set(TIED_UNIFORMS) <= set(cdf)
         want = tied_sampler(0, 202).choice(256, size=8, replace=True, p=p)
-        got = segmodel._choice(tied_sampler(0, 202), cdf, 8)
-        assert np.array_equal(got, want)
+        for sample in samplers(cdf):
+            assert np.array_equal(sample(tied_sampler(0, 202), cdf, 8), want)
         assert want[:4].tolist() == [128, 64, 192, 32]  # the first pixel past each step
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 700])
+    def test_guide_counts_the_cdf_values_up_to_each_bucket(self, n):
+        p = rng_for_seed(n, 44).random(n) ** 4 + 1e-3  # a few heavy rows, many light ones
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        g, m, steps = segmodel._guide(cdf)
+        assert m >= 2 * n and m & (m - 1) == 0 and g.dtype == np.int32
+        edges = np.arange(m + 1)[:, None] / m
+        assert np.array_equal(g, (cdf <= edges[:-1]).sum(axis=1))
+        assert steps == ((cdf > edges[:-1]) & (cdf <= edges[1:])).sum(axis=1).max()
 
 
 class TestSoftmaxModel:
@@ -429,7 +449,7 @@ class TestSoftmaxModel:
             SoftmaxModel(epochs=-1)
         with pytest.raises(ConfigError):
             SoftmaxModel(l2=-0.1)
-        for bad in (np.nan, np.inf, -np.inf):
+        for bad in (np.nan, np.inf, -np.inf, True, False, "0.5", None):
             with pytest.raises(ConfigError, match="learning_rate"):
                 SoftmaxModel(learning_rate=bad)
             with pytest.raises(ConfigError, match="l2"):
@@ -485,6 +505,20 @@ class TestLogits:
         for block, want in zip(np.split(x, cuts), np.split(whole, cuts)):
             assert np.array_equal(model.logits(block).view(np.uint64), want.view(np.uint64))
         assert np.array_equal(model.predict_index(x), whole.argmax(axis=1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(2, 6), data=st.data())
+    def test_a_lone_row_scores_as_in_a_block(self, k, data):
+        weights = data.draw(arrays(np.float64, (k, N_FEATURES + 1), elements=_FINITE))
+        a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        weights[max(a, b)] = weights[min(a, b)]  # two tied classes: the lower label wins
+        model = SoftmaxModel(n_classes=k, weights=weights)
+        x = data.draw(arrays(np.float32, (5, N_FEATURES), elements=st.floats(0, 1, width=32)))
+        block = model.logits(x)
+        for i in range(len(x)):
+            assert np.array_equal(model.logits(x[i:i + 1]).view(np.uint64),
+                                  block[i:i + 1].view(np.uint64))
+            assert model.predict_index(x[i:i + 1])[0] == block[i].argmax() != max(a, b)
 
     def test_logits_keep_apart_what_the_softmax_rounds_together(self):
         weights = np.zeros((2, N_FEATURES + 1))
@@ -619,17 +653,20 @@ def blocky_stack(n_classes, nz=12, n=24, seed=21):
 
 
 def train_with_reference(monkeypatch, model, stacks, proto):
-    """Train with the per-slice reference in place of the gathered validation matrix."""
+    """Train with each epoch's weights scored by the per-slice reference in place
+    of the gathered validation rows and the batched scorer."""
     seen = []
 
     def slices(feats, gts, val_pairs):
         seen.append([gts[s][j] for s, j in val_pairs])
         return (feats, gts, val_pairs), None
 
+    def scores(weights, val, _):
+        return [reference_validation_iou(replace(model, weights=w), *val) for w in weights]
+
     with monkeypatch.context() as m:
         m.setattr(segmodel, "_validation_set", slices)
-        m.setattr(segmodel, "_validation_iou",
-                  lambda fitted, val, _: reference_validation_iou(fitted, *val))
+        m.setattr(segmodel, "_epoch_ious", scores)
         return train(model, stacks, proto), seen[0]
 
 
@@ -695,7 +732,8 @@ class TestValidationMatchesPerSliceReference:
 
 
 class TestInlineValidation:
-    """Each epoch is scored on the calling thread right after its steps."""
+    """Each epoch's weights are checked right after its steps; every epoch is
+    scored in one pass after the last step, on the calling thread."""
 
     MODEL = SoftmaxModel(n_classes=4, learning_rate=0.05, epochs=6,
                          batch_size=256)
@@ -707,20 +745,31 @@ class TestInlineValidation:
 
     def test_every_epoch_is_scored_on_the_main_thread(self, monkeypatch):
         vol, lab = blocky_stack(4, nz=30, n=64)  # 9 validation slices: 36864 pixels
-        sizes, threads = [], []
-        score = segmodel._validation_iou
+        calls, steps = [], []
+        score = segmodel._epoch_ious
 
-        def recorded(fitted, val_x, val_y):
-            sizes.append(len(val_y))
-            threads.append((threading.current_thread(), threading.active_count()))
-            return score(fitted, val_x, val_y)
+        def recorded(weights, val_x, val_y):
+            calls.append((weights.copy(), val_x.dtype, len(val_y), len(steps),
+                          threading.current_thread(), threading.active_count()))
+            return score(weights, val_x, val_y)
 
-        monkeypatch.setattr(segmodel, "_validation_iou", recorded)
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return softmax_loss_and_grad(*args, **kwargs)
+
+        monkeypatch.setattr(segmodel, "_epoch_ious", recorded)
+        monkeypatch.setattr(segmodel, "softmax_loss_and_grad", counted)
         before = threading.active_count()
-        _, history = train(replace(self.MODEL, epochs=3), [(gray(vol), labels(lab))],
-                           self.PROTO)
-        assert sizes[0] >= 1 << 15
-        assert threads == [(threading.main_thread(), before)] * 3
+        fitted, history = train(replace(self.MODEL, epochs=3), [(gray(vol), labels(lab))],
+                                self.PROTO)
+        assert len(calls) == 1
+        weights, dtype, n_val, steps_before, thread, active = calls[0]
+        # the bank's float32 rows, scored once every step has run
+        assert dtype == np.float32 and n_val >= 1 << 15
+        assert steps_before == len(steps) == 3 * 21
+        assert (thread, active) == (threading.main_thread(), before)
+        assert weights.shape == (3, 4, N_FEATURES + 1)
+        assert np.array_equal(weights[-1], fitted.weights)
         assert threading.active_count() == before
         assert [h["epoch"] for h in history] == [1, 2, 3]
 
@@ -728,31 +777,97 @@ class TestInlineValidation:
         def failing(*_):
             raise ModelError("model weights are not finite")
 
-        monkeypatch.setattr(segmodel, "_validation_iou", failing)
+        monkeypatch.setattr(segmodel, "_epoch_ious", failing)
         with pytest.raises(ModelError):
             train(self.MODEL, self.stacks(), self.PROTO)
 
     def test_a_failing_validation_stops_training_in_its_epoch(self, monkeypatch):
         steps, scored = [], []
 
-        def counted(*args, **kwargs):
+        def nan_in_epoch_2(weights, xb, y, l2):
             steps.append(1)
-            return softmax_loss_and_grad(*args, **kwargs)
+            loss, grad = softmax_loss_and_grad(weights, xb, y, l2)
+            if len(steps) == 9:  # the first of epoch 2's 8 steps
+                grad[0, 0] = np.nan
+            return loss, grad
 
-        score = segmodel._validation_iou
-
-        def failing_second(*args):
-            scored.append(1)
-            if len(scored) == 2:
-                raise ModelError("model weights are not finite")
-            return score(*args)
-
-        monkeypatch.setattr(segmodel, "softmax_loss_and_grad", counted)
-        monkeypatch.setattr(segmodel, "_validation_iou", failing_second)
-        with pytest.raises(ModelError):
+        monkeypatch.setattr(segmodel, "softmax_loss_and_grad", nan_in_epoch_2)
+        monkeypatch.setattr(segmodel, "_epoch_ious", lambda *args: scored.append(1))
+        with pytest.raises(ModelError, match="^model weights are not finite$"):
             train(self.MODEL, self.stacks(), self.PROTO)
         assert len(steps) == 2 * 8  # epoch 2 of 8 steps each, and no step of epoch 3
-        assert len(scored) == 2
+        assert scored == []
+
+
+def reference_epoch_ious(weights, x, y):
+    """Each epoch's validation IoU as ``predict_index`` labels and class masks give it."""
+    k = weights.shape[1]
+    ious = []
+    for w in weights:
+        pred = SoftmaxModel(n_classes=k, weights=w).predict_index(x)
+        per_class = [((pred == c) & (y == c)).sum() / ((pred == c) | (y == c)).sum()
+                     for c in range(k) if (y == c).any()]
+        ious.append(float(np.mean(per_class)) if per_class else float("nan"))
+    return ious
+
+
+class TestEpochScores:
+    """The batched scorer of all epochs against per-epoch ``predict_index`` scoring."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 6), n_epochs=st.integers(0, 20), n_rows=st.integers(0, 60),
+           pairs=st.sampled_from([2, 16, 64, segmodel._SCORE_PAIRS]),
+           epoch_block=st.sampled_from([8, 16, segmodel._SCORE_EPOCHS]), data=st.data())
+    def test_equal_to_per_epoch_predict_index(self, k, n_epochs, n_rows, pairs, epoch_block,
+                                              data):
+        weights = data.draw(arrays(np.float64, (n_epochs, k, N_FEATURES + 1), elements=_FINITE))
+        for e in range(n_epochs):
+            if k > 1 and data.draw(st.booleans(), label=f"tie classes in epoch {e}"):
+                a, b = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                          unique=True))
+                weights[e, b] = weights[e, a]  # every row ties these classes
+            if data.draw(st.integers(0, 5)) == 0:
+                weights[e] = 0.0  # every class ties: every label is 0
+        x = data.draw(arrays(np.float32, (n_rows, N_FEATURES),
+                             elements=st.floats(0, 1, width=32) | st.sampled_from([0.0, 1.0])))
+        y = data.draw(arrays(np.int64, n_rows, elements=st.integers(0, k - 1)))
+        # small blocks: a block of one row, and epochs in several blocks
+        with mock.patch.object(segmodel, "_SCORE_PAIRS", pairs), \
+                mock.patch.object(segmodel, "_SCORE_EPOCHS", epoch_block):
+            got = segmodel._epoch_ious(weights, x, y)
+        np.testing.assert_array_equal(got, reference_epoch_ious(weights, x, y))
+
+    def test_epochs_past_one_block_and_rows_past_many(self):
+        # two epoch blocks of the full width, the second padded from 250 epochs
+        rng = rng_for_seed(41, 42)
+        weights = rng.normal(size=(segmodel._SCORE_EPOCHS + 250, 3, N_FEATURES + 1))
+        x = rng.random((2000, N_FEATURES), dtype=np.float32)
+        y = rng.integers(0, 3, size=2000)
+        assert segmodel._epoch_ious(weights, x, y) == reference_epoch_ious(weights, x, y)
+
+    def test_an_empty_set_scores_nan(self):
+        got = segmodel._epoch_ious(np.zeros((3, 2, N_FEATURES + 1)),
+                                   np.empty((0, N_FEATURES), dtype=np.float32),
+                                   np.empty(0, dtype=np.int64))
+        assert len(got) == 3 and np.isnan(got).all()
+        assert segmodel._epoch_ious(np.zeros((0, 2, N_FEATURES + 1)), np.ones((5, 9)),
+                                    np.zeros(5, dtype=np.int64)) == []
+
+    def test_scoring_holds_a_fixed_budget(self):
+        # stage 1's validation set at train64: 53k rows, 150 epochs, 4 classes
+        rng = rng_for_seed(42, 42)
+        weights = rng.normal(size=(150, 4, N_FEATURES + 1))
+        x = rng.random((53000, N_FEATURES), dtype=np.float32)
+        y = rng.integers(0, 4, size=53000)
+        segmodel._epoch_ious(weights[:2], x[:10], y[:10])
+        tracemalloc.start()
+        try:
+            segmodel._epoch_ious(weights, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float64 copy of the set that validation once held took 53000 x 72 B = 3.8 MB
+        assert peak < 1 << 20
 
 
 def plain_split(n_pairs, proto):
